@@ -102,4 +102,5 @@ from .spectral import (
     matrix_criterion,
     minor_criterion,
     srg_check,
+    stereotype_characteristic_polynomial,
 )

@@ -28,11 +28,10 @@ from .model import (
 )
 from .polynomials import IntPolynomial, falling_factorial_coefficients
 from .spectral import (
-    adjacency_matrix,
-    characteristic_polynomial,
     characteristic_criterion,
     matrix_criterion,
     minor_criterion,
+    stereotype_characteristic_polynomial,
 )
 
 CHROMATIC_POLY_VERTEX_BOUND = 14
@@ -150,13 +149,11 @@ def _chromatic_polynomial_cached(graph: Graph) -> IntPolynomial:
     return IntPolynomial(tuple(reversed(ascending)))
 
 
-def chromatic_polynomial(
-    graph: Graph, max_vertices: int = CHROMATIC_POLY_VERTEX_BOUND
-) -> IntPolynomial:
+def chromatic_polynomial(graph: Graph) -> IntPolynomial:
     """Exact chromatic polynomial, degree = vertex count, monic."""
-    if graph.vertex_count > max_vertices:
+    if graph.vertex_count > CHROMATIC_POLY_VERTEX_BOUND:
         raise SizeExceeded(
-            f"chromatic polynomial bounded at {max_vertices} vertices, "
+            f"chromatic polynomial bounded at {CHROMATIC_POLY_VERTEX_BOUND} vertices, "
             f"got {graph.vertex_count}"
         )
     return _chromatic_polynomial_cached(graph)
@@ -337,9 +334,7 @@ def compare_stability(g1: StereotypeGraph, g2: StereotypeGraph) -> StabilityComp
     return StabilityComparison.SAME_STABLE
 
 
-def chromatically_bipartite_criterion(
-    g: StereotypeGraph, max_vertices: int = CHROMATIC_POLY_VERTEX_BOUND
-) -> bool:
+def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
     """Stability via the second chromatic coefficient reaching C(n^2, 2).
 
     Also cross-checks the structural coefficient laws (b0 = 1,
@@ -348,10 +343,10 @@ def chromatically_bipartite_criterion(
     """
     if g.n < 2:
         raise DomainError("criterion requires at least two pairs")
-    chrom = chromatic_polynomial(g.graph, max_vertices)
+    chrom = chromatic_polynomial(g.graph)
     b0, b1, b2 = chrom.coefficient(0), chrom.coefficient(1), chrom.coefficient(2)
     edge_pairs = comb(g.n * g.n, 2)
-    c3 = characteristic_polynomial(adjacency_matrix(g)).coefficient(3)
+    c3 = stereotype_characteristic_polynomial(g).coefficient(3)
     if b0 != 1 or b1 != -g.n * g.n:
         raise InternalInvariant(f"unexpected leading chromatic coefficients ({b0}, {b1})")
     if b2 > edge_pairs or 2 * (b2 - edge_pairs) != c3:
@@ -398,9 +393,7 @@ class StabilityReport:
         return self.csi == 2
 
 
-def stability_report(
-    g: StereotypeGraph, max_poly_vertices: int = CHROMATIC_POLY_VERTEX_BOUND
-) -> StabilityReport:
+def stability_report(g: StereotypeGraph) -> StabilityReport:
     """Run every stability predicate plus the chromatic stability index.
 
     Disagreement between executed criteria is reported via the agreement
@@ -418,8 +411,8 @@ def stability_report(
         girth = g.graph.girth() == 4
         matrix = matrix_criterion(g)
         characteristic = characteristic_criterion(g)
-        if g.vertex_count <= max_poly_vertices:
-            chrom_bipartite = chromatically_bipartite_criterion(g, max_poly_vertices)
+        if g.vertex_count <= CHROMATIC_POLY_VERTEX_BOUND:
+            chrom_bipartite = chromatically_bipartite_criterion(g)
     index = csi(g)
     executed = [
         v

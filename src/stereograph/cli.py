@@ -46,7 +46,7 @@ from .serialize import (
     raw_graph_from_dict,
     to_dot,
 )
-from .spectral import adjacency_matrix, characteristic_polynomial
+from .spectral import stereotype_characteristic_polynomial
 
 
 class _Parser(argparse.ArgumentParser):
@@ -147,7 +147,7 @@ def _print_polynomial(poly, as_json: bool) -> None:
 
 def _cmd_charpoly(args) -> int:
     g = _load_graph(args.file)
-    _print_polynomial(characteristic_polynomial(adjacency_matrix(g)), args.json)
+    _print_polynomial(stereotype_characteristic_polynomial(g), args.json)
     return 0
 
 

@@ -105,9 +105,7 @@ def census(
         k = chromatic_number(g.graph)
         labeled[k] = labeled.get(k, 0) + 1
         reps = representatives.setdefault(k, [])
-        if not any(
-            _stereotype_isomorphic(g, known) for known in reps
-        ):
+        if not any(graph_isomorphic(g.graph, known.graph) for known in reps):
             reps.append(g)
         if k == 2 and not recognize_complete_bipartite(g):
             raise InternalInvariant(f"index-2 graph {g.bits} is not complete bipartite")
@@ -129,10 +127,6 @@ def census(
         CensusRow(n=n, k=k, labeled_count=labeled[k], iso_class_count=len(representatives[k]))
         for k in sorted(labeled)
     ]
-
-
-def _stereotype_isomorphic(g1: StereotypeGraph, g2: StereotypeGraph) -> bool:
-    return graph_isomorphic(g1.graph, g2.graph)
 
 
 def _transversal_clique(g: StereotypeGraph, size: int) -> tuple[int, ...] | None:

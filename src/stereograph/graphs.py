@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, InternalInvariant
 
 Edge = tuple[int, int]
 
@@ -189,7 +189,8 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
 
     if not backtrack(0):
         return None
-    assert _mapping_preserves_edges(g1, g2, mapping)
+    if not _mapping_preserves_edges(g1, g2, mapping):
+        raise InternalInvariant("isomorphism search returned a mapping that breaks an edge")
     return dict(mapping)
 
 

@@ -85,8 +85,10 @@ class StereotypeGraph:
                 f"got {len(self.bits)}"
             )
         for b in self.bits:
-            if b not in (0, 1):
-                raise DomainError(f"pattern bits must be 0 or 1, got {b!r}")
+            # type() rather than isinstance(): True and 1.0 compare equal
+            # to 1 but would be written back as themselves.
+            if type(b) is not int or b not in (0, 1):
+                raise DomainError(f"pattern bits must be the int 0 or 1, got {b!r}")
 
     def bit(self, i: int, j: int) -> int:
         """Matching bit between pairs i and j (order-insensitive)."""
@@ -335,62 +337,28 @@ def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
 
 
 def recognize_complete_bipartite(g: StereotypeGraph) -> bool:
-    """True iff g is a complete bipartite graph on equal sides.
-
-    For a stereotype graph a successful 2-coloring suffices: the edge
-    count n^2 then forces every cross-side adjacency to be present.
-    """
-    color = {0: 1}
-    stack = [0]
-    graph = g.graph
-    while stack:
-        u = stack.pop()
-        for w in graph.neighbors(u):
-            if w not in color:
-                color[w] = 3 - color[u]
-                stack.append(w)
-            elif color[w] == color[u]:
-                return False
-    return len(color) == graph.vertex_count
+    """True iff g is a complete bipartite graph on equal sides, i.e. the
+    pattern switches to all-crossed (no pair triple is XOR-0)."""
+    return _switches_to_constant(g, 1)
 
 
 def recognize_complete_ladder(g: StereotypeGraph) -> bool:
-    """True iff the vertices split into two n-cliques joined by a perfect
-    matching with no other edges, found by backtracking over clique
-    bipartitions."""
-    graph = g.graph
-    n = g.n
-    if n == 1:
-        return True
-    for clique in _cliques_of_size(graph, n):
-        rest = sorted(set(range(graph.vertex_count)) - set(clique))
-        if not all(graph.has_edge(u, v) for u, v in itertools.combinations(rest, 2)):
-            continue
-        across = [
-            (u, v)
-            for u in clique
-            for v in rest
-            if graph.has_edge(u, v)
-        ]
-        if len(across) == n and len({u for u, _ in across}) == n and len(
-            {v for _, v in across}
-        ) == n:
-            return True
-    return False
+    """True iff g is two n-cliques joined by a perfect matching, i.e. the
+    pattern switches to all-parallel (every pair triple is XOR-0)."""
+    return _switches_to_constant(g, 0)
 
 
-def _cliques_of_size(graph: Graph, size: int):
-    vertices = range(graph.vertex_count)
+def _switches_to_constant(g: StereotypeGraph, b: int) -> bool:
+    """Whether Seidel switching turns every bit of the pattern into b.
 
-    def extend(partial: list[int], candidates: list[int]):
-        if len(partial) == size:
-            yield tuple(partial)
-            return
-        for idx, v in enumerate(candidates):
-            if all(graph.has_edge(v, u) for u in partial):
-                yield from extend(partial + [v], candidates[idx + 1 :])
-
-    yield from extend([], list(vertices))
+    Swapping the sides of pair i flips every bit(i, j), so switching the
+    pairs i with bit(1, i) != b sets row 1 to b; the rest then equals b
+    iff bit(1, i) ^ bit(1, j) ^ bit(i, j) == b for all 2 <= i < j.
+    """
+    return all(
+        g.bit(1, i) ^ g.bit(1, j) ^ g.bit(i, j) == b
+        for i, j in itertools.combinations(range(2, g.n + 1), 2)
+    )
 
 
 __all__ = [

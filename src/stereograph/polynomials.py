@@ -8,7 +8,7 @@ the coefficient tuple is c_i. No floating point is used anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from math import factorial
 from typing import Sequence
 
 from .errors import InternalInvariant
@@ -50,35 +50,31 @@ class IntPolynomial:
 
 
 def interpolate_integer_polynomial(points: Sequence[tuple[int, int]]) -> IntPolynomial:
-    """Exact polynomial through the given (x, y) points.
+    """Exact polynomial of degree at most d through (x, y) for x = 0..d.
 
-    Lagrange interpolation over exact rationals; the result must come out
-    with integer coefficients, otherwise the inputs did not define an
-    integer polynomial and an InternalInvariant is raised.
+    Newton's forward-difference form p(x) = sum_k D^k p(0) x(x-1)...(x-k+1) / k!
+    is expanded times d! in integers and divided back exactly; a remainder
+    means the values do not define an integer polynomial, and an
+    InternalInvariant is raised.
     """
-    xs = [x for x, _ in points]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation nodes must be distinct")
     degree = len(points) - 1
-    acc = [Fraction(0)] * (degree + 1)
-    for xi, yi in points:
-        # Numerator polynomial prod_{xj != xi} (x - xj), ascending coeffs.
-        numer = [Fraction(1)]
-        denom = Fraction(1)
-        for xj, _ in points:
-            if xj == xi:
-                continue
-            denom *= xi - xj
-            numer = [Fraction(0)] + numer
-            for k in range(len(numer) - 1):
-                numer[k] -= xj * numer[k + 1]
-        scale = Fraction(yi) / denom
-        for k in range(len(numer)):
-            acc[k] += scale * numer[k]
-    coeffs_desc = list(reversed(acc))
-    if any(c.denominator != 1 for c in coeffs_desc):
-        raise InternalInvariant("interpolation did not yield integer coefficients")
-    return IntPolynomial(tuple(int(c) for c in coeffs_desc))
+    if [x for x, _ in points] != list(range(degree + 1)):
+        raise ValueError("interpolation nodes must be 0, 1, ..., d in order")
+    scale = factorial(degree)
+    differences = [y for _, y in points]
+    scaled = [0] * (degree + 1)
+    for k in range(degree + 1):
+        weight = differences[0] * (scale // factorial(k))
+        for power, coeff in enumerate(falling_factorial_coefficients(k)):
+            scaled[power] += weight * coeff
+        differences = [b - a for a, b in zip(differences, differences[1:])]
+    coeffs = []
+    for c in reversed(scaled):
+        quotient, remainder = divmod(c, scale)
+        if remainder:
+            raise InternalInvariant("interpolation did not yield integer coefficients")
+        coeffs.append(quotient)
+    return IntPolynomial(tuple(coeffs))
 
 
 def falling_factorial_coefficients(k: int) -> list[int]:

@@ -52,9 +52,10 @@ def graph_from_dict(doc: object) -> StereotypeGraph:
         raise ParseError(f"'n' must be a positive integer, got {n!r}")
     if fmt == FORMAT_BITS:
         pattern = doc.get("pattern")
-        if not isinstance(pattern, list) or not all(b in (0, 1) for b in pattern):
+        if not isinstance(pattern, list):
             raise ParseError("'pattern' must be a list of 0/1 bits")
         try:
+            # Bits that are not the plain ints 0/1 (true, 1.0) fail here.
             return from_pattern(n, pattern)
         except (LengthMismatch, DomainError) as exc:
             raise ParseError(str(exc)) from exc

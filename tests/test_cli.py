@@ -56,6 +56,14 @@ class TestValidate:
         assert code == 1
         assert "stereograph:" in err
 
+    def test_non_int_bits(self, capsys, tmp_path):
+        path = tmp_path / "floats.json"
+        path.write_text('{"format": "stereograph-v1", "n": 3, "pattern": [1.0, true, 0]}')
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 1
+        assert out == ""
+        assert "stereograph:" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "validate", "/nonexistent/graph.json")
         assert code == 1

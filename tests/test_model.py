@@ -10,8 +10,10 @@ from oracles import trace_triangle_count
 from stereograph.spectral import adjacency_matrix
 from stereograph import (
     DomainError,
+    InternalInvariant,
     LengthMismatch,
     NotAStereotypeGraph,
+    StereotypeGraph,
     basic_profile,
     enumerate_all,
     find_isomorphism,
@@ -26,6 +28,7 @@ from stereograph import (
     triangle_pair_triples,
     validate_stereotype,
 )
+from stereograph import graphs
 from stereograph.graphs import Graph, normalize_edge
 from stereograph.model import (
     parse_vertex_name,
@@ -90,6 +93,15 @@ class TestFromPattern:
     def test_non_bit_rejected(self):
         with pytest.raises(DomainError):
             from_pattern(2, [2])
+
+    @pytest.mark.parametrize("bit", [True, False, 1.0, 0.0])
+    def test_non_int_bit_rejected(self, bit):
+        # Equal to 0/1 but not the canonical int, so it would serialize back
+        # as itself.
+        with pytest.raises(DomainError):
+            from_pattern(2, [bit])
+        with pytest.raises(DomainError):
+            StereotypeGraph(3, (0, bit, 0))
 
 
 class TestFromEdgeList:
@@ -227,6 +239,11 @@ class TestIsomorphism:
             normalize_edge(mapping[u], mapping[v]) for u, v in kl4.graph.edges
         }
         assert image == set(kl4.graph.edges)
+
+    def test_failed_self_check_raises(self, kl4, monkeypatch):
+        monkeypatch.setattr(graphs, "_mapping_preserves_edges", lambda *args: False)
+        with pytest.raises(InternalInvariant):
+            find_isomorphism(kl4.graph, kl4.graph)
 
     def test_symmetry_on_family(self, all_st3):
         for g1, g2 in itertools.combinations(all_st3, 2):

@@ -78,6 +78,11 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             graph_from_dict({"format": "stereograph-v1", "n": 2, "pattern": [2]})
 
+    @pytest.mark.parametrize("pattern", ["[1.0, true, 0]", "[1, 0, false]", "[1, 0, 0.0]"])
+    def test_non_int_bits(self, pattern):
+        with pytest.raises(ParseError):
+            graph_from_json(f'{{"format": "stereograph-v1", "n": 3, "pattern": {pattern}}}')
+
     def test_unknown_format(self):
         with pytest.raises(ParseError):
             graph_from_dict({"format": "graphml", "n": 2, "pattern": [0]})

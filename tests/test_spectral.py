@@ -13,23 +13,26 @@ from oracles import (
 )
 from stereograph import (
     DomainError,
+    InternalInvariant,
     adjacency_matrix,
     characteristic_criterion,
     characteristic_polynomial,
     coefficient_identities,
     enumerate_all,
     from_pattern,
+    gen_random,
     matrix_criterion,
     minor_criterion,
     reduce_to_k2,
     srg_check,
+    stereotype_characteristic_polynomial,
 )
+from stereograph.polynomials import interpolate_integer_polynomial
 from stereograph.spectral import (
-    TRIANGLE_MINOR,
+    IntMatrix,
     bareiss_determinant,
     mat_mul,
     ones_matrix,
-    principal_submatrix,
     srg_identity_holds,
 )
 
@@ -39,6 +42,12 @@ from stereograph.spectral import (
 CHARPOLY_K22 = (1, 0, -4, 0, 0)
 CHARPOLY_K33 = (1, 0, -9, 0, 0, 0, 0)
 CHARPOLY_KL3 = (1, 0, -9, -4, 12, 0, 0)
+
+TRIANGLE_MINOR = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+
+def principal_submatrix(matrix: IntMatrix, indices: tuple[int, ...]) -> IntMatrix:
+    return tuple(tuple(matrix[i][j] for j in indices) for i in indices)
 
 
 class TestAdjacencyMatrix:
@@ -96,6 +105,42 @@ class TestCharacteristicPolynomial:
                 assert poly.evaluate(x) == rational_gauss_determinant(
                     char_matrix_at(a, x)
                 )
+
+
+class TestStereotypeCharacteristicPolynomial:
+    """The Seidel route against the generic 2n x 2n determinant route."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_adjacency_route_exhaustive(self, n):
+        for g in enumerate_all(n):
+            assert stereotype_characteristic_polynomial(g) == characteristic_polynomial(
+                adjacency_matrix(g)
+            )
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 9])
+    def test_matches_adjacency_route_random(self, n):
+        for seed in range(3):
+            g = gen_random(n, seed)
+            assert stereotype_characteristic_polynomial(g) == characteristic_polynomial(
+                adjacency_matrix(g)
+            )
+
+
+class TestInterpolation:
+    def test_recovers_integer_polynomial(self):
+        # 3x^3 - 7x + 2 from its values at 0..3, plus a zero leading term.
+        poly = (0, 3, 0, -7, 2)
+        points = [(x, 3 * x**3 - 7 * x + 2) for x in range(len(poly))]
+        assert interpolate_integer_polynomial(points).coefficients == poly
+
+    def test_non_integral_coefficients_raise(self):
+        # Values of x(x-1)/2: integer-valued, but not an integer polynomial.
+        with pytest.raises(InternalInvariant):
+            interpolate_integer_polynomial([(0, 0), (1, 0), (2, 1)])
+
+    def test_nodes_must_be_zero_to_d(self):
+        with pytest.raises(ValueError):
+            interpolate_integer_polynomial([(1, 1), (2, 4)])
 
 
 class TestBareiss:

@@ -1,0 +1,74 @@
+"""Metamorphic properties: relabelling pairs and Seidel switching (swapping
+the two sides of one pair) are graph isomorphisms, so every verdict,
+index and polynomial must come out unchanged."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stereograph import (
+    from_pattern,
+    recognize_complete_bipartite,
+    recognize_complete_ladder,
+    stability_report,
+    stereotype_characteristic_polynomial,
+)
+from stereograph.model import pattern_length, pattern_slot
+
+
+def _pair_pairs(n):
+    return itertools.combinations(range(1, n + 1), 2)
+
+
+def permute_pairs(g, perm):
+    """Relabel pair i as pair perm[i - 1]."""
+    bits = [0] * pattern_length(g.n)
+    for i, j in _pair_pairs(g.n):
+        a, b = sorted((perm[i - 1], perm[j - 1]))
+        bits[pattern_slot(g.n, a, b)] = g.bit(i, j)
+    return from_pattern(g.n, bits)
+
+
+def switch_pair(g, k):
+    """Swap the two sides of pair k: every bit touching k flips."""
+    return from_pattern(g.n, [g.bit(i, j) ^ (k in (i, j)) for i, j in _pair_pairs(g.n)])
+
+
+@st.composite
+def graph_and_moves(draw):
+    n = draw(st.integers(min_value=1, max_value=6))
+    bits = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=1),
+            min_size=pattern_length(n),
+            max_size=pattern_length(n),
+        )
+    )
+    perm = draw(st.permutations(range(1, n + 1)))
+    pair = draw(st.integers(min_value=1, max_value=n))
+    return from_pattern(n, bits), perm, pair
+
+
+def invariants(g):
+    return (
+        stability_report(g),
+        stereotype_characteristic_polynomial(g),
+        recognize_complete_bipartite(g),
+        recognize_complete_ladder(g),
+    )
+
+
+def test_moves_by_hand():
+    g = from_pattern(3, [0, 0, 0])
+    assert switch_pair(g, 2).bits == (1, 0, 1)
+    assert permute_pairs(from_pattern(3, [1, 0, 0]), [3, 1, 2]).bits == (0, 1, 0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(graph_and_moves())
+def test_invariant_under_relabelling_and_switching(case):
+    g, perm, pair = case
+    expected = invariants(g)
+    assert invariants(permute_pairs(g, perm)) == expected
+    assert invariants(switch_pair(g, pair)) == expected
