@@ -18,9 +18,15 @@ from stereograph import (
 
 print("census of labeled graphs and isomorphism classes by index:")
 print("n,k,labeled_count,iso_class_count")
-for n in (2, 3, 4, 5):
-    for row in census(n):
+class_totals = []
+for n in (2, 3, 4, 5, 6):
+    rows = census(n)
+    for row in rows:
         print(f"{row.n},{row.k},{row.labeled_count},{row.iso_class_count}")
+    class_totals.append(sum(row.iso_class_count for row in rows))
+# One class per two-graph: the counts of OEIS A002854.
+assert class_totals == [1, 2, 3, 7, 16]
+print(f"classes for n = 2..6: {class_totals}, the two-graph counts")
 
 print("\ntargeted construction: one graph per index at n=6")
 for k in range(2, 7):

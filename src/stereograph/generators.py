@@ -12,6 +12,7 @@ a clique through the new pair, which together reach every index in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -73,12 +74,20 @@ def enumerate_all(
     n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND, force: bool = False
 ) -> Iterator[StereotypeGraph]:
     """All 2^C(n,2) stereotype graphs on n pairs in lexicographic bit order."""
-    if limit is not None and n > limit and not force:
-        raise TooLarge(f"enumeration bounded at n <= {limit}, got n={n}")
+    _check_bound("enumeration", n, limit, force)
     length = pattern_length(n)
     for value in range(1 << length):
-        bits = tuple((value >> (length - 1 - s)) & 1 for s in range(length))
-        yield from_pattern(n, bits)
+        yield from_pattern(n, _pattern_bits(value, length))
+
+
+def _check_bound(what: str, n: int, limit: int | None, force: bool) -> None:
+    if limit is not None and n > limit and not force:
+        raise TooLarge(f"{what} bounded at n <= {limit}, got n={n}")
+
+
+def _pattern_bits(value: int, length: int) -> tuple[int, ...]:
+    """The pattern whose bits, read as a big-endian binary number, are value."""
+    return tuple((value >> (length - 1 - s)) & 1 for s in range(length))
 
 
 @dataclass(frozen=True)
@@ -95,15 +104,41 @@ def census(
     """Labeled and isomorphism-class counts of the graphs on n pairs,
     grouped by chromatic stability index.
 
-    Verifies the structural extremes while counting: every index-2 graph
-    must be complete bipartite, every index-n graph a complete ladder,
-    and each index in [2, n] must be populated.
+    Works on switching classes. Swapping the two sides of a pair (Seidel
+    switching) and relabelling the pairs both map a graph to an
+    isomorphic one, so they keep the index. Each labeled switching class
+    holds 2^(n-1) patterns, exactly one of them with pair 1 parallel to
+    every other pair (a normalised pattern). The census walks the
+    normalised patterns, expands each unseen one to its orbit under pair
+    permutations, takes one chromatic_number per orbit and counts
+    |orbit| * 2^(n-1) labeled graphs for it. Orbit representatives of
+    equal index are then merged by graph isomorphism, so the class count
+    never assumes that graph isomorphism respects the pairs.
+
+    Verifies the structural extremes while counting: the labeled counts
+    must sum to 2^C(n,2), every index-2 representative must be complete
+    bipartite, every index-n one a complete ladder, and each index in
+    [2, n] must be populated, with the two extremes a single class.
     """
+    if type(n) is not int or n < 1:
+        raise DomainError(f"pair count must be a positive int, got {n!r}")
+    _check_bound("census", n, limit, force)
     labeled: dict[int, int] = {}
     representatives: dict[int, list[StereotypeGraph]] = {}
-    for g in enumerate_all(n, limit=limit, force=force):
+    # Normalised patterns are the values below 2^C(n-1,2): their first
+    # n-1 bits, pair 1's row, are the leading zeros.
+    normalised = 1 << pattern_length(n - 1)
+    seen = bytearray(normalised)
+    permutations = list(itertools.permutations(range(n)))
+    for value in range(normalised):
+        if seen[value]:
+            continue
+        orbit = _switching_orbit(n, value, permutations)
+        for member in orbit:
+            seen[member] = 1
+        g = from_pattern(n, _pattern_bits(value, pattern_length(n)))
         k = chromatic_number(g.graph)
-        labeled[k] = labeled.get(k, 0) + 1
+        labeled[k] = labeled.get(k, 0) + (len(orbit) << (n - 1))
         reps = representatives.setdefault(k, [])
         if not any(graph_isomorphic(g.graph, known.graph) for known in reps):
             reps.append(g)
@@ -112,6 +147,12 @@ def census(
         if k == n and n >= 2 and not recognize_complete_ladder(g):
             raise InternalInvariant(f"index-{n} graph {g.bits} is not a complete ladder")
 
+    total = sum(labeled.values())
+    if total != 1 << pattern_length(n):
+        raise InternalInvariant(
+            f"switching orbits on {n} pairs cover {total} labeled graphs, "
+            f"not 2^{pattern_length(n)}"
+        )
     if n >= 2:
         for k in range(2, n + 1):
             if labeled.get(k, 0) < 1:
@@ -127,6 +168,32 @@ def census(
         CensusRow(n=n, k=k, labeled_count=labeled[k], iso_class_count=len(representatives[k]))
         for k in sorted(labeled)
     ]
+
+
+def _switching_orbit(
+    n: int, value: int, permutations: list[tuple[int, ...]]
+) -> set[int]:
+    """Normalised patterns of every relabelling of value's switching class.
+
+    Pairs are 0-based here. Relabelling pair i as p[i] gives the bits
+    b(p[i], p[j]); switching the pairs crossed to pair 0 then clears row
+    0, which XORs each remaining bit with b(p[0], p[i]) ^ b(p[0], p[j]).
+    """
+    pairs = list(itertools.combinations(range(n), 2))
+    bits = _pattern_bits(value, len(pairs))
+    m = [[0] * n for _ in range(n)]
+    for (i, j), b in zip(pairs, bits):
+        m[i][j] = m[j][i] = b
+    inner = pairs[n - 1 :]
+    orbit = set()
+    for p in permutations:
+        row = m[p[0]]
+        key = 0
+        for i, j in inner:
+            a, b = p[i], p[j]
+            key = (key << 1) | (m[a][b] ^ row[a] ^ row[b])
+        orbit.add(key)
+    return orbit
 
 
 def _transversal_clique(g: StereotypeGraph, size: int) -> tuple[int, ...] | None:

@@ -77,16 +77,16 @@ class StereotypeGraph:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError(f"pair count must be positive, got {self.n}")
+        # type() rather than isinstance(): True and 2.0 compare equal to
+        # the ints 1 and 2 but would be written back as themselves.
+        if type(self.n) is not int or self.n < 1:
+            raise DomainError(f"pair count must be a positive int, got {self.n!r}")
         if len(self.bits) != pattern_length(self.n):
             raise LengthMismatch(
                 f"expected {pattern_length(self.n)} pattern bits for n={self.n}, "
                 f"got {len(self.bits)}"
             )
         for b in self.bits:
-            # type() rather than isinstance(): True and 1.0 compare equal
-            # to 1 but would be written back as themselves.
             if type(b) is not int or b not in (0, 1):
                 raise DomainError(f"pattern bits must be the int 0 or 1, got {b!r}")
 

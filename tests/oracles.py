@@ -4,7 +4,8 @@ Every routine here deliberately takes a different algorithmic route from
 the library implementation it checks: proper colorings are enumerated as
 raw assignment tuples, chromatic polynomials come from deletion and
 contraction, determinants from Laplace expansion or rational Gaussian
-elimination, and triangles from the cube of the adjacency matrix. Keep
+elimination, triangles from the cube of the adjacency matrix, and the
+census from every labeled graph with pairwise isomorphism tests. Keep
 it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
@@ -12,7 +13,9 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from stereograph.graphs import Graph, normalize_edge
+from stereograph import chromatic_number, from_pattern
+from stereograph.graphs import Graph, graph_isomorphic, normalize_edge
+from stereograph.model import pattern_length
 
 
 def enumerate_coloring_count(graph: Graph, x: int) -> int:
@@ -122,3 +125,19 @@ def char_matrix_at(matrix, x: int):
     return [
         [(x if i == j else 0) - matrix[i][j] for j in range(dim)] for i in range(dim)
     ]
+
+
+def pairwise_census(n: int) -> list[tuple[int, int, int, int]]:
+    """(n, k, labeled count, isomorphism classes) rows over every labeled
+    graph on n pairs: the index of each one, and a new class whenever a
+    graph is isomorphic to no earlier graph of the same index."""
+    labeled: dict[int, int] = {}
+    representatives: dict[int, list[Graph]] = {}
+    for bits in itertools.product((0, 1), repeat=pattern_length(n)):
+        graph = from_pattern(n, bits).graph
+        k = chromatic_number(graph)
+        labeled[k] = labeled.get(k, 0) + 1
+        reps = representatives.setdefault(k, [])
+        if not any(graph_isomorphic(graph, known) for known in reps):
+            reps.append(graph)
+    return [(n, k, labeled[k], len(representatives[k])) for k in sorted(labeled)]

@@ -189,6 +189,12 @@ class TestEnumerateAndCensus:
         assert code == 1
         assert "bounded" in err
 
+    def test_env_bound_lowering_census(self, capsys, monkeypatch):
+        monkeypatch.setenv("STEREOGRAPH_MAX_N", "2")
+        code, _, err = run(capsys, "census", "--n", "3")
+        assert code == 1
+        assert "bounded" in err
+
     def test_env_bound_must_be_integer(self, capsys, monkeypatch):
         monkeypatch.setenv("STEREOGRAPH_MAX_N", "many")
         code, _, err = run(capsys, "enumerate", "--n", "3")

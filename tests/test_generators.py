@@ -33,6 +33,8 @@ from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
 from stereograph.model import pattern_length
 
+from oracles import pairwise_census
+
 # Reference outputs of splitmix64 for seed 0, from the published test
 # vectors of the original implementation.
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -40,6 +42,10 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 # A 5-pair pattern whose index (4) exceeds its largest clique (3); the
 # incrementing expansion has nothing to grow there. Verified in-test.
 INDEX_ABOVE_CLIQUE = (0, 0, 0, 0, 0, 0, 1, 1, 0, 1)
+
+# census(6) as (k, labeled, isomorphism classes); the labeled counts agree
+# with the index of each of the 32768 labeled graphs computed one by one.
+SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32, 1)]
 
 
 class TestCanonicalFamilies:
@@ -140,6 +146,32 @@ class TestCensus:
         assert by_k[4].labeled_count == 8
         assert by_k[2].iso_class_count == 1
         assert by_k[4].iso_class_count == 1
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_pairwise_oracle(self, n):
+        rows = [(r.n, r.k, r.labeled_count, r.iso_class_count) for r in census(n)]
+        assert rows == pairwise_census(n)
+
+    def test_six_pairs_exhaustive(self):
+        rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(6)]
+        assert rows == SIX_PAIR_CENSUS
+        # The two-graph count on 6 points (OEIS A002854): graph isomorphism
+        # merges no two switching classes through n = 6.
+        assert sum(classes for _, _, classes in rows) == 16
+
+    def test_bound_and_force(self):
+        with pytest.raises(TooLarge):
+            census(3, limit=2)
+        rows = census(3, limit=2, force=True)
+        assert [(r.k, r.labeled_count, r.iso_class_count) for r in rows] == [
+            (2, 4, 1),
+            (3, 4, 1),
+        ]
+
+    @pytest.mark.parametrize("n", [0, -1, 2.0, True])
+    def test_bad_pair_count(self, n):
+        with pytest.raises(DomainError):
+            census(n)
 
 
 class TestExpansion:

@@ -103,6 +103,13 @@ class TestFromPattern:
         with pytest.raises(DomainError):
             StereotypeGraph(3, (0, bit, 0))
 
+    @pytest.mark.parametrize("n, bits", [(2.0, [1]), (True, [])])
+    def test_non_int_pair_count_rejected(self, n, bits):
+        # 2.0 and True compare equal to 2 and 1, but .graph and the JSON
+        # writer need the int.
+        with pytest.raises(DomainError):
+            from_pattern(n, bits)
+
 
 class TestFromEdgeList:
     def test_forced_two_pair_graph(self):

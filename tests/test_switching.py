@@ -1,6 +1,7 @@
 """Metamorphic properties: relabelling pairs and Seidel switching (swapping
-the two sides of one pair) are graph isomorphisms, so every verdict,
-index and polynomial must come out unchanged."""
+the two sides of a pair) are graph isomorphisms, so every verdict,
+index and polynomial must come out unchanged. The census counts a
+whole switching orbit by one representative on exactly this premise."""
 
 import itertools
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stereograph import (
+    chromatic_number,
+    chromatic_polynomial,
     from_pattern,
     recognize_complete_bipartite,
     recognize_complete_ladder,
@@ -30,14 +33,16 @@ def permute_pairs(g, perm):
     return from_pattern(g.n, bits)
 
 
-def switch_pair(g, k):
-    """Swap the two sides of pair k: every bit touching k flips."""
-    return from_pattern(g.n, [g.bit(i, j) ^ (k in (i, j)) for i, j in _pair_pairs(g.n)])
+def switch_pairs(g, pairs):
+    """Swap the two sides of every pair in pairs: a bit flips when exactly
+    one of its two pairs is switched."""
+    return from_pattern(
+        g.n, [g.bit(i, j) ^ (i in pairs) ^ (j in pairs) for i, j in _pair_pairs(g.n)]
+    )
 
 
-@st.composite
-def graph_and_moves(draw):
-    n = draw(st.integers(min_value=1, max_value=6))
+def _patterns(draw, min_n):
+    n = draw(st.integers(min_value=min_n, max_value=6))
     bits = draw(
         st.lists(
             st.integers(min_value=0, max_value=1),
@@ -45,9 +50,23 @@ def graph_and_moves(draw):
             max_size=pattern_length(n),
         )
     )
-    perm = draw(st.permutations(range(1, n + 1)))
-    pair = draw(st.integers(min_value=1, max_value=n))
-    return from_pattern(n, bits), perm, pair
+    return from_pattern(n, bits)
+
+
+@st.composite
+def graph_and_moves(draw):
+    g = _patterns(draw, 1)
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    pair = draw(st.integers(min_value=1, max_value=g.n))
+    return g, perm, pair
+
+
+@st.composite
+def graph_relabelling_and_switching(draw):
+    g = _patterns(draw, 2)
+    perm = draw(st.permutations(range(1, g.n + 1)))
+    switched = draw(st.frozensets(st.integers(min_value=1, max_value=g.n)))
+    return g, perm, switched
 
 
 def invariants(g):
@@ -61,7 +80,8 @@ def invariants(g):
 
 def test_moves_by_hand():
     g = from_pattern(3, [0, 0, 0])
-    assert switch_pair(g, 2).bits == (1, 0, 1)
+    assert switch_pairs(g, {2}).bits == (1, 0, 1)
+    assert switch_pairs(g, {1, 3}).bits == (1, 0, 1)
     assert permute_pairs(from_pattern(3, [1, 0, 0]), [3, 1, 2]).bits == (0, 1, 0)
 
 
@@ -71,4 +91,13 @@ def test_invariant_under_relabelling_and_switching(case):
     g, perm, pair = case
     expected = invariants(g)
     assert invariants(permute_pairs(g, perm)) == expected
-    assert invariants(switch_pair(g, pair)) == expected
+    assert invariants(switch_pairs(g, {pair})) == expected
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph_relabelling_and_switching())
+def test_index_and_chromatic_polynomial_constant_on_switching_orbits(case):
+    g, perm, switched = case
+    moved = switch_pairs(permute_pairs(g, perm), switched)
+    assert chromatic_number(moved.graph) == chromatic_number(g.graph)
+    assert chromatic_polynomial(moved.graph) == chromatic_polynomial(g.graph)
