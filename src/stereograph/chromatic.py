@@ -6,8 +6,8 @@ the vertex set into i nonempty independent sets (a subset DP), combined
 with falling factorials; proper-coloring counts are, separately, plain
 backtracking over raw color assignments so the two routes stay
 independent of each other. The chromatic number is exact branch and
-bound: greedy upper bound, maximum-clique lower bound, then k-coloring
-searches in canonical vertex order.
+bound: greedy upper bound, maximum-clique lower bound, then, when they
+differ, DSATUR k-coloring searches with one maximum clique pre-colored.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from math import comb
 from typing import Mapping
 
 from .errors import DomainError, InternalInvariant, SizeExceeded
-from .graphs import Graph, max_clique_size
+from .graphs import Graph, find_clique_of_size, max_clique_size
 from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
@@ -223,28 +223,80 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring.from_mapping(assignment)
 
 
-def _k_coloring(graph: Graph, k: int) -> Coloring | None:
-    """Backtracking search for a proper coloring with at most k colors,
-    canonical vertex order, new colors introduced in increasing order."""
-    n = graph.vertex_count
-    earlier = [[w for w in graph.neighbors(v) if w < v] for v in range(n)]
-    colors = [0] * n
+def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | None:
+    """Exact DSATUR decision search (Brelaz 1979) for a proper coloring
+    with at most k colors, the given clique (k >= its size) pre-colored
+    1..len(clique).
 
-    def place(v: int, used: int) -> bool:
-        if v == n:
-            return True
-        limit = min(used + 1, k)
-        for c in range(1, limit + 1):
-            if all(colors[w] != c for w in earlier[v]):
-                colors[v] = c
-                if place(v + 1, max(used, c)):
-                    return True
+    Each vertex keeps a bitmask of the colors on its colored neighbors,
+    backed by per-vertex, per-color counts so that undoing a color is
+    exact. The search branches on the uncolored vertex with the most
+    distinct neighbor colors (ties: most uncolored neighbors, then the
+    lowest id), tries only its free colors and at most one color not yet
+    used anywhere, and backs out as soon as an uncolored neighbor is left
+    with no color.
+    """
+    n = graph.vertex_count
+    adjacent = [graph.neighbors(v) for v in range(n)]
+    palette = (1 << (k + 1)) - 2  # colors 1..k are bits 1..k
+    forbidden = [0] * n
+    counts = [[0] * (k + 1) for _ in range(n)]
+    open_degree = [len(ws) for ws in adjacent]
+    colors = [0] * n
+    uncolored = set(range(n))
+
+    def assign(v: int, c: int) -> bool:
+        """Color v with c; False if an uncolored neighbor has no color left."""
+        colors[v] = c
+        uncolored.discard(v)
+        bit = 1 << c
+        alive = True
+        for w in adjacent[v]:
+            open_degree[w] -= 1
+            row = counts[w]
+            row[c] += 1
+            if row[c] == 1:
+                forbidden[w] |= bit
+                if forbidden[w] == palette and not colors[w]:
+                    alive = False
+        return alive
+
+    def unassign(v: int) -> None:
+        c = colors[v]
         colors[v] = 0
+        uncolored.add(v)
+        bit = 1 << c
+        for w in adjacent[v]:
+            open_degree[w] += 1
+            row = counts[w]
+            row[c] -= 1
+            if row[c] == 0:
+                forbidden[w] ^= bit
+
+    def search(used: int) -> bool:
+        if not uncolored:
+            return True
+        v = max(
+            uncolored,
+            key=lambda u: (forbidden[u].bit_count(), open_degree[u], -u),
+        )
+        limit = min(used + 1, k)
+        free = palette & ~forbidden[v] & ((2 << limit) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            if assign(v, c) and search(max(used, c)):
+                return True
+            unassign(v)
         return False
 
-    if not place(0, 0):
+    for c, v in enumerate(clique, start=1):
+        if not assign(v, c):
+            return None
+    if not search(len(clique)):
         return None
-    return Coloring.from_mapping({v: colors[v] for v in range(n)})
+    return Coloring.from_mapping(dict(enumerate(colors)))
 
 
 def optimal_coloring(graph: Graph) -> Coloring:
@@ -255,8 +307,11 @@ def optimal_coloring(graph: Graph) -> Coloring:
     lower = max_clique_size(graph)
     best = upper
     if upper.colors_used > lower:
+        clique = find_clique_of_size(graph, lower)
+        if clique is None:
+            raise InternalInvariant(f"no clique of the maximum size {lower} was found")
         for k in range(lower, upper.colors_used):
-            attempt = _k_coloring(graph, k)
+            attempt = _k_coloring(graph, k, clique)
             if attempt is not None:
                 best = attempt
                 break

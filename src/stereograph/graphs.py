@@ -97,7 +97,8 @@ class Graph:
 
         Computed exactly: for every edge, the shortest alternative path
         between its endpoints (BFS with that edge removed) closes the
-        shortest cycle through it.
+        shortest cycle through it. A triangle ends the search, since no
+        simple graph has a shorter cycle.
         """
         best: int | None = None
         for u, v in self.edges:
@@ -115,6 +116,8 @@ class Graph:
                         queue.append(w)
             if v in dist:
                 cycle_len = dist[v] + 1
+                if cycle_len == 3:
+                    return 3
                 if best is None or cycle_len < best:
                     best = cycle_len
         return best

@@ -2,11 +2,12 @@
 
 Every routine here deliberately takes a different algorithmic route from
 the library implementation it checks: proper colorings are enumerated as
-raw assignment tuples, chromatic polynomials come from deletion and
-contraction, determinants from Laplace expansion or rational Gaussian
-elimination, triangles from the cube of the adjacency matrix, and the
-census from every labeled graph with pairwise isomorphism tests. Keep
-it that way; the point is that a shared bug cannot hide."""
+raw assignment tuples, chromatic numbers come from backtracking in a
+fixed vertex order with no bounds, chromatic polynomials from deletion
+and contraction, determinants from Laplace expansion or rational
+Gaussian elimination, triangles from the cube of the adjacency matrix,
+and the census from every labeled graph with pairwise isomorphism
+tests. Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
 
@@ -29,6 +30,31 @@ def enumerate_coloring_count(graph: Graph, x: int) -> int:
         if all(assignment[u] != assignment[v] for u, v in graph.edges):
             total += 1
     return total
+
+
+def backtracking_chromatic_number(graph: Graph) -> int:
+    """Least k with a proper k-coloring, trying k = 1, 2, ... by plain
+    backtracking in canonical vertex order, new colors introduced in
+    increasing order."""
+    n = graph.vertex_count
+    earlier = [[w for w in graph.neighbors(v) if w < v] for v in range(n)]
+    colors = [0] * n
+
+    def place(v: int, used: int, k: int) -> bool:
+        if v == n:
+            return True
+        for c in range(1, min(used + 1, k) + 1):
+            if all(colors[w] != c for w in earlier[v]):
+                colors[v] = c
+                if place(v + 1, max(used, c), k):
+                    return True
+        colors[v] = 0
+        return False
+
+    k = 1
+    while not place(0, 0, k):
+        k += 1
+    return k
 
 
 def deletion_contraction_coefficients(graph: Graph) -> tuple[int, ...]:

@@ -1,10 +1,16 @@
 """Coloring machinery: counts, polynomials, index, criteria, reports."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import deletion_contraction_coefficients, enumerate_coloring_count
+from oracles import (
+    backtracking_chromatic_number,
+    deletion_contraction_coefficients,
+    enumerate_coloring_count,
+)
 from stereograph import (
     DomainError,
     SizeExceeded,
@@ -15,17 +21,21 @@ from stereograph import (
     compare_stability,
     constructive_pair_coloring,
     count_proper_colorings,
+    csi,
+    delete_edges,
     enumerate_all,
     from_pattern,
     gen_complete_bipartite,
     gen_complete_ladder,
+    gen_random,
     optimal_coloring,
     reduce_to_k2,
+    splitmix64_stream,
     stability_report,
     two_coloring,
 )
 from stereograph.chromatic import greedy_coloring, independent_partition_counts
-from stereograph.graphs import Graph
+from stereograph.graphs import Graph, max_clique_size
 from stereograph.model import pattern_length
 
 # b2 = C(16, 2) for the 2-pair 4-cycle would be wrong; the frozen values
@@ -141,6 +151,110 @@ class TestChromaticNumber:
     def test_empty_graph_rejected(self):
         with pytest.raises(DomainError):
             chromatic_number(Graph(0, frozenset()))
+
+
+def cycle_graph(n):
+    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def petersen_graph():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(i + 5, (i + 2) % 5 + 5) for i in range(5)]
+    return Graph.from_edges(10, outer + spokes + inner)
+
+
+def grotzsch_graph():
+    # Mycielski's construction on C5: shadows 5..9 copy the rim
+    # neighborhoods, and hub 10 joins every shadow.
+    rim = [(i, (i + 1) % 5) for i in range(5)]
+    shadows = [(i + 5, w) for i in range(5) for w in ((i - 1) % 5, (i + 1) % 5)]
+    hub = [(10, i + 5) for i in range(5)]
+    return Graph.from_edges(11, rim + shadows + hub)
+
+
+def odd_wheel_graph():
+    rim = [(i + 1, (i + 1) % 5 + 1) for i in range(5)]
+    return Graph.from_edges(6, rim + [(0, i) for i in range(1, 6)])
+
+
+def crown_graph(m):
+    # Sides interleaved (2i, 2i+1) so that first-fit needs m colors.
+    return Graph.from_edges(
+        2 * m, [(2 * i, 2 * j + 1) for i in range(m) for j in range(m) if i != j]
+    )
+
+
+# name -> (graph, chromatic number, clique number, girth); on each one
+# greedy needs more colors than the clique bound, so the search runs.
+LOOSE_BOUND_GRAPHS = {
+    "C5": (cycle_graph(5), 3, 2, 5),
+    "C7": (cycle_graph(7), 3, 2, 7),
+    "petersen": (petersen_graph(), 3, 2, 5),
+    "grotzsch": (grotzsch_graph(), 4, 2, 4),
+    "odd-wheel-W5": (odd_wheel_graph(), 4, 3, 3),
+    "crown-4": (crown_graph(4), 2, 2, 4),
+}
+
+
+@st.composite
+def general_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=9))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+
+
+class TestSearchAgainstOracle:
+    """The exact search against fixed-order backtracking with no bounds."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_small_graph(self, n):
+        for g in enumerate_all(n):
+            assert chromatic_number(g.graph) == backtracking_chromatic_number(g.graph)
+
+    @pytest.mark.parametrize("n", range(6, 12))
+    def test_random_graphs(self, n):
+        for seed in range(4):
+            g = gen_random(n, seed)
+            assert chromatic_number(g.graph) == backtracking_chromatic_number(g.graph)
+
+    @pytest.mark.parametrize("name", sorted(LOOSE_BOUND_GRAPHS))
+    def test_loose_clique_bound(self, name):
+        graph, chi, omega, girth = LOOSE_BOUND_GRAPHS[name]
+        assert max_clique_size(graph) == omega
+        assert greedy_coloring(graph).colors_used > omega
+        assert graph.girth() == girth
+        coloring = optimal_coloring(graph)
+        assert coloring.is_proper(graph)
+        assert coloring.colors_used == chi == backtracking_chromatic_number(graph)
+
+    def test_deleted_edges(self):
+        loose = 0
+        for seed in range(12):
+            g = gen_random(6 + seed % 4, seed)
+            stream = splitmix64_stream(seed + 1000)
+            removed = [e for e in g.graph.sorted_edges() if next(stream) % 3 == 0]
+            graph = delete_edges(g, removed)
+            loose += greedy_coloring(graph).colors_used > max_clique_size(graph)
+            assert chromatic_number(graph) == backtracking_chromatic_number(graph)
+        assert loose > 0
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=general_graphs())
+    def test_uses_the_least_palette_with_a_coloring(self, graph):
+        coloring = optimal_coloring(graph)
+        assert sorted(coloring.mapping) == list(range(graph.vertex_count))
+        assert coloring.is_proper(graph)
+        assert set(coloring.mapping.values()) == set(range(1, coloring.colors_used + 1))
+        least = next(x for x in itertools.count(1) if count_proper_colorings(graph, x) > 0)
+        assert coloring.colors_used == least
+
+    @pytest.mark.parametrize("seed, index", [(0, 7), (1, 8), (2, 8)])
+    def test_eighteen_pairs_pinned(self, seed, index):
+        # Values confirmed once by the backtracking oracle, which takes
+        # minutes at this size.
+        assert csi(gen_random(18, seed)) == index
 
 
 class TestTwoColoring:
