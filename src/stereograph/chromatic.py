@@ -2,12 +2,15 @@
 stability index, and the aggregate stability report.
 
 The chromatic polynomial is assembled from the number of partitions of
-the vertex set into i nonempty independent sets (a subset DP), combined
-with falling factorials; proper-coloring counts are, separately, plain
-backtracking over raw color assignments so the two routes stay
-independent of each other. The chromatic number is exact branch and
-bound: greedy upper bound, maximum-clique lower bound, then, when they
-differ, DSATUR k-coloring searches with one maximum clique pre-colored.
+the vertex set into i nonempty independent sets, combined with falling
+factorials. Those counts come from a memoised DP over the vertex
+subsets reached from the full set by removing independent sets, with
+each subset's counts packed into one int. Proper-coloring counts are,
+separately, plain backtracking over raw color assignments so the two
+routes stay independent of each other. The chromatic number is exact
+branch and bound: greedy upper bound, maximum-clique lower bound, then,
+when they differ, DSATUR k-coloring searches with one maximum clique
+pre-colored.
 """
 
 from __future__ import annotations
@@ -65,7 +68,8 @@ class Coloring:
 
 def count_proper_colorings(graph: Graph, x: int) -> int:
     """Number of proper colorings from a palette of x colors, counted by
-    exhaustive backtracking over assignments (not all colors need occur)."""
+    exhaustive backtracking over assignments (not all colors need occur);
+    the last vertex adds the number of colors its neighbors leave free."""
     if x < 0:
         raise DomainError(f"palette size must be non-negative, got {x}")
     n = graph.vertex_count
@@ -79,8 +83,8 @@ def count_proper_colorings(graph: Graph, x: int) -> int:
     colors = [0] * n
 
     def count_from(v: int) -> int:
-        if v == n:
-            return 1
+        if v == n - 1:
+            return x - len({colors[w] for w in earlier[v]})
         total = 0
         for c in range(1, x + 1):
             if all(colors[w] != c for w in earlier[v]):
@@ -94,7 +98,17 @@ def count_proper_colorings(graph: Graph, x: int) -> int:
 
 def independent_partition_counts(graph: Graph) -> list[int]:
     """Entry i is the number of partitions of the vertex set into exactly
-    i nonempty independent sets."""
+    i nonempty independent sets.
+
+    In a partition of a vertex subset, the lowest vertex v lies in one
+    independent set I whose lowest vertex is v, so the subset's counts
+    are those of `subset ^ I`, one part up, summed over every such I
+    inside the subset. Those sets are listed once per vertex, and the
+    recursion runs down from the full set, memoising only the subsets
+    it reaches. A subset's counts are packed into one int, field i of
+    `width` bits holding the count for i parts (Bell(V) < 2^width), so
+    summing them is one add and moving one part up one shift.
+    """
     n = graph.vertex_count
     if n == 0:
         return [1]
@@ -104,37 +118,45 @@ def independent_partition_counts(graph: Graph) -> list[int]:
         nbr[v] |= 1 << u
 
     full = (1 << n) - 1
-    independent = bytearray(full + 1)
-    independent[0] = 1
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        rest = mask ^ low
-        independent[mask] = 1 if independent[rest] and not (nbr[v] & rest) else 0
+    by_lowest: list[list[int]] = []
+    for v in range(n):
+        sets = []
+        # (an independent set, the higher vertices that can still join it)
+        stack = [(1 << v, (full ^ ((2 << v) - 1)) & ~nbr[v])]
+        while stack:
+            members, open_ = stack.pop()
+            sets.append(members)
+            while open_:
+                bit = open_ & -open_
+                open_ ^= bit
+                stack.append((members | bit, open_ & ~nbr[bit.bit_length() - 1]))
+        by_lowest.append(sets)
 
-    dp: list[list[int]] = [[] for _ in range(full + 1)]
-    dp[0] = [1]
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        v = low.bit_length() - 1
-        avail = (mask ^ low) & ~nbr[v]
-        counts = [0] * (mask.bit_count() + 1)
-        sub = avail
-        while True:
-            if independent[sub]:
-                prev = dp[mask ^ low ^ sub]
-                for parts, ways in enumerate(prev):
-                    if ways:
-                        counts[parts + 1] += ways
-            if sub == 0:
-                break
-            sub = (sub - 1) & avail
-        while counts and counts[-1] == 0:
-            counts.pop()
-        dp[mask] = counts
+    width = n.bit_length() * n + 1
+    memo = {0: 1}
 
-    result = dp[full]
-    return list(result) + [0] * (n + 1 - len(result))
+    def packed_counts(mask: int) -> int:
+        outside = full ^ mask
+        packed = 0
+        for members in by_lowest[(mask & -mask).bit_length() - 1]:
+            if not members & outside:
+                rest = mask ^ members
+                packed += memo[rest] if rest in memo else packed_counts(rest)
+        packed <<= width
+        memo[mask] = packed
+        return packed
+
+    packed = packed_counts(full)
+    # The closure refers to itself; dropping the name frees the memo now
+    # instead of at the next cyclic garbage collection.
+    del packed_counts
+    field = (1 << width) - 1
+    counts = [(packed >> (parts * width)) & field for parts in range(n + 1)]
+    if packed >> ((n + 1) * width) or counts[0] != 0 or counts[n] != 1:
+        raise InternalInvariant(
+            f"independent partition counts out of shape for {n} vertices: {counts}"
+        )
+    return counts
 
 
 @lru_cache(maxsize=4096)

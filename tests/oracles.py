@@ -4,7 +4,9 @@ Every routine here deliberately takes a different algorithmic route from
 the library implementation it checks: proper colorings are enumerated as
 raw assignment tuples, chromatic numbers come from backtracking in a
 fixed vertex order with no bounds, chromatic polynomials from deletion
-and contraction, determinants from Laplace expansion or rational
+and contraction, independent-set partition counts from a bottom-up DP
+over every vertex subset (each walking every subset of its available
+vertices), determinants from Laplace expansion or rational
 Gaussian elimination, triangles from the cube of the adjacency matrix,
 and the census from every labeled graph with pairwise isomorphism
 tests. Keep it that way; the point is that a shared bug cannot hide."""
@@ -89,6 +91,53 @@ def deletion_contraction_coefficients(graph: Graph) -> tuple[int, ...]:
     for idx, c in enumerate(right):
         out[idx + (graph.vertex_count - len(right) + 1)] -= c
     return tuple(out)
+
+
+def subset_dp_partition_counts(graph: Graph) -> list[int]:
+    """Entry i is the number of partitions of the vertex set into exactly
+    i nonempty independent sets, by a bottom-up DP over all 2^V vertex
+    subsets: a subset's lowest vertex joins every independent subset of
+    its non-neighbours in the subset, O(3^V) in all."""
+    n = graph.vertex_count
+    if n == 0:
+        return [1]
+    nbr = [0] * n
+    for u, v in graph.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+
+    full = (1 << n) - 1
+    independent = bytearray(full + 1)
+    independent[0] = 1
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        rest = mask ^ low
+        independent[mask] = 1 if independent[rest] and not (nbr[v] & rest) else 0
+
+    dp: list[list[int]] = [[] for _ in range(full + 1)]
+    dp[0] = [1]
+    for mask in range(1, full + 1):
+        low = mask & -mask
+        v = low.bit_length() - 1
+        avail = (mask ^ low) & ~nbr[v]
+        counts = [0] * (mask.bit_count() + 1)
+        sub = avail
+        while True:
+            if independent[sub]:
+                prev = dp[mask ^ low ^ sub]
+                for parts, ways in enumerate(prev):
+                    if ways:
+                        counts[parts + 1] += ways
+            if sub == 0:
+                break
+            sub = (sub - 1) & avail
+        while counts and counts[-1] == 0:
+            counts.pop()
+        dp[mask] = counts
+
+    result = dp[full]
+    return list(result) + [0] * (n + 1 - len(result))
 
 
 def laplace_determinant(matrix) -> int:

@@ -3,13 +3,14 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     backtracking_chromatic_number,
     deletion_contraction_coefficients,
     enumerate_coloring_count,
+    subset_dp_partition_counts,
 )
 from stereograph import (
     DomainError,
@@ -50,6 +51,18 @@ def random_pattern(n):
         min_size=pattern_length(n),
         max_size=pattern_length(n),
     )
+
+
+@st.composite
+def general_graphs(draw, min_vertices=1, max_vertices=9):
+    n = draw(st.integers(min_value=min_vertices, max_value=max_vertices))
+    pairs = list(itertools.combinations(range(n), 2))
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
+
+
+def complete_graph(n):
+    return Graph.from_edges(n, itertools.combinations(range(n), 2))
 
 
 class TestCountProperColorings:
@@ -120,6 +133,37 @@ class TestChromaticPolynomial:
         # The 4-cycle splits into independent sets as: 1 way into 2,
         # 2 ways into 3, 1 way into 4.
         assert independent_partition_counts(k22.graph) == [0, 0, 1, 2, 1]
+
+
+class TestPartitionCountsAgainstOracle:
+    """The memoised DP over reached subsets against the bottom-up DP over
+    every subset."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_small_graph(self, n):
+        for g in enumerate_all(n):
+            assert independent_partition_counts(g.graph) == subset_dp_partition_counts(
+                g.graph
+            )
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_random_graphs(self, n):
+        for seed in range(4):
+            graph = gen_random(n, seed).graph
+            assert independent_partition_counts(graph) == subset_dp_partition_counts(graph)
+
+    @pytest.mark.parametrize("family", [gen_complete_bipartite, gen_complete_ladder])
+    def test_seven_pair_extremes(self, family):
+        graph = family(7).graph
+        assert independent_partition_counts(graph) == subset_dp_partition_counts(graph)
+
+    @settings(max_examples=100, deadline=None)
+    @given(graph=general_graphs(min_vertices=0, max_vertices=10))
+    @example(graph=Graph(0, frozenset()))
+    @example(graph=Graph(10, frozenset()))
+    @example(graph=complete_graph(10))
+    def test_general_graphs(self, graph):
+        assert independent_partition_counts(graph) == subset_dp_partition_counts(graph)
 
 
 class TestChromaticNumber:
@@ -195,14 +239,6 @@ LOOSE_BOUND_GRAPHS = {
     "odd-wheel-W5": (odd_wheel_graph(), 4, 3, 3),
     "crown-4": (crown_graph(4), 2, 2, 4),
 }
-
-
-@st.composite
-def general_graphs(draw):
-    n = draw(st.integers(min_value=1, max_value=9))
-    pairs = list(itertools.combinations(range(n), 2))
-    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    return Graph.from_edges(n, [e for e, keep in zip(pairs, present) if keep])
 
 
 class TestSearchAgainstOracle:
