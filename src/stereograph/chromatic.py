@@ -112,11 +112,7 @@ def independent_partition_counts(graph: Graph) -> list[int]:
     n = graph.vertex_count
     if n == 0:
         return [1]
-    nbr = [0] * n
-    for u, v in graph.edges:
-        nbr[u] |= 1 << v
-        nbr[v] |= 1 << u
-
+    nbr = graph.masks
     full = (1 << n) - 1
     by_lowest: list[list[int]] = []
     for v in range(n):

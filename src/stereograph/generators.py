@@ -133,10 +133,10 @@ def census(
     for value in range(normalised):
         if seen[value]:
             continue
-        orbit = _switching_orbit(n, value, permutations)
+        g = from_pattern(n, _pattern_bits(value, pattern_length(n)))
+        orbit = _switching_orbit(g, permutations)
         for member in orbit:
             seen[member] = 1
-        g = from_pattern(n, _pattern_bits(value, pattern_length(n)))
         k = chromatic_number(g.graph)
         labeled[k] = labeled.get(k, 0) + (len(orbit) << (n - 1))
         reps = representatives.setdefault(k, [])
@@ -170,21 +170,17 @@ def census(
     ]
 
 
-def _switching_orbit(
-    n: int, value: int, permutations: list[tuple[int, ...]]
-) -> set[int]:
-    """Normalised patterns of every relabelling of value's switching class.
+def _switching_orbit(g: StereotypeGraph, permutations: list[tuple[int, ...]]) -> set[int]:
+    """Normalised patterns of every relabelling of g's switching class.
 
     Pairs are 0-based here. Relabelling pair i as p[i] gives the bits
     b(p[i], p[j]); switching the pairs crossed to pair 0 then clears row
     0, which XORs each remaining bit with b(p[0], p[i]) ^ b(p[0], p[j]).
     """
-    pairs = list(itertools.combinations(range(n), 2))
-    bits = _pattern_bits(value, len(pairs))
-    m = [[0] * n for _ in range(n)]
-    for (i, j), b in zip(pairs, bits):
-        m[i][j] = m[j][i] = b
-    inner = pairs[n - 1 :]
+    n = g.n
+    # The loop indexes a plain 0/1 table; shifting the rows in it is slower.
+    m = [[row >> j & 1 for j in range(n)] for row in g.rows]
+    inner = list(itertools.combinations(range(1, n), 2))
     orbit = set()
     for p in permutations:
         row = m[p[0]]

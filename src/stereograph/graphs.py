@@ -49,6 +49,16 @@ class Graph:
             neighbors[v].add(u)
         return tuple(frozenset(s) for s in neighbors)
 
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """One neighbour bitmask per vertex: bit w of masks[v] is set iff
+        vw is an edge."""
+        masks = [0] * self.vertex_count
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
+
     def neighbors(self, v: int) -> frozenset[int]:
         return self._adjacency[v]
 
@@ -211,7 +221,7 @@ def max_clique_size(g: Graph) -> int:
     n = g.vertex_count
     if n == 0:
         return 0
-    masks = _neighbor_masks(g)
+    masks = g.masks
     best = 1
 
     def extend(candidates: int, size: int) -> None:
@@ -236,7 +246,7 @@ def find_clique_of_size(g: Graph, size: int) -> tuple[int, ...] | None:
     """Lexicographically smallest clique with exactly `size` vertices."""
     if size == 0:
         return ()
-    masks = _neighbor_masks(g)
+    masks = g.masks
     chosen: list[int] = []
 
     def backtrack(candidates: int) -> bool:
@@ -257,10 +267,3 @@ def find_clique_of_size(g: Graph, size: int) -> tuple[int, ...] | None:
         return tuple(chosen)
     return None
 
-
-def _neighbor_masks(g: Graph) -> list[int]:
-    masks = [0] * g.vertex_count
-    for u, v in g.edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
-    return masks

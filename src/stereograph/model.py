@@ -104,18 +104,24 @@ class StereotypeGraph:
     def graph(self) -> Graph:
         return Graph(self.vertex_count, frozenset(self.edge_list()))
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """One bitmask per pair: bit j-1 of rows[i-1] is bit(i, j), and
+        bit i-1 of rows[i-1] is 0."""
+        rows = [0] * self.n
+        for (i, j), b in zip(itertools.combinations(range(self.n), 2), self.bits):
+            if b:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+        return tuple(rows)
+
     def edge_list(self) -> list[Edge]:
-        edges: list[Edge] = []
-        for i in range(1, self.n + 1):
-            edges.append((vertex_id(i, 1), vertex_id(i, 2)))
-        for i in range(1, self.n + 1):
-            for j in range(i + 1, self.n + 1):
-                a1, a2 = vertex_id(i, 1), vertex_id(i, 2)
-                b1, b2 = vertex_id(j, 1), vertex_id(j, 2)
-                if self.bit(i, j) == 0:
-                    edges.extend([(a1, b1), (a2, b2)])
-                else:
-                    edges.extend([(a1, b2), (a2, b1)])
+        # Pair i (0-based) holds the vertices 2i (side 1) and 2i + 1.
+        edges = [(2 * i, 2 * i + 1) for i in range(self.n)]
+        rows = self.rows
+        for i, j in itertools.combinations(range(self.n), 2):
+            crossed = rows[i] >> j & 1
+            edges += [(2 * i, 2 * j + crossed), (2 * i + 1, 2 * j + 1 - crossed)]
         return edges
 
 
@@ -137,8 +143,8 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
     one of the two perfect matchings (which always exhibits either a
     missing adjacency or a triangle through a shared endpoint).
     """
-    if n < 1:
-        raise DomainError(f"pair count must be positive, got {n}")
+    if type(n) is not int or n < 1:
+        raise DomainError(f"pair count must be a positive int, got {n!r}")
     edge_set: set[Edge] = set()
     for u, v in edges:
         e = normalize_edge(u, v)
@@ -321,10 +327,11 @@ def triangle_pair_triples(g: StereotypeGraph) -> list[tuple[int, int, int]]:
     test suite cross-validates this shortcut against explicit triangle
     enumeration before anything relies on it.
     """
+    rows = g.rows
     return [
-        (i, j, k)
-        for i, j, k in itertools.combinations(range(1, g.n + 1), 3)
-        if g.bit(i, j) ^ g.bit(i, k) ^ g.bit(j, k) == 0
+        (i + 1, j + 1, k + 1)
+        for i, j, k in itertools.combinations(range(g.n), 3)
+        if (rows[i] >> j ^ rows[i] >> k ^ rows[j] >> k) & 1 == 0
     ]
 
 
@@ -332,7 +339,7 @@ def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
     """Induced stereotype graph on the first m pairs."""
     if not 1 <= m <= g.n:
         raise DomainError(f"need 1 <= m <= {g.n}, got {m}")
-    bits = [g.bit(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    bits = [row >> j & 1 for i, row in enumerate(g.rows[:m]) for j in range(i + 1, m)]
     return from_pattern(m, bits)
 
 
@@ -355,9 +362,10 @@ def _switches_to_constant(g: StereotypeGraph, b: int) -> bool:
     pairs i with bit(1, i) != b sets row 1 to b; the rest then equals b
     iff bit(1, i) ^ bit(1, j) ^ bit(i, j) == b for all 2 <= i < j.
     """
+    rows = g.rows
     return all(
-        g.bit(1, i) ^ g.bit(1, j) ^ g.bit(i, j) == b
-        for i, j in itertools.combinations(range(2, g.n + 1), 2)
+        (rows[0] >> i ^ rows[0] >> j ^ rows[i] >> j) & 1 == b
+        for i, j in itertools.combinations(range(1, g.n), 2)
     )
 
 

@@ -69,13 +69,19 @@ def _parse_named_edges(doc: dict) -> list[tuple[int, int]]:
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list of name pairs")
     edges = []
+    seen = set()
     for item in raw:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ParseError(f"bad edge entry {item!r}")
         try:
-            edges.append((parse_vertex_name(item[0]), parse_vertex_name(item[1])))
+            u, v = parse_vertex_name(item[0]), parse_vertex_name(item[1])
         except (DomainError, TypeError) as exc:
             raise ParseError(f"bad edge entry {item!r}: {exc}") from exc
+        key = (min(u, v), max(u, v))
+        if key in seen:
+            raise ParseError(f"duplicate edge {key}")
+        seen.add(key)
+        edges.append((u, v))
     return edges
 
 

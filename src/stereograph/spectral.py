@@ -5,7 +5,10 @@ criteria in this module are exact equalities, so no floating point is
 allowed anywhere. The characteristic polynomial of a matrix is obtained
 by evaluating det(xI - A) at dim+1 integer points with fraction-free
 (Bareiss) elimination and interpolating exactly. For a stereotype graph
-it is reduced to the n x n Seidel matrix of its pattern first.
+it is reduced to the n x n Seidel matrix of its pattern first. The
+matrix and strongly-regular criteria check their identity
+A^2 + aA = iI + jJ entry by entry on neighbour bitmasks, since
+(A^2)_uv = popcount(masks[u] & masks[v]); no dense product is formed.
 """
 
 from __future__ import annotations
@@ -32,30 +35,6 @@ def adjacency_matrix(graph: Graph | StereotypeGraph) -> IntMatrix:
         rows[u][v] = 1
         rows[v][u] = 1
     return tuple(tuple(row) for row in rows)
-
-
-def identity_matrix(dim: int) -> IntMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
-
-
-def ones_matrix(dim: int) -> IntMatrix:
-    return tuple(tuple(1 for _ in range(dim)) for _ in range(dim))
-
-
-def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    dim = len(a)
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c: int, a: IntMatrix) -> IntMatrix:
-    return tuple(tuple(c * x for x in row) for row in a)
 
 
 def bareiss_determinant(matrix: IntMatrix) -> int:
@@ -112,8 +91,8 @@ def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
     """
     n = g.n
     shifted = tuple(
-        tuple(-1 if i == j else 1 - 2 * g.bit(i + 1, j + 1) for j in range(n))
-        for i in range(n)
+        tuple(-1 if i == j else 1 - 2 * (row >> j & 1) for j in range(n))
+        for i, row in enumerate(g.rows)
     )
     core = characteristic_polynomial(shifted).coefficients
     times_x_minus_n = tuple(a - n * b for a, b in zip(core + (0,), (0,) + core))
@@ -184,9 +163,7 @@ def coefficient_identities(g: StereotypeGraph) -> CoefficientIdentityReport:
 def matrix_criterion(g: StereotypeGraph) -> bool:
     """Stability via the identity A^2 + nA = nJ, checked entrywise."""
     _require_at_least_two_pairs(g)
-    a = adjacency_matrix(g)
-    lhs = mat_add(mat_mul(a, a), mat_scale(g.n, a))
-    return lhs == mat_scale(g.n, ones_matrix(2 * g.n))
+    return _quadratic_identity_holds(g.graph, g.n, 0, g.n)
 
 
 def characteristic_criterion(g: StereotypeGraph) -> bool:
@@ -216,17 +193,23 @@ def srg_check(g: StereotypeGraph) -> tuple[int, int, int, int] | None:
         elif common != n:
             return None
     params = (2 * n, n, 0, n)
-    if not srg_identity_holds(adjacency_matrix(g), *params):
+    _, k, p, q = params
+    if not _quadratic_identity_holds(graph, q - p, k - q, q):
         raise InternalInvariant(f"srg identity failed for parameters {params}")
     return params
 
 
-def srg_identity_holds(a: IntMatrix, v: int, k: int, p: int, q: int) -> bool:
-    """Whether A^2 + (q-p)A = (k-q)I + qJ for the given parameters."""
-    dim = len(a)
-    lhs = mat_add(mat_mul(a, a), mat_scale(q - p, a))
-    rhs = mat_add(mat_scale(k - q, identity_matrix(dim)), mat_scale(q, ones_matrix(dim)))
-    return lhs == rhs
+def _quadratic_identity_holds(graph: Graph, a: int, i: int, j: int) -> bool:
+    """Whether A^2 + aA = iI + jJ holds on every entry (u, v) of the
+    adjacency matrix A, diagonal and non-adjacent entries included, with
+    (A^2)_uv = popcount(masks[u] & masks[v])."""
+    masks = graph.masks
+    for u, row in enumerate(masks):
+        for v, col in enumerate(masks):
+            lhs = (row & col).bit_count() + a * (row >> v & 1)
+            if lhs != j + (i if u == v else 0):
+                return False
+    return True
 
 
 def _require_at_least_two_pairs(g: StereotypeGraph) -> None:
@@ -242,14 +225,8 @@ __all__ = [
     "characteristic_criterion",
     "characteristic_polynomial",
     "coefficient_identities",
-    "identity_matrix",
-    "mat_add",
-    "mat_mul",
-    "mat_scale",
     "matrix_criterion",
     "minor_criterion",
-    "ones_matrix",
     "srg_check",
-    "srg_identity_holds",
     "stereotype_characteristic_polynomial",
 ]

@@ -8,8 +8,9 @@ and contraction, independent-set partition counts from a bottom-up DP
 over every vertex subset (each walking every subset of its available
 vertices), determinants from Laplace expansion or rational
 Gaussian elimination, triangles from the cube of the adjacency matrix,
-and the census from every labeled graph with pairwise isomorphism
-tests. Keep it that way; the point is that a shared bug cannot hide."""
+the quadratic matrix identities A^2 + aA = iI + jJ from dense products
+of the adjacency matrix, and the census from every labeled graph with
+pairwise isomorphism tests. Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
 
@@ -193,6 +194,42 @@ def trace_triangle_count(matrix) -> int:
     )
     assert trace3 % 6 == 0
     return trace3 // 6
+
+
+def identity_matrix(dim: int):
+    return tuple(tuple(1 if i == j else 0 for j in range(dim)) for i in range(dim))
+
+
+def ones_matrix(dim: int):
+    return tuple(tuple(1 for _ in range(dim)) for _ in range(dim))
+
+
+def mat_mul(a, b):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c: int, a):
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def dense_quadratic_identity_holds(matrix, a: int, i: int, j: int) -> bool:
+    """Whether A^2 + aA = iI + jJ, comparing dense tuple matrices."""
+    dim = len(matrix)
+    lhs = mat_add(mat_mul(matrix, matrix), mat_scale(a, matrix))
+    rhs = mat_add(mat_scale(i, identity_matrix(dim)), mat_scale(j, ones_matrix(dim)))
+    return lhs == rhs
+
+
+def srg_identity_holds(matrix, v: int, k: int, p: int, q: int) -> bool:
+    """Whether A^2 + (q-p)A = (k-q)I + qJ for strongly-regular parameters."""
+    return dense_quadratic_identity_holds(matrix, q - p, k - q, q)
 
 
 def char_matrix_at(matrix, x: int):

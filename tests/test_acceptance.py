@@ -15,6 +15,8 @@ from oracles import (
     deletion_contraction_coefficients,
     enumerate_coloring_count,
     laplace_determinant,
+    mat_mul,
+    ones_matrix,
 )
 from stereograph import (
     adjacency_matrix,
@@ -38,7 +40,6 @@ from stereograph import (
     stability_report,
     validate_stereotype,
 )
-from stereograph.spectral import mat_mul, ones_matrix
 
 CRITERIA_SWEEP_SECONDS = 300
 CHI_SWEEP_SECONDS = 600

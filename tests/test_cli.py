@@ -49,6 +49,19 @@ class TestValidate:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("repeat", [["u1.1", "u1.2"], ["u1.2", "u1.1"]])
+    def test_duplicate_edge_rejected(self, capsys, tmp_path, repeat):
+        edges = [["u1.1", "u2.1"], ["u1.2", "u2.2"], ["u1.1", "u1.2"], ["u2.1", "u2.2"]]
+        path = tmp_path / "dup.json"
+        path.write_text(
+            json.dumps({"format": "stereograph-edges-v1", "n": 2, "edges": edges + [repeat]})
+        )
+        for command in ("validate", "report", "csi"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 1, command
+            assert out == ""
+            assert "duplicate edge (0, 2)" in err
+
     def test_wrong_pattern_length(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text('{"format": "stereograph-v1", "n": 3, "pattern": [0, 1]}')

@@ -48,6 +48,12 @@ def pattern_bits(n, max_n=6):
     )
 
 
+@st.composite
+def patterns(draw, max_n=7):
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    return from_pattern(n, draw(pattern_bits(n)))
+
+
 class TestVertexEncoding:
     def test_dense_ids_cover_range_once(self):
         n = 5
@@ -145,6 +151,13 @@ class TestFromEdgeList:
         for g in enumerate_all(n):
             assert from_edge_list(n, g.graph.sorted_edges()).bits == g.bits
 
+    @pytest.mark.parametrize("n", [2.0, True])
+    def test_non_int_pair_count_rejected(self, n):
+        with pytest.raises(DomainError):
+            from_edge_list(n, [(0, 1), (2, 3), (0, 2), (1, 3)])
+        with pytest.raises(DomainError):
+            from_edge_list(n, [(0, 1)])
+
     def test_extra_edge_rejected(self, k33):
         edges = k33.graph.sorted_edges() + [(0, 2)]
         with pytest.raises(NotAStereotypeGraph):
@@ -163,6 +176,40 @@ class TestRoundTrip:
         g = from_pattern(6, bits)
         assert pattern_of(g) == tuple(bits)
         assert from_edge_list(6, g.graph.sorted_edges()).bits == tuple(bits)
+
+    @settings(max_examples=80, deadline=None)
+    @given(g=patterns())
+    def test_edge_list_round_trip(self, g):
+        assert from_edge_list(g.n, g.edge_list()) == g
+
+    @settings(max_examples=40, deadline=None)
+    @given(g=patterns())
+    def test_validation_accepts_graph_and_rejects_each_edge_deletion(self, g):
+        assert validate_stereotype(g.graph).valid
+        for e in g.edge_list():
+            assert not validate_stereotype(g.graph.delete_edges([e])).valid
+
+
+class TestBitmasks:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_rows_agree_with_bit(self, n):
+        for g in enumerate_all(n):
+            assert len(g.rows) == n
+            for i in range(1, n + 1):
+                row = g.rows[i - 1]
+                assert row >> n == 0
+                assert row >> (i - 1) & 1 == 0
+                for j in range(1, n + 1):
+                    if j != i:
+                        assert row >> (j - 1) & 1 == g.bit(i, j), (g.bits, i, j)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_graph_masks_agree_with_neighbors(self, n):
+        for g in enumerate_all(n):
+            graph = g.graph
+            assert graph.masks == tuple(
+                sum(1 << w for w in graph.neighbors(v)) for v in range(graph.vertex_count)
+            )
 
 
 class TestValidation:

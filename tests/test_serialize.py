@@ -24,6 +24,7 @@ from stereograph.serialize import (
     merge_steps_to_jsonable,
     raw_graph_from_dict,
 )
+from test_model import patterns
 
 
 class TestJsonRoundTrip:
@@ -68,8 +69,25 @@ class TestJsonRoundTrip:
         g = from_pattern(n, bits)
         assert graph_from_json(graph_to_json(g)).bits == g.bits
 
+    @settings(max_examples=80, deadline=None)
+    @given(g=patterns())
+    def test_bit_and_edge_forms_round_trip(self, g):
+        assert graph_from_json(graph_to_json(g)) == g
+        edges = [[vertex_name(u), vertex_name(v)] for u, v in g.edge_list()]
+        doc = {"format": "stereograph-edges-v1", "n": g.n, "edges": edges}
+        assert graph_from_json(json.dumps(doc)) == g
+
 
 class TestParseErrors:
+    @pytest.mark.parametrize("repeat", [["u1.1", "u1.2"], ["u1.2", "u1.1"]])
+    def test_duplicate_edge_rejected_by_both_parsers(self, repeat):
+        edges = [["u1.1", "u2.1"], ["u1.2", "u2.2"], ["u1.1", "u1.2"], ["u2.1", "u2.2"]]
+        doc = {"format": "stereograph-edges-v1", "n": 2, "edges": edges + [repeat]}
+        with pytest.raises(ParseError, match=r"duplicate edge \(0, 2\)"):
+            graph_from_dict(doc)
+        with pytest.raises(ParseError, match=r"duplicate edge \(0, 2\)"):
+            raw_graph_from_dict(doc)
+
     def test_wrong_pattern_length(self):
         with pytest.raises(ParseError):
             graph_from_dict({"format": "stereograph-v1", "n": 3, "pattern": [0, 1]})

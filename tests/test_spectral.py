@@ -8,9 +8,14 @@ from hypothesis import strategies as st
 
 from oracles import (
     char_matrix_at,
+    dense_quadratic_identity_holds,
     laplace_determinant,
+    mat_mul,
+    ones_matrix,
     rational_gauss_determinant,
+    srg_identity_holds,
 )
+from test_chromatic import cycle_graph, general_graphs, petersen_graph
 from stereograph import (
     DomainError,
     InternalInvariant,
@@ -27,14 +32,9 @@ from stereograph import (
     srg_check,
     stereotype_characteristic_polynomial,
 )
+from stereograph.graphs import Graph
 from stereograph.polynomials import interpolate_integer_polynomial
-from stereograph.spectral import (
-    IntMatrix,
-    bareiss_determinant,
-    mat_mul,
-    ones_matrix,
-    srg_identity_holds,
-)
+from stereograph.spectral import IntMatrix, _quadratic_identity_holds, bareiss_determinant
 
 # Frozen from the independent determinant oracles below (eigenvalues
 # +-2 and 0,0 for the 4-cycle; +-3 and four 0s for the crossed 3-pair
@@ -207,6 +207,73 @@ class TestMatrixCriterion:
     def test_agreement_with_merge_verdict(self, all_st4):
         for g in all_st4:
             assert matrix_criterion(g) == reduce_to_k2(g).stable
+
+
+def k33_graph():
+    return Graph.from_edges(6, [(u, v) for u in range(3) for v in range(3, 6)])
+
+
+def _mask_and_oracle_graphs():
+    yield from (g for n in (2, 3, 4, 5) for g in enumerate_all(n))
+    yield from (gen_random(n, s) for n in range(6, 13) for s in range(4))
+
+
+class TestQuadraticIdentityOnMasks:
+    """The bitmask identity check against dense products of A."""
+
+    def test_criteria_match_dense_oracle(self):
+        checked = 0
+        for g in _mask_and_oracle_graphs():
+            a = adjacency_matrix(g)
+            dense = dense_quadratic_identity_holds(a, g.n, 0, g.n)
+            assert matrix_criterion(g) == dense, g.bits
+            params = srg_check(g)
+            assert (params is not None) == dense, g.bits
+            if params is not None:
+                assert srg_identity_holds(a, *params)
+            checked += 1
+        assert checked == 2 + 8 + 64 + 1024 + 7 * 4
+
+    @pytest.mark.parametrize(
+        "graph, coeffs",
+        [
+            (cycle_graph(5), (1, 1, 1)),
+            (petersen_graph(), (1, 2, 1)),
+            (k33_graph(), (3, 0, 3)),
+        ],
+        ids=["C5", "Petersen", "K33"],
+    )
+    def test_strongly_regular_identities_hold(self, graph, coeffs):
+        assert _quadratic_identity_holds(graph, *coeffs)
+        assert dense_quadratic_identity_holds(adjacency_matrix(graph), *coeffs)
+
+    @pytest.mark.parametrize(
+        "graph, coeffs",
+        [
+            # Off only on adjacent entries: 0 + 2 != 1.
+            (cycle_graph(5), (2, 1, 1)),
+            # Off only on the diagonal: 2 != 0 + 1.
+            (cycle_graph(5), (1, 0, 1)),
+            # Off only on the antipodal non-adjacent entries: 0 != 1.
+            (cycle_graph(6), (1, 1, 1)),
+        ],
+        ids=["C5-adjacent", "C5-diagonal", "C6-antipodal"],
+    )
+    def test_single_kind_of_entry_mismatch_detected(self, graph, coeffs):
+        assert not _quadratic_identity_holds(graph, *coeffs)
+        assert not dense_quadratic_identity_holds(adjacency_matrix(graph), *coeffs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=general_graphs(min_vertices=0, max_vertices=10),
+        a=st.integers(min_value=-3, max_value=3),
+        i=st.integers(min_value=-3, max_value=3),
+        j=st.integers(min_value=-3, max_value=3),
+    )
+    def test_matches_dense_oracle_on_general_graphs(self, graph, a, i, j):
+        assert _quadratic_identity_holds(graph, a, i, j) == dense_quadratic_identity_holds(
+            adjacency_matrix(graph), a, i, j
+        )
 
 
 class TestCharacteristicCriterion:
