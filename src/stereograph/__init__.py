@@ -79,6 +79,7 @@ from .model import (
     recognize_complete_bipartite,
     recognize_complete_ladder,
     restrict_pairs,
+    switching_representative,
     triangle_pair_triples,
     validate_stereotype,
     vertex_id,

@@ -5,7 +5,10 @@ The chromatic polynomial is assembled from the number of partitions of
 the vertex set into i nonempty independent sets, combined with falling
 factorials. Those counts come from a memoised DP over the vertex
 subsets reached from the full set by removing independent sets, with
-each subset's counts packed into one int. Proper-coloring counts are,
+each subset's counts packed into one int. The chromatically-bipartite
+criterion asks for the polynomial of the switching class's normalised
+pattern, so the polynomial cache is hit by every pattern of a class.
+Proper-coloring counts are,
 separately, plain backtracking over raw color assignments so the two
 routes stay independent of each other. The chromatic number is exact
 branch and bound: greedy upper bound, maximum-clique lower bound, then,
@@ -27,6 +30,7 @@ from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
     recognize_complete_bipartite,
+    switching_representative,
     vertex_id,
 )
 from .polynomials import IntPolynomial, falling_factorial_coefficients
@@ -413,10 +417,14 @@ def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
     Also cross-checks the structural coefficient laws (b0 = 1,
     b1 = -n^2, b2 <= C(n^2, 2), and b2 - C(n^2, 2) = c3/2 against the
     characteristic polynomial); any violation is an internal bug.
+
+    The chromatic polynomial is taken on switching_representative(g),
+    which is isomorphic to g, so the cache of chromatic_polynomial holds
+    one entry per switching class.
     """
     if g.n < 2:
         raise DomainError("criterion requires at least two pairs")
-    chrom = chromatic_polynomial(g.graph)
+    chrom = chromatic_polynomial(switching_representative(g).graph)
     b0, b1, b2 = chrom.coefficient(0), chrom.coefficient(1), chrom.coefficient(2)
     edge_pairs = comb(g.n * g.n, 2)
     c3 = stereotype_characteristic_polynomial(g).coefficient(3)

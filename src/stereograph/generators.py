@@ -43,8 +43,18 @@ _MASK64 = (1 << 64) - 1
 
 
 def splitmix64_stream(seed: int) -> Iterator[int]:
-    """The splitmix64 sequence for a 64-bit seed; fully deterministic."""
-    state = seed & _MASK64
+    """The splitmix64 sequence for a 64-bit seed; fully deterministic.
+
+    The seed must be an int in [0, 2^64): reducing it mod 2^64 would give
+    -1 the stream of 2^64 - 1 while a caller records -1. It is checked
+    here, when the stream is created, not at its first value.
+    """
+    if type(seed) is not int or not 0 <= seed <= _MASK64:
+        raise DomainError(f"seed must be an int in [0, 2^64), got {seed!r}")
+    return _splitmix64(seed)
+
+
+def _splitmix64(state: int) -> Iterator[int]:
     while True:
         state = (state + 0x9E3779B97F4A7C15) & _MASK64
         z = state
@@ -53,18 +63,29 @@ def splitmix64_stream(seed: int) -> Iterator[int]:
         yield z ^ (z >> 31)
 
 
+def _check_pair_count(n: int) -> None:
+    # type() rather than isinstance(): True and 2.0 compare equal to the
+    # ints 1 and 2, and pattern_length(2.0) is not a length.
+    if type(n) is not int or n < 1:
+        raise DomainError(f"pair count must be a positive int, got {n!r}")
+
+
 def gen_complete_bipartite(n: int) -> StereotypeGraph:
     """The all-crossed pattern: both sides independent, index 2."""
+    _check_pair_count(n)
     return from_pattern(n, (1,) * pattern_length(n))
 
 
 def gen_complete_ladder(n: int) -> StereotypeGraph:
     """The all-parallel pattern: two n-cliques joined by a matching."""
+    _check_pair_count(n)
     return from_pattern(n, (0,) * pattern_length(n))
 
 
 def gen_random(n: int, seed: int) -> StereotypeGraph:
-    """Uniform pattern with independent bits from splitmix64(seed)."""
+    """Uniform pattern with independent bits from splitmix64(seed); the
+    seed is an int in [0, 2^64)."""
+    _check_pair_count(n)
     stream = splitmix64_stream(seed)
     bits = tuple(next(stream) & 1 for _ in range(pattern_length(n)))
     return from_pattern(n, bits)
@@ -74,6 +95,7 @@ def enumerate_all(
     n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND, force: bool = False
 ) -> Iterator[StereotypeGraph]:
     """All 2^C(n,2) stereotype graphs on n pairs in lexicographic bit order."""
+    _check_pair_count(n)
     _check_bound("enumeration", n, limit, force)
     length = pattern_length(n)
     for value in range(1 << length):
@@ -120,8 +142,7 @@ def census(
     bipartite, every index-n one a complete ladder, and each index in
     [2, n] must be populated, with the two extremes a single class.
     """
-    if type(n) is not int or n < 1:
-        raise DomainError(f"pair count must be a positive int, got {n!r}")
+    _check_pair_count(n)
     _check_bound("census", n, limit, force)
     labeled: dict[int, int] = {}
     representatives: dict[int, list[StereotypeGraph]] = {}

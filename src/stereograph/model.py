@@ -10,6 +10,13 @@ matching (u1-u2, u2-u1).
 
 Vertex ids are dense integers: u_p^i has id 2*(i-1) + (p-1), so ids run
 0..2n-1 in pair-major order.
+
+Swapping the two sides of pair i (Seidel switching) flips every bit
+(i, j) and maps the graph to an isomorphic one, so every graph invariant
+is an invariant of the pattern's switching class. Each class has one
+normalised pattern, with pair 1 parallel to every other pair;
+switching_representative computes it, and the polynomial criteria key
+their caches on it.
 """
 
 from __future__ import annotations
@@ -343,6 +350,29 @@ def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
     return from_pattern(m, bits)
 
 
+def switching_representative(g: StereotypeGraph) -> StereotypeGraph:
+    """The member of g's switching class with pair 1 parallel to every
+    other pair: the normalised pattern the census walks.
+
+    Swapping the sides of pair i flips every bit(i, j), so switching the
+    pairs i with bit(1, i) = 1 clears row 1 and turns bit(i, j) into
+    bit(i, j) ^ bit(1, i) ^ bit(1, j). On the rows, with s = rows[0],
+    row i becomes row_i ^ s, complemented when pair i is switched. The
+    result is isomorphic to g, so every graph invariant agrees on the
+    two, and all 2^(n-1) patterns of a class share it.
+    """
+    rows = g.rows
+    s = rows[0]
+    if s == 0:
+        return g
+    n = g.n
+    full = (1 << n) - 1
+    rows = [row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows)]
+    return StereotypeGraph(
+        n, tuple(row >> j & 1 for i, row in enumerate(rows) for j in range(i + 1, n))
+    )
+
+
 def recognize_complete_bipartite(g: StereotypeGraph) -> bool:
     """True iff g is a complete bipartite graph on equal sides, i.e. the
     pattern switches to all-crossed (no pair triple is XOR-0)."""
@@ -387,6 +417,7 @@ __all__ = [
     "recognize_complete_bipartite",
     "recognize_complete_ladder",
     "restrict_pairs",
+    "switching_representative",
     "triangle_pair_triples",
     "validate_stereotype",
     "vertex_id",

@@ -5,7 +5,9 @@ criteria in this module are exact equalities, so no floating point is
 allowed anywhere. The characteristic polynomial of a matrix is obtained
 by evaluating det(xI - A) at dim+1 integer points with fraction-free
 (Bareiss) elimination and interpolating exactly. For a stereotype graph
-it is reduced to the n x n Seidel matrix of its pattern first. The
+it is reduced to the n x n Seidel matrix of its pattern first, taken
+from the switching class's normalised pattern, so the cached matrix
+polynomial is computed once per switching class. The
 matrix and strongly-regular criteria check their identity
 A^2 + aA = iI + jJ entry by entry on neighbour bitmasks, since
 (A^2)_uv = popcount(masks[u] & masks[v]); no dense product is formed.
@@ -19,7 +21,7 @@ from functools import lru_cache
 
 from .errors import DomainError, InternalInvariant
 from .graphs import Graph
-from .model import StereotypeGraph
+from .model import StereotypeGraph, switching_representative
 from .polynomials import IntPolynomial, interpolate_integer_polynomial
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -88,11 +90,16 @@ def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
     pairs. On the sums u1^i + u2^i A acts as the all-ones n x n matrix J,
     on the differences u1^i - u2^i as S - I, so
     charpoly(A) = x^(n-1) (x - n) charpoly(S - I).
+
+    Switching pairs conjugates S by a diagonal sign matrix D, and DSD has
+    the same characteristic polynomial, so S is read from the rows of
+    switching_representative(g): every pattern of a switching class
+    gives the same matrix and hits the cache of characteristic_polynomial.
     """
     n = g.n
     shifted = tuple(
         tuple(-1 if i == j else 1 - 2 * (row >> j & 1) for j in range(n))
-        for i, row in enumerate(g.rows)
+        for i, row in enumerate(switching_representative(g).rows)
     )
     core = characteristic_polynomial(shifted).coefficients
     times_x_minus_n = tuple(a - n * b for a, b in zip(core + (0,), (0,) + core))

@@ -1,6 +1,7 @@
 """Coloring machinery: counts, polynomials, index, criteria, reports."""
 
 import itertools
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings
@@ -355,6 +356,15 @@ class TestChromaticallyBipartiteCriterion:
     def test_agreement_exhaustive(self, all_st4):
         for g in all_st4:
             assert chromatically_bipartite_criterion(g) == reduce_to_k2(g).stable
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_labeled_graph_polynomial_exhaustive(self, n):
+        # The criterion reads the polynomial of the switching class's
+        # normalised pattern; b2 of the labeled graph must give the same verdict.
+        edge_pairs = comb(n * n, 2)
+        for g in enumerate_all(n):
+            b2 = chromatic_polynomial(g.graph).coefficient(2)
+            assert chromatically_bipartite_criterion(g) == (b2 == edge_pairs)
 
 
 class TestConstructiveColoring:

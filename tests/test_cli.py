@@ -160,6 +160,19 @@ class TestGenerateAndBuild:
         assert doc["meta"]["prng"] == "splitmix64-v1"
         assert doc["meta"]["seed"] == 9
 
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_generate_seed_outside_64_bits_exits_one(self, capsys, seed):
+        code, out, err = run(capsys, "generate", "--type", "random", "--n", "3", "--seed", seed)
+        assert code == 1
+        assert out == ""
+        assert "seed must be an int in [0, 2^64)" in err
+
+    def test_generate_largest_seed(self, capsys):
+        seed = 2**64 - 1
+        code, out, _ = run(capsys, "generate", "--type", "random", "--n", "3", "--seed", str(seed))
+        assert code == 0
+        assert json.loads(out)["meta"]["seed"] == seed
+
     def test_generate_random_deterministic(self, capsys):
         _, out1, _ = run(capsys, "generate", "--type", "random", "--n", "5", "--seed", "3")
         _, out2, _ = run(capsys, "generate", "--type", "random", "--n", "5", "--seed", "3")

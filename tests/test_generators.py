@@ -48,6 +48,22 @@ INDEX_ABOVE_CLIQUE = (0, 0, 0, 0, 0, 0, 1, 1, 0, 1)
 SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32, 1)]
 
 
+@pytest.mark.parametrize("n", [0, 2.0, True])
+@pytest.mark.parametrize(
+    "make",
+    [
+        gen_complete_bipartite,
+        gen_complete_ladder,
+        lambda n: gen_random(n, 0),
+        lambda n: list(enumerate_all(n)),
+    ],
+    ids=["bipartite", "ladder", "random", "enumerate"],
+)
+def test_generators_reject_bad_pair_count(make, n):
+    with pytest.raises(DomainError):
+        make(n)
+
+
 class TestCanonicalFamilies:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_all_crossed_pattern(self, n):
@@ -73,6 +89,16 @@ class TestRandomGeneration:
     def test_splitmix64_reference_vectors(self):
         stream = splitmix64_stream(0)
         assert tuple(next(stream) for _ in range(3)) == SPLITMIX64_SEED0
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, 0.0, "0"])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(DomainError):
+            gen_random(3, seed)
+        with pytest.raises(DomainError):
+            splitmix64_stream(seed)
+
+    def test_largest_seed_accepted(self):
+        assert len(gen_random(3, 2**64 - 1).bits) == 3
 
     def test_same_seed_same_graph(self):
         assert gen_random(5, 42).bits == gen_random(5, 42).bits

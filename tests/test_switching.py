@@ -8,16 +8,22 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_model import patterns
 from stereograph import (
     chromatic_number,
     chromatic_polynomial,
+    enumerate_all,
     from_pattern,
     recognize_complete_bipartite,
     recognize_complete_ladder,
     stability_report,
     stereotype_characteristic_polynomial,
+    switching_representative,
 )
+from stereograph.chromatic import _chromatic_polynomial_cached
+from stereograph.graphs import normalize_edge
 from stereograph.model import pattern_length, pattern_slot
+from stereograph.spectral import characteristic_polynomial
 
 
 def _pair_pairs(n):
@@ -41,8 +47,8 @@ def switch_pairs(g, pairs):
     )
 
 
-def _patterns(draw, min_n):
-    n = draw(st.integers(min_value=min_n, max_value=6))
+def _patterns(draw, min_n, max_n=6):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     bits = draw(
         st.lists(
             st.integers(min_value=0, max_value=1),
@@ -67,6 +73,13 @@ def graph_relabelling_and_switching(draw):
     perm = draw(st.permutations(range(1, g.n + 1)))
     switched = draw(st.frozensets(st.integers(min_value=1, max_value=g.n)))
     return g, perm, switched
+
+
+@st.composite
+def graph_and_switched_pairs(draw):
+    g = _patterns(draw, 1, max_n=7)
+    switched = draw(st.frozensets(st.integers(min_value=1, max_value=g.n)))
+    return g, switched
 
 
 def invariants(g):
@@ -101,3 +114,37 @@ def test_index_and_chromatic_polynomial_constant_on_switching_orbits(case):
     moved = switch_pairs(permute_pairs(g, perm), switched)
     assert chromatic_number(moved.graph) == chromatic_number(g.graph)
     assert chromatic_polynomial(moved.graph) == chromatic_polynomial(g.graph)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graph_and_switched_pairs())
+def test_switching_representative_is_the_normalised_pattern(case):
+    g, switched = case
+    rep = switching_representative(g)
+    assert rep.rows[0] == 0
+    assert switching_representative(rep) == rep
+    assert switching_representative(switch_pairs(g, switched)) == rep
+
+
+@settings(max_examples=200, deadline=None)
+@given(patterns())
+def test_switching_representative_is_g_with_the_pairs_crossed_to_pair_one_swapped(g):
+    crossed = {i for i in range(2, g.n + 1) if g.bit(1, i)}
+
+    def swap(v):
+        # Pair v // 2 + 1 holds the vertices v and v ^ 1.
+        return v ^ 1 if v // 2 + 1 in crossed else v
+
+    swapped = {normalize_edge(swap(u), swap(v)) for u, v in g.graph.edges}
+    assert swapped == set(switching_representative(g).graph.edges)
+
+
+def test_polynomial_caches_hold_one_entry_per_switching_class():
+    # The 1024 graphs on 5 pairs fall into 2^C(4,2) = 64 switching classes,
+    # and both polynomials are computed on each class's normalised pattern.
+    characteristic_polynomial.cache_clear()
+    _chromatic_polynomial_cached.cache_clear()
+    for g in enumerate_all(5):
+        stability_report(g)
+    assert characteristic_polynomial.cache_info().misses == 64
+    assert _chromatic_polynomial_cached.cache_info().misses == 64
