@@ -35,7 +35,6 @@ from .model import (
 )
 from .polynomials import IntPolynomial, falling_factorial_coefficients
 from .spectral import (
-    characteristic_criterion,
     matrix_criterion,
     minor_criterion,
     stereotype_characteristic_polynomial,
@@ -424,11 +423,17 @@ def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
     """
     if g.n < 2:
         raise DomainError("criterion requires at least two pairs")
-    chrom = chromatic_polynomial(switching_representative(g).graph)
+    rep = switching_representative(g)
+    return _chromatically_bipartite(rep, stereotype_characteristic_polynomial(rep).coefficient(3))
+
+
+def _chromatically_bipartite(rep: StereotypeGraph, c3: int) -> bool:
+    """The chromatically-bipartite verdict on a switching representative,
+    cross-checked against c3 of its characteristic polynomial."""
+    chrom = chromatic_polynomial(rep.graph)
     b0, b1, b2 = chrom.coefficient(0), chrom.coefficient(1), chrom.coefficient(2)
-    edge_pairs = comb(g.n * g.n, 2)
-    c3 = stereotype_characteristic_polynomial(g).coefficient(3)
-    if b0 != 1 or b1 != -g.n * g.n:
+    edge_pairs = comb(rep.n * rep.n, 2)
+    if b0 != 1 or b1 != -rep.n * rep.n:
         raise InternalInvariant(f"unexpected leading chromatic coefficients ({b0}, {b1})")
     if b2 > edge_pairs or 2 * (b2 - edge_pairs) != c3:
         raise InternalInvariant(
@@ -491,9 +496,14 @@ def stability_report(g: StereotypeGraph) -> StabilityReport:
     if g.n >= 2:
         girth = g.graph.girth() == 4
         matrix = matrix_criterion(g)
-        characteristic = characteristic_criterion(g)
+        # Both polynomial criteria are switching invariants: build the
+        # representative once and look its characteristic polynomial up
+        # once, for the characteristic verdict and the c3 cross-check.
+        rep = switching_representative(g)
+        c3 = stereotype_characteristic_polynomial(rep).coefficient(3)
+        characteristic = c3 == 0
         if g.vertex_count <= CHROMATIC_POLY_VERTEX_BOUND:
-            chrom_bipartite = chromatically_bipartite_criterion(g)
+            chrom_bipartite = _chromatically_bipartite(rep, c3)
     index = csi(g)
     executed = [
         v

@@ -4,6 +4,10 @@
 class StereographError(Exception):
     """Base class for all package-specific errors."""
 
+    # KeyError's str() is the repr of its argument; every error here
+    # carries a message, so the KeyError-based ones print it plainly too.
+    __str__ = Exception.__str__
+
 
 class LengthMismatch(StereographError, ValueError):
     """A pattern bit sequence has the wrong length for its pair count."""

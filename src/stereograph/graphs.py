@@ -105,31 +105,41 @@ class Graph:
     def girth(self) -> int | None:
         """Length of a shortest cycle, or None for a forest.
 
-        Computed exactly: for every edge, the shortest alternative path
-        between its endpoints (BFS with that edge removed) closes the
-        shortest cycle through it. A triangle ends the search, since no
-        simple graph has a shorter cycle.
+        Computed exactly by a BFS from every root over level bitmasks.
+        With L_d the vertices at distance d from the root, an edge inside
+        L_d closes an odd cycle of length at most 2d+1, and a vertex of
+        L_(d+1) with two neighbours in L_d an even one of length at most
+        2d+2; from a root on a shortest cycle the first of these tests to
+        fire gives its length exactly, so the girth is the minimum over
+        the roots. A triangle ends the search, since no simple graph has
+        a shorter cycle.
         """
+        masks = self.masks
         best: int | None = None
-        for u, v in self.edges:
-            dist = {u: 0}
-            queue = deque([u])
-            while queue:
-                x = queue.popleft()
-                if x == v:
+        for root in range(self.vertex_count):
+            level, seen, d = 1 << root, 1 << root, 0
+            while level and (best is None or 2 * d + 1 < best):
+                neighbourhoods = []
+                rest = level
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    neighbourhoods.append(masks[low.bit_length() - 1])
+                if any(mask & level for mask in neighbourhoods):
+                    best = 2 * d + 1
                     break
-                for w in self._adjacency[x]:
-                    if (x, w) in ((u, v), (v, u)):
-                        continue
-                    if w not in dist:
-                        dist[w] = dist[x] + 1
-                        queue.append(w)
-            if v in dist:
-                cycle_len = dist[v] + 1
-                if cycle_len == 3:
-                    return 3
-                if best is None or cycle_len < best:
-                    best = cycle_len
+                reached = twice = 0
+                for mask in neighbourhoods:
+                    fresh = mask & ~seen
+                    twice |= reached & fresh
+                    reached |= fresh
+                if twice:
+                    best = 2 * d + 2
+                    break
+                seen |= reached
+                level, d = reached, d + 1
+            if best == 3:
+                return 3
         return best
 
     def triangles(self) -> list[tuple[int, int, int]]:

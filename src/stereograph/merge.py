@@ -11,12 +11,20 @@ vertices are never absorbed into one class.
 Surviving merged pairs are relabeled with the smaller pair index, and the
 class containing that pair's side-1 vertex keeps side 1, so reductions
 are fully deterministic.
+
+The state mid-reduction is two bitmasks per original vertex id: its
+neighbours and the original vertices its class holds, both 0 once the
+vertex has been merged away. The triangle test reads six bits of the
+four vertices involved, and a merge rewrites each vertex's neighbour
+mask with a few int operations, so one merge costs O(V) int operations
+and no edge set is ever rebuilt.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidOrder, PairAbsent, TooLarge
@@ -29,32 +37,55 @@ ClassPartition = frozenset[frozenset[int]]
 ORDER_ENUMERATION_BOUND = 5
 
 
+def _members(mask: int) -> frozenset[int]:
+    """The set bits of mask, as vertex ids."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(members)
+
+
 @dataclass(frozen=True)
 class PairedGraph:
     """A graph on surviving pairs mid-reduction.
 
-    `pairs` lists the alive pair labels; vertex ids reuse the dense
-    encoding of the labels' original positions. `classes` maps each
-    current vertex to the frozenset of original vertex ids it represents.
+    Vertex ids are those of the original 2n-vertex graph. Bit w of
+    `masks[v]` is set iff vw is an edge, and `class_masks[v]` has one bit
+    per original vertex id that v represents; both are 0 for a vertex
+    whose pair has been merged away. `pairs` (the alive pair labels),
+    `edges` and `classes` (each current vertex with the frozenset of
+    original ids it represents) are read-only views of the masks.
     Unlike a stereotype graph, two alive pairs may induce more than a
     4-cycle here.
     """
 
-    n_original: int
-    pairs: tuple[int, ...]
-    edges: frozenset[Edge]
-    classes: tuple[tuple[int, frozenset[int]], ...]
+    masks: tuple[int, ...]
+    class_masks: tuple[int, ...]
 
     @classmethod
     def from_stereotype(cls, g: StereotypeGraph) -> "PairedGraph":
-        classes = tuple(
-            (v, frozenset([v])) for v in range(g.vertex_count)
+        return cls(g.graph.masks, tuple(1 << v for v in range(g.vertex_count)))
+
+    @property
+    def n_original(self) -> int:
+        return len(self.masks) // 2
+
+    @property
+    def pairs(self) -> tuple[int, ...]:
+        return tuple(p for p, mask in enumerate(self.class_masks[::2], 1) if mask)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(
+            (u, v) for u, mask in enumerate(self.masks) for v in _members(mask) if u < v
         )
-        return cls(
-            n_original=g.n,
-            pairs=tuple(range(1, g.n + 1)),
-            edges=g.graph.edges,
-            classes=classes,
+
+    @cached_property
+    def classes(self) -> tuple[tuple[int, frozenset[int]], ...]:
+        return tuple(
+            (v, _members(mask)) for v, mask in enumerate(self.class_masks) if mask
         )
 
     @property
@@ -99,59 +130,59 @@ class StabilityVerdict:
 
 def merge_pairs(pg: PairedGraph, i: int, j: int) -> MergeOutcome:
     """Merge pairs i and j, or report the triangle blocking the merge."""
+    if type(i) is not int or type(j) is not int:
+        raise PairAbsent(f"pair labels must be ints, got ({i!r}, {j!r})")
     if i == j:
         raise PairAbsent(f"cannot merge pair {i} with itself")
+    masks, class_masks = pg.masks, pg.class_masks
     for label in (i, j):
-        if label not in pg.pairs:
+        if not (0 < label <= len(masks) // 2 and class_masks[2 * label - 2]):
             raise PairAbsent(f"pair {label} is not alive")
 
-    a1, a2 = pg.pair_vertices(i)
-    b1, b2 = pg.pair_vertices(j)
-    quad = (a1, a2, b1, b2)
-    for tri in itertools.combinations(quad, 3):
-        if all(pg.has_edge(u, v) for u, v in itertools.combinations(tri, 2)):
+    # pair_vertices inlined: u_side^p has id 2(p-1) + side-1.
+    a1, b1 = 2 * i - 2, 2 * j - 2
+    a2, b2 = a1 + 1, b1 + 1
+    a1a2, b1b2 = masks[a1] >> a2 & 1, masks[b1] >> b2 & 1
+    a1b1, a1b2 = masks[a1] >> b1 & 1, masks[a1] >> b2 & 1
+    a2b1, a2b2 = masks[a2] >> b1 & 1, masks[a2] >> b2 & 1
+    # The four triples of the quad in a fixed order, so the witness is
+    # deterministic.
+    for tri, closed in (
+        ((a1, a2, b1), a1a2 and a1b1 and a2b1),
+        ((a1, a2, b2), a1a2 and a1b2 and a2b2),
+        ((a1, b1, b2), b1b2 and a1b1 and a1b2),
+        ((a2, b1, b2), b1b2 and a2b1 and a2b2),
+    ):
+        if closed:
             return MergeOutcome(blocking_triangle=tuple(sorted(tri)))
 
     # The induced subgraph is a 4-cycle: each vertex of pair i misses
     # exactly one vertex of pair j. The two non-adjacent couples become
     # the new classes.
-    partner = {a1: b2 if pg.has_edge(a1, b1) else b1}
-    partner[a2] = b1 if partner[a1] == b2 else b2
-    couple_one = frozenset([a1, partner[a1]])
-    couple_two = frozenset([a2, partner[a2]])
+    partner = b2 if a1b1 else b1
+    one, two = (a1, partner), (a2, b1 + b2 - partner)
+    v1, r1 = (a1, b1) if i < j else (b1, a1)
+    v2, r2 = v1 + 1, r1 + 1
+    if v1 not in one:
+        one, two = two, one
+    side_one = 1 << one[0] | 1 << one[1]
+    side_two = 1 << two[0] | 1 << two[1]
+    keep = ~(side_one | side_two)
+    bit1, bit2 = 1 << v1, 1 << v2
 
-    survivor = min(i, j)
-    removed = max(i, j)
-    v1, v2 = pg.pair_vertices(survivor)
-    side_one = couple_one if v1 in couple_one else couple_two
-    side_two = couple_two if side_one is couple_one else couple_one
+    new_masks = [
+        mask & keep | (bit1 if mask & side_one else 0) | (bit2 if mask & side_two else 0)
+        for mask in masks
+    ]
+    new_masks[v1] = (masks[one[0]] | masks[one[1]]) & keep | bit2
+    new_masks[v2] = (masks[two[0]] | masks[two[1]]) & keep | bit1
+    new_masks[r1] = new_masks[r2] = 0
 
-    old_classes = pg.class_map
-    new_classes = {
-        v: members for v, members in old_classes.items() if v not in quad
-    }
-    new_classes[v1] = frozenset().union(*(old_classes[m] for m in side_one))
-    new_classes[v2] = frozenset().union(*(old_classes[m] for m in side_two))
-
-    survivors = [v for v in old_classes if v not in quad]
-    new_edges: set[Edge] = set()
-    for u, v in pg.edges:
-        if u not in quad and v not in quad:
-            new_edges.add((u, v))
-    for w in survivors:
-        if any(pg.has_edge(w, m) for m in side_one):
-            new_edges.add(normalize_edge(w, v1))
-        if any(pg.has_edge(w, m) for m in side_two):
-            new_edges.add(normalize_edge(w, v2))
-    new_edges.add(normalize_edge(v1, v2))
-
-    merged = PairedGraph(
-        n_original=pg.n_original,
-        pairs=tuple(p for p in pg.pairs if p != removed),
-        edges=frozenset(new_edges),
-        classes=tuple(sorted(new_classes.items())),
-    )
-    return MergeOutcome(graph=merged)
+    new_classes = list(class_masks)
+    new_classes[v1] = class_masks[one[0]] | class_masks[one[1]]
+    new_classes[v2] = class_masks[two[0]] | class_masks[two[1]]
+    new_classes[r1] = new_classes[r2] = 0
+    return MergeOutcome(graph=PairedGraph(tuple(new_masks), tuple(new_classes)))
 
 
 def reduce_to_k2(
@@ -170,15 +201,22 @@ def reduce_to_k2(
             )
 
     step_index = 0
-    while len(pg.pairs) > 1:
+    pairs = pg.pairs
+    while len(pairs) > 1:
         if order is not None:
             i, j = order[step_index]
-            if i not in pg.pairs or j not in pg.pairs or i == j:
+            if (
+                type(i) is not int
+                or type(j) is not int
+                or i not in pairs
+                or j not in pairs
+                or i == j
+            ):
                 raise InvalidOrder(
-                    f"step {step_index}: pair ({i}, {j}) is not alive in {pg.pairs}"
+                    f"step {step_index}: pair ({i!r}, {j!r}) is not alive in {pairs}"
                 )
         else:
-            i, j = pg.pairs[0], pg.pairs[1]
+            i, j = pairs[0], pairs[1]
         outcome = merge_pairs(pg, i, j)
         if not outcome.merged:
             return StabilityVerdict(
@@ -188,10 +226,10 @@ def reduce_to_k2(
                 blocking_witness=outcome.blocking_triangle,
             )
         pg = outcome.graph
-        survivor = min(i, j)
-        v1, v2 = pg.pair_vertices(survivor)
-        class_map = pg.class_map
-        steps.append(MergeStep((i, j), (class_map[v1], class_map[v2])))
+        pairs = pg.pairs
+        v1, v2 = pg.pair_vertices(min(i, j))
+        classes = (_members(pg.class_masks[v1]), _members(pg.class_masks[v2]))
+        steps.append(MergeStep((i, j), classes))
         step_index += 1
 
     return StabilityVerdict(stable=True, final_graph=pg, steps=tuple(steps))

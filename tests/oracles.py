@@ -9,17 +9,24 @@ over every vertex subset (each walking every subset of its available
 vertices), determinants from Laplace expansion or rational
 Gaussian elimination, triangles from the cube of the adjacency matrix,
 the quadratic matrix identities A^2 + aA = iI + jJ from dense products
-of the adjacency matrix, and the census from every labeled graph with
-pairwise isomorphism tests. Keep it that way; the point is that a shared bug cannot hide."""
+of the adjacency matrix, the census from every labeled graph with
+pairwise isomorphism tests, pair merges from frozensets of edge tuples
+rebuilt on every merge (setwise_merge_pairs, setwise_reduce_to_k2,
+setwise_order_invariance), and the girth from one BFS per edge with that
+edge removed (edge_bfs_girth). Keep it that way; the point is that a
+shared bug cannot hide."""
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
+from dataclasses import dataclass
 from fractions import Fraction
 
 from stereograph import chromatic_number, from_pattern
-from stereograph.graphs import Graph, graph_isomorphic, normalize_edge
-from stereograph.model import pattern_length
+from stereograph.graphs import Edge, Graph, graph_isomorphic, normalize_edge
+from stereograph.merge import MergeOutcome, MergeStep, StabilityVerdict
+from stereograph.model import StereotypeGraph, pattern_length, vertex_id
 
 
 def enumerate_coloring_count(graph: Graph, x: int) -> int:
@@ -253,3 +260,129 @@ def pairwise_census(n: int) -> list[tuple[int, int, int, int]]:
         if not any(graph_isomorphic(graph, known) for known in reps):
             reps.append(graph)
     return [(n, k, labeled[k], len(representatives[k])) for k in sorted(labeled)]
+
+
+def edge_bfs_girth(graph: Graph) -> int | None:
+    """Shortest cycle length, or None for a forest: for every edge uv, a
+    BFS from u that may not use uv finds the shortest cycle through it."""
+    best: int | None = None
+    for u, v in graph.edges:
+        dist = {u: 0}
+        queue = deque([u])
+        while queue:
+            x = queue.popleft()
+            if x == v:
+                break
+            for w in graph.neighbors(x):
+                if (x, w) in ((u, v), (v, u)):
+                    continue
+                if w not in dist:
+                    dist[w] = dist[x] + 1
+                    queue.append(w)
+        if v in dist and (best is None or dist[v] + 1 < best):
+            best = dist[v] + 1
+    return best
+
+
+@dataclass(frozen=True)
+class SetwisePairedGraph:
+    """The merge state as sets: alive pair labels, a frozenset of edge
+    tuples, and (vertex, frozenset of original vertex ids) classes."""
+
+    n_original: int
+    pairs: tuple[int, ...]
+    edges: frozenset[Edge]
+    classes: tuple[tuple[int, frozenset[int]], ...]
+
+    @classmethod
+    def from_stereotype(cls, g: StereotypeGraph) -> "SetwisePairedGraph":
+        classes = tuple((v, frozenset([v])) for v in range(g.vertex_count))
+        return cls(g.n, tuple(range(1, g.n + 1)), g.graph.edges, classes)
+
+    def has_edge(self, u: int, v: int) -> bool:
+        return normalize_edge(u, v) in self.edges
+
+
+def setwise_merge_pairs(pg: SetwisePairedGraph, i: int, j: int) -> MergeOutcome:
+    """merge_pairs on the set state: the first triangle among the quad's
+    triples in combinations order blocks; otherwise the non-adjacent
+    cross couples become the classes and the edge set is rebuilt."""
+    assert i != j and i in pg.pairs and j in pg.pairs
+    a1, a2 = vertex_id(i, 1), vertex_id(i, 2)
+    b1, b2 = vertex_id(j, 1), vertex_id(j, 2)
+    quad = (a1, a2, b1, b2)
+    for tri in itertools.combinations(quad, 3):
+        if all(pg.has_edge(u, v) for u, v in itertools.combinations(tri, 2)):
+            return MergeOutcome(blocking_triangle=tuple(sorted(tri)))
+
+    partner = {a1: b2 if pg.has_edge(a1, b1) else b1}
+    partner[a2] = b1 if partner[a1] == b2 else b2
+    couple_one = frozenset([a1, partner[a1]])
+    couple_two = frozenset([a2, partner[a2]])
+
+    survivor, removed = min(i, j), max(i, j)
+    v1, v2 = vertex_id(survivor, 1), vertex_id(survivor, 2)
+    side_one = couple_one if v1 in couple_one else couple_two
+    side_two = couple_two if side_one is couple_one else couple_one
+
+    old_classes = dict(pg.classes)
+    new_classes = {v: members for v, members in old_classes.items() if v not in quad}
+    new_classes[v1] = frozenset().union(*(old_classes[m] for m in side_one))
+    new_classes[v2] = frozenset().union(*(old_classes[m] for m in side_two))
+
+    new_edges = {(u, v) for u, v in pg.edges if u not in quad and v not in quad}
+    for w in old_classes:
+        if w in quad:
+            continue
+        if any(pg.has_edge(w, m) for m in side_one):
+            new_edges.add(normalize_edge(w, v1))
+        if any(pg.has_edge(w, m) for m in side_two):
+            new_edges.add(normalize_edge(w, v2))
+    new_edges.add(normalize_edge(v1, v2))
+
+    merged = SetwisePairedGraph(
+        n_original=pg.n_original,
+        pairs=tuple(p for p in pg.pairs if p != removed),
+        edges=frozenset(new_edges),
+        classes=tuple(sorted(new_classes.items())),
+    )
+    return MergeOutcome(graph=merged)
+
+
+def setwise_reduce_to_k2(g: StereotypeGraph, order=None) -> StabilityVerdict:
+    """reduce_to_k2 on the set state; order as there, assumed valid."""
+    pg = SetwisePairedGraph.from_stereotype(g)
+    steps = []
+    for step_index in range(g.n - 1):
+        i, j = order[step_index] if order is not None else pg.pairs[:2]
+        outcome = setwise_merge_pairs(pg, i, j)
+        if not outcome.merged:
+            return StabilityVerdict(False, pg, tuple(steps), outcome.blocking_triangle)
+        pg = outcome.graph
+        classes = dict(pg.classes)
+        survivor = min(i, j)
+        steps.append(
+            MergeStep((i, j), (classes[vertex_id(survivor, 1)], classes[vertex_id(survivor, 2)]))
+        )
+    return StabilityVerdict(True, pg, tuple(steps))
+
+
+def setwise_order_invariance(g: StereotypeGraph) -> bool:
+    """check_order_invariance by walking every merge order on the set state."""
+    verdicts = set()
+    partitions = set()
+
+    def walk(pg: SetwisePairedGraph) -> None:
+        if len(pg.pairs) == 1:
+            verdicts.add(True)
+            partitions.add(frozenset(members for _, members in pg.classes))
+            return
+        for i, j in itertools.combinations(pg.pairs, 2):
+            outcome = setwise_merge_pairs(pg, i, j)
+            if outcome.merged:
+                walk(outcome.graph)
+            else:
+                verdicts.add(False)
+
+    walk(SetwisePairedGraph.from_stereotype(g))
+    return len(verdicts) == 1 and (verdicts == {False} or len(partitions) == 1)

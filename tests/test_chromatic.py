@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     backtracking_chromatic_number,
     deletion_contraction_coefficients,
+    edge_bfs_girth,
     enumerate_coloring_count,
     subset_dp_partition_counts,
 )
@@ -36,6 +37,7 @@ from stereograph import (
     stability_report,
     two_coloring,
 )
+from stereograph import spectral
 from stereograph.chromatic import greedy_coloring, independent_partition_counts
 from stereograph.graphs import Graph, max_clique_size
 from stereograph.model import pattern_length
@@ -242,6 +244,60 @@ LOOSE_BOUND_GRAPHS = {
 }
 
 
+@st.composite
+def sparse_graphs(draw, max_vertices=12):
+    """Graphs with at most n + 3 edges, so long cycles and forests are
+    common; general_graphs is dense and nearly always has a triangle."""
+    n = draw(st.integers(min_value=0, max_value=max_vertices))
+    if n < 2:
+        return Graph(n, frozenset())
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(
+        st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=n + 3)
+    )
+    return Graph.from_edges(n, edges)
+
+
+GIRTH_GRAPHS = {
+    "empty": (Graph(0, frozenset()), None),
+    "isolated-vertices": (Graph(3, frozenset()), None),
+    "path": (Graph.from_edges(6, [(i, i + 1) for i in range(5)]), None),
+    "two-trees": (Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), None),
+    "C5": (cycle_graph(5), 5),
+    "C7": (cycle_graph(7), 7),
+    "C8": (cycle_graph(8), 8),
+    "petersen": (petersen_graph(), 5),
+    "grotzsch": (grotzsch_graph(), 4),
+    "K33": (gen_complete_bipartite(3).graph, 4),
+    "odd-wheel-W5": (odd_wheel_graph(), 3),
+    "C7-and-separate-C4": (
+        Graph.from_edges(
+            11, [(i, (i + 1) % 7) for i in range(7)] + [(7, 8), (8, 9), (9, 10), (10, 7)]
+        ),
+        4,
+    ),
+}
+
+
+class TestGirth:
+    """Graph.girth, a BFS over level bitmasks, against one BFS per edge."""
+
+    @pytest.mark.parametrize("name", sorted(GIRTH_GRAPHS))
+    def test_named_graphs(self, name):
+        graph, girth = GIRTH_GRAPHS[name]
+        assert graph.girth() == girth == edge_bfs_girth(graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=st.one_of(sparse_graphs(), general_graphs(min_vertices=0, max_vertices=12)))
+    def test_matches_edge_bfs(self, graph):
+        assert graph.girth() == edge_bfs_girth(graph)
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_stereotype_graphs(self, n):
+        for g in enumerate_all(n):
+            assert g.graph.girth() == edge_bfs_girth(g.graph)
+
+
 class TestSearchAgainstOracle:
     """The exact search against fixed-order backtracking with no bounds."""
 
@@ -422,6 +478,20 @@ class TestStabilityReport:
         assert report.chromatically_bipartite is None
         assert report.girth is None
         assert report.merge and report.coloring and report.bipartite and report.minor
+
+    def test_one_characteristic_polynomial_lookup(self, monkeypatch):
+        # The characteristic and chromatically-bipartite criteria share
+        # one lookup; a graph past the chromatic bound still makes one.
+        calls = []
+        lookup = spectral.characteristic_polynomial
+        monkeypatch.setattr(
+            spectral, "characteristic_polynomial", lambda m: calls.append(m) or lookup(m)
+        )
+        graphs = [g for n in range(1, 5) for g in enumerate_all(n)] + [gen_random(9, 0)]
+        for g in graphs:
+            calls.clear()
+            stability_report(g)
+            assert len(calls) == (g.n >= 2)
 
     def test_oversized_marks_polynomial_skipped(self):
         g = gen_complete_ladder(8)

@@ -247,6 +247,20 @@ class TestMerge:
         assert doc["status"] == "unstable"
         assert len(doc["triangle"]) == 3
 
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ("1,9", "pair 9 is not alive"),
+            ("1,1", "cannot merge pair 1 with itself"),
+            ("0,1", "pair 0 is not alive"),
+        ],
+    )
+    def test_absent_pair_message(self, capsys, kl3_file, pairs, message):
+        code, out, err = run(capsys, "merge", kl3_file, "--pairs", pairs)
+        assert code == 1
+        assert out == ""
+        assert err == f"stereograph: {message}\n"
+
     def test_bad_pairs_argument(self, capsys, kl3_file):
         code, _, err = run(capsys, "merge", kl3_file, "--pairs", "1;2")
         assert code == 1

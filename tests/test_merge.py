@@ -3,7 +3,15 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    SetwisePairedGraph,
+    setwise_merge_pairs,
+    setwise_order_invariance,
+    setwise_reduce_to_k2,
+)
 from stereograph import (
     InvalidOrder,
     PairAbsent,
@@ -11,11 +19,13 @@ from stereograph import (
     check_order_invariance,
     enumerate_all,
     from_pattern,
+    gen_random,
     merge_pairs,
     reduce_to_k2,
     two_coloring,
 )
 from stereograph.merge import PairedGraph
+from test_model import patterns
 
 
 def start(g):
@@ -60,6 +70,13 @@ class TestMergePairs:
         with pytest.raises(PairAbsent):
             merge_pairs(start(k33), 2, 2)
 
+    @pytest.mark.parametrize("label", [1.0, True, "1"])
+    def test_non_int_label_rejected(self, k33, label):
+        with pytest.raises(PairAbsent):
+            merge_pairs(start(k33), label, 2)
+        with pytest.raises(PairAbsent):
+            merge_pairs(start(k33), 2, label)
+
     def test_each_merge_drops_one_pair_and_partitions(self, all_st4):
         for g in all_st4:
             outcome = merge_pairs(start(g), 2, 4)
@@ -101,6 +118,13 @@ class TestReduceToK2:
         # After merging (1, 2) the label 2 is gone.
         with pytest.raises(InvalidOrder):
             reduce_to_k2(k33, order=[(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize("label", [1.0, True, "1"])
+    def test_order_with_non_int_label(self, k33, label):
+        with pytest.raises(InvalidOrder):
+            reduce_to_k2(k33, order=[(label, 2), (1, 3)])
+        with pytest.raises(InvalidOrder):
+            reduce_to_k2(k33, order=[(1, 2), (1, label)])
 
     def test_stable_classes_are_proper_transversals(self, all_st4):
         for g in all_st4:
@@ -168,3 +192,88 @@ class TestOrderInvariance:
         for g in all_st4:
             stable = reduce_to_k2(g).stable
             assert stable == (two_coloring(g.graph).coloring is not None)
+
+
+def assert_same_state(pg, expected):
+    assert pg.n_original == expected.n_original
+    assert pg.pairs == expected.pairs
+    assert pg.edges == expected.edges
+    assert pg.classes == expected.classes
+
+
+def assert_same_outcome(outcome, expected):
+    assert outcome.blocking_triangle == expected.blocking_triangle
+    assert outcome.merged == expected.merged
+    if outcome.merged:
+        assert_same_state(outcome.graph, expected.graph)
+
+
+def assert_same_verdict(verdict, expected):
+    assert verdict.stable == expected.stable
+    assert verdict.steps == expected.steps
+    assert verdict.blocking_witness == expected.blocking_witness
+    assert_same_state(verdict.final_graph, expected.final_graph)
+
+
+def descending_order(n):
+    """Merge pair k into pair k-1, from the top: the survivor is always
+    the second argument."""
+    return [(k, k - 1) for k in range(n, 1, -1)]
+
+
+class TestAgainstSetwiseOracle:
+    """The bitmask engine against the frozenset-of-edges merge."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_reductions_every_graph(self, n):
+        for g in enumerate_all(n):
+            assert_same_verdict(reduce_to_k2(g), setwise_reduce_to_k2(g))
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_descending_order_every_graph(self, n):
+        order = descending_order(n)
+        for g in enumerate_all(n):
+            assert_same_verdict(reduce_to_k2(g, order), setwise_reduce_to_k2(g, order))
+
+    @pytest.mark.parametrize("n", range(7, 15))
+    def test_reductions_random_graphs(self, n):
+        for seed in range(4):
+            g = gen_random(n, seed)
+            assert_same_verdict(reduce_to_k2(g), setwise_reduce_to_k2(g))
+            order = descending_order(n)
+            assert_same_verdict(reduce_to_k2(g, order), setwise_reduce_to_k2(g, order))
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_every_single_merge(self, n):
+        # Every ordered merge from every state any merge order reaches.
+        for g in enumerate_all(n):
+            states = [(start(g), SetwisePairedGraph.from_stereotype(g))]
+            while states:
+                pg, expected = states.pop()
+                assert_same_state(pg, expected)
+                for i, j in itertools.permutations(pg.pairs, 2):
+                    outcome = merge_pairs(pg, i, j)
+                    oracle = setwise_merge_pairs(expected, i, j)
+                    assert_same_outcome(outcome, oracle)
+                    if outcome.merged and i < j:
+                        states.append((outcome.graph, oracle.graph))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_order_invariance_agrees(self, n):
+        for g in enumerate_all(n):
+            assert check_order_invariance(g) == setwise_order_invariance(g)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=patterns(), data=st.data())
+    def test_random_merge_sequences(self, g, data):
+        # Blocked merges leave the state as it was, and the walk goes on.
+        pg, expected = start(g), SetwisePairedGraph.from_stereotype(g)
+        for _ in range(2 * g.n):
+            if len(pg.pairs) == 1:
+                break
+            i, j = data.draw(st.permutations(pg.pairs))[:2]
+            outcome = merge_pairs(pg, i, j)
+            oracle = setwise_merge_pairs(expected, i, j)
+            assert_same_outcome(outcome, oracle)
+            if outcome.merged:
+                pg, expected = outcome.graph, oracle.graph
