@@ -8,7 +8,9 @@ subsets reached from the full set by removing independent sets, with
 each subset's counts packed into one int. The chromatically-bipartite
 criterion asks for the polynomial of the switching class's normalised
 pattern, so the polynomial cache is hit by every pattern of a class.
-Proper-coloring counts are,
+The stability report is likewise computed once per switching class, on
+the normalised pattern, and cached on that pattern: the 1024 graphs on
+5 pairs need 64 reports. Proper-coloring counts are,
 separately, plain backtracking over raw color assignments so the two
 routes stay independent of each other. The chromatic number is exact
 branch and bound: greedy upper bound, maximum-clique lower bound, then,
@@ -448,7 +450,8 @@ class StabilityReport:
 
     A criterion that does not apply (single pair) or was skipped for
     size is None; `agreement` covers the executed criteria plus the
-    index test csi == 2.
+    index test csi == 2. Every field is a graph invariant, hence an
+    invariant of the pattern's switching class.
     """
 
     merge: bool
@@ -484,7 +487,24 @@ def stability_report(g: StereotypeGraph) -> StabilityReport:
 
     Disagreement between executed criteria is reported via the agreement
     flag, never resolved silently.
+
+    The report is computed once per switching class, on the normalised
+    pattern switching_representative(g), which is isomorphic to g, and
+    cached on that pattern: the 1024 graphs on 5 pairs need 64 reports.
     """
+    rep = switching_representative(g)
+    return _stability_report_cached(rep.n, rep.bits)
+
+
+# Keyed on the pattern rather than the graph so that an entry does not
+# keep the representative's graph, rows and neighbour masks alive.
+@lru_cache(maxsize=4096)
+def _stability_report_cached(n: int, bits: tuple[int, ...]) -> StabilityReport:
+    return _compute_stability_report(StereotypeGraph(n, bits))
+
+
+def _compute_stability_report(g: StereotypeGraph) -> StabilityReport:
+    """Every criterion and the index run on g itself, without the cache."""
     merge = reduce_to_k2(g).stable
     coloring = two_coloring(g.graph).coloring is not None
     bipartite = recognize_complete_bipartite(g)

@@ -15,13 +15,14 @@ Swapping the two sides of pair i (Seidel switching) flips every bit
 (i, j) and maps the graph to an isomorphic one, so every graph invariant
 is an invariant of the pattern's switching class. Each class has one
 normalised pattern, with pair 1 parallel to every other pair;
-switching_representative computes it, and the polynomial criteria key
-their caches on it.
+switching_representative computes it, and stability_report and the
+polynomial criteria key their caches on it.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -51,18 +52,20 @@ def vertex_name(v: int) -> str:
     return f"u{side}.{pair}"
 
 
+# Exactly the names vertex_name writes: ASCII digits, no leading zero.
+_VERTEX_NAME = re.compile(r"u([12])\.([1-9][0-9]*)")
+
+
 def parse_vertex_name(name: str) -> int:
-    """Parse "u<side>.<pair>" back to a dense vertex id."""
-    if not name.startswith("u"):
-        raise DomainError(f"bad vertex name {name!r}")
-    body = name[1:]
-    side_str, dot, pair_str = body.partition(".")
-    if not dot or not side_str.isdigit() or not pair_str.isdigit():
-        raise DomainError(f"bad vertex name {name!r}")
-    side, pair = int(side_str), int(pair_str)
-    if side not in (1, 2) or pair < 1:
-        raise DomainError(f"bad vertex name {name!r}")
-    return vertex_id(pair, side)
+    """Parse "u<side>.<pair>" back to a dense vertex id; any other value,
+    including a non-canonical spelling such as "u1.01", is rejected."""
+    match = _VERTEX_NAME.fullmatch(name) if isinstance(name, str) else None
+    if match is not None:
+        try:
+            return vertex_id(int(match[2]), int(match[1]))
+        except ValueError:  # a pair number past int()'s digit limit
+            pass
+    raise DomainError(f"bad vertex name {name!r}")
 
 
 def pattern_slot(n: int, i: int, j: int) -> int:

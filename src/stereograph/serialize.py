@@ -75,7 +75,7 @@ def _parse_named_edges(doc: dict) -> list[tuple[int, int]]:
             raise ParseError(f"bad edge entry {item!r}")
         try:
             u, v = parse_vertex_name(item[0]), parse_vertex_name(item[1])
-        except (DomainError, TypeError) as exc:
+        except DomainError as exc:
             raise ParseError(f"bad edge entry {item!r}: {exc}") from exc
         key = (min(u, v), max(u, v))
         if key in seen:

@@ -38,7 +38,12 @@ from stereograph import (
     two_coloring,
 )
 from stereograph import spectral
-from stereograph.chromatic import greedy_coloring, independent_partition_counts
+from stereograph.chromatic import (
+    _compute_stability_report,
+    _stability_report_cached,
+    greedy_coloring,
+    independent_partition_counts,
+)
 from stereograph.graphs import Graph, max_clique_size
 from stereograph.model import pattern_length
 
@@ -481,7 +486,8 @@ class TestStabilityReport:
 
     def test_one_characteristic_polynomial_lookup(self, monkeypatch):
         # The characteristic and chromatically-bipartite criteria share
-        # one lookup; a graph past the chromatic bound still makes one.
+        # one lookup per computed report; a graph past the chromatic
+        # bound still makes one.
         calls = []
         lookup = spectral.characteristic_polynomial
         monkeypatch.setattr(
@@ -490,8 +496,20 @@ class TestStabilityReport:
         graphs = [g for n in range(1, 5) for g in enumerate_all(n)] + [gen_random(9, 0)]
         for g in graphs:
             calls.clear()
+            _stability_report_cached.cache_clear()
             stability_report(g)
             assert len(calls) == (g.n >= 2)
+
+    def test_cached_report_equals_the_report_computed_on_the_graph_itself(self):
+        # The cache answers for the whole switching class from its
+        # normalised pattern; every labeled pattern must still get the
+        # report of its own criteria, and they must agree.
+        graphs = [g for n in range(1, 6) for g in enumerate_all(n)]
+        graphs += [gen_random(n, s) for n in range(8, 11) for s in range(4)]
+        for g in graphs:
+            report = stability_report(g)
+            assert report == _compute_stability_report(g), (g.n, g.bits)
+            assert report.agreement, (g.n, g.bits)
 
     def test_oversized_marks_polynomial_skipped(self):
         g = gen_complete_ladder(8)

@@ -62,6 +62,28 @@ class TestValidate:
             assert out == ""
             assert "duplicate edge (0, 2)" in err
 
+    @pytest.mark.parametrize(
+        "name, shown",
+        [
+            (5, "5"),
+            ("u1.\u00b2", "'u1.\u00b2'"),
+            ("u1.01", "'u1.01'"),
+            ("u01.1", "'u01.1'"),
+            ("u1.\u0661", "'u1.\u0661'"),
+        ],
+    )
+    def test_non_canonical_vertex_name_rejected(self, capsys, tmp_path, name, shown):
+        edges = [[name, "u2.1"], ["u1.2", "u2.2"], ["u1.1", "u1.2"], ["u2.1", "u2.2"]]
+        path = tmp_path / "names.json"
+        path.write_text(json.dumps({"format": "stereograph-edges-v1", "n": 2, "edges": edges}))
+        for command in ("validate", "report"):
+            code, out, err = run(capsys, command, str(path))
+            assert code == 1, command
+            assert out == ""
+            assert err == (
+                f"stereograph: bad edge entry {[name, 'u2.1']!r}: bad vertex name {shown}\n"
+            )
+
     def test_wrong_pattern_length(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text('{"format": "stereograph-v1", "n": 3, "pattern": [0, 1]}')

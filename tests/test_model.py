@@ -66,10 +66,35 @@ class TestVertexEncoding:
             assert vertex_id(pair, side) == v
             assert parse_vertex_name(vertex_name(v)) == v
 
-    @pytest.mark.parametrize("bad", ["u3.1", "u1", "v1.1", "u1.0", "u1.x", ""])
+    @pytest.mark.parametrize(
+        "bad",
+        ["u3.1", "u1", "v1.1", "u1.0", "u1.x", "", 5, None, ["u1.1"], "u1.\u00b2",
+         "u1.01", "u01.1", "u1.\u0661", "u1.1\n", " u1.1", "u1.+1", "u1." + "9" * 5000],
+    )
     def test_bad_names_rejected(self, bad):
         with pytest.raises(DomainError):
             parse_vertex_name(bad)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=0, max_value=10**9))
+    def test_every_written_name_parses_back(self, v):
+        assert parse_vertex_name(vertex_name(v)) == v
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.text(alphabet="u.0129\u00b2\u0661\uff11 +-_\n", max_size=8),
+            st.from_regex(r"u[0-9]{1,2}\.[0-9]{1,3}", fullmatch=True),
+        )
+    )
+    def test_only_written_names_parse(self, name):
+        # Canonical or rejected: a name that parses is the one vertex_name
+        # writes for that vertex.
+        try:
+            v = parse_vertex_name(name)
+        except DomainError:
+            return
+        assert vertex_name(v) == name
 
 
 class TestFromPattern:

@@ -20,7 +20,11 @@ from stereograph import (
     stereotype_characteristic_polynomial,
     switching_representative,
 )
-from stereograph.chromatic import _chromatic_polynomial_cached
+from stereograph.chromatic import (
+    _chromatic_polynomial_cached,
+    _compute_stability_report,
+    _stability_report_cached,
+)
 from stereograph.graphs import normalize_edge
 from stereograph.model import pattern_length, pattern_slot
 from stereograph.spectral import characteristic_polynomial
@@ -83,8 +87,10 @@ def graph_and_switched_pairs(draw):
 
 
 def invariants(g):
+    # The report computed on g itself: stability_report would answer
+    # every member of a switching class from one cache entry.
     return (
-        stability_report(g),
+        _compute_stability_report(g),
         stereotype_characteristic_polynomial(g),
         recognize_complete_bipartite(g),
         recognize_complete_ladder(g),
@@ -141,10 +147,14 @@ def test_switching_representative_is_g_with_the_pairs_crossed_to_pair_one_swappe
 
 def test_polynomial_caches_hold_one_entry_per_switching_class():
     # The 1024 graphs on 5 pairs fall into 2^C(4,2) = 64 switching classes,
-    # and both polynomials are computed on each class's normalised pattern.
+    # and the report and both polynomials are computed on each class's
+    # normalised pattern.
     characteristic_polynomial.cache_clear()
     _chromatic_polynomial_cached.cache_clear()
+    _stability_report_cached.cache_clear()
     for g in enumerate_all(5):
         stability_report(g)
     assert characteristic_polynomial.cache_info().misses == 64
     assert _chromatic_polynomial_cached.cache_info().misses == 64
+    report_cache = _stability_report_cached.cache_info()
+    assert (report_cache.misses, report_cache.hits) == (64, 960)
