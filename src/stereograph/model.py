@@ -87,6 +87,10 @@ class StereotypeGraph:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # Any sequence of bits is stored as a tuple, so that equal patterns
+        # compare and hash alike and the pattern can key a cache.
+        if type(self.bits) is not tuple:
+            object.__setattr__(self, "bits", tuple(self.bits))
         # type() rather than isinstance(): True and 2.0 compare equal to
         # the ints 1 and 2 but would be written back as themselves.
         if type(self.n) is not int or self.n < 1:

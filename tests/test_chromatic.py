@@ -18,6 +18,7 @@ from stereograph import (
     DomainError,
     SizeExceeded,
     StabilityComparison,
+    StereotypeGraph,
     chromatic_number,
     chromatic_polynomial,
     chromatically_bipartite_criterion,
@@ -510,6 +511,13 @@ class TestStabilityReport:
             report = stability_report(g)
             assert report == _compute_stability_report(g), (g.n, g.bits)
             assert report.agreement, (g.n, g.bits)
+
+    def test_pattern_given_as_a_list(self):
+        # Row 0 is zero, so the graph is its own representative and its
+        # bits key the report cache directly.
+        assert stability_report(StereotypeGraph(3, [0, 0, 0])) == stability_report(
+            from_pattern(3, [0, 0, 0])
+        )
 
     def test_oversized_marks_polynomial_skipped(self):
         g = gen_complete_ladder(8)

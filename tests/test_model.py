@@ -134,6 +134,14 @@ class TestFromPattern:
         with pytest.raises(DomainError):
             StereotypeGraph(3, (0, bit, 0))
 
+    def test_bits_stored_as_tuple(self):
+        # A list of bits is kept as the tuple from_pattern builds, so the
+        # graph hashes and keys the report cache like any other.
+        g = StereotypeGraph(3, [0, 1, 0])
+        assert type(g.bits) is tuple
+        assert g == from_pattern(3, [0, 1, 0])
+        assert hash(g) == hash(from_pattern(3, [0, 1, 0]))
+
     @pytest.mark.parametrize("n, bits", [(2.0, [1]), (True, [])])
     def test_non_int_pair_count_rejected(self, n, bits):
         # 2.0 and True compare equal to 2 and 1, but .graph and the JSON

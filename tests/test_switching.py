@@ -12,6 +12,7 @@ from test_model import patterns
 from stereograph import (
     chromatic_number,
     chromatic_polynomial,
+    chromatically_bipartite_criterion,
     enumerate_all,
     from_pattern,
     recognize_complete_bipartite,
@@ -146,15 +147,21 @@ def test_switching_representative_is_g_with_the_pairs_crossed_to_pair_one_swappe
 
 
 def test_polynomial_caches_hold_one_entry_per_switching_class():
-    # The 1024 graphs on 5 pairs fall into 2^C(4,2) = 64 switching classes,
-    # and the report and both polynomials are computed on each class's
-    # normalised pattern.
+    # The 1024 graphs on 5 pairs fall into 2^C(4,2) = 64 switching classes.
+    # Both polynomials are keyed on each class's normalised pattern, whether
+    # a criterion or the uncached report body asks for them, and the report
+    # itself is computed once per class.
+    graphs = list(enumerate_all(5))
     characteristic_polynomial.cache_clear()
     _chromatic_polynomial_cached.cache_clear()
-    _stability_report_cached.cache_clear()
-    for g in enumerate_all(5):
-        stability_report(g)
+    for g in graphs:
+        stereotype_characteristic_polynomial(g)
+        chromatically_bipartite_criterion(g)
+        _compute_stability_report(g)
     assert characteristic_polynomial.cache_info().misses == 64
     assert _chromatic_polynomial_cached.cache_info().misses == 64
+    _stability_report_cached.cache_clear()
+    for g in graphs:
+        stability_report(g)
     report_cache = _stability_report_cached.cache_info()
     assert (report_cache.misses, report_cache.hits) == (64, 960)
