@@ -27,7 +27,7 @@ from math import comb
 from typing import Mapping
 
 from .errors import DomainError, InternalInvariant, SizeExceeded
-from .graphs import Graph, find_clique_of_size, max_clique_size
+from .graphs import Graph, find_clique_of_size, iter_bits, max_clique_size
 from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
@@ -63,9 +63,6 @@ class Coloring:
     def mapping(self) -> dict[int, int]:
         return dict(self.assignment)
 
-    def color_of(self, v: int) -> int:
-        return self.mapping[v]
-
     def is_proper(self, graph: Graph) -> bool:
         colors = self.mapping
         return all(colors[u] != colors[v] for u, v in graph.edges)
@@ -82,9 +79,7 @@ def count_proper_colorings(graph: Graph, x: int) -> int:
         return 1
     if x == 0:
         return 0
-    earlier = [
-        [w for w in graph.neighbors(v) if w < v] for v in range(n)
-    ]
+    earlier = [list(iter_bits(mask & ((1 << v) - 1))) for v, mask in enumerate(graph.masks)]
     colors = [0] * n
 
     def count_from(v: int) -> int:
@@ -192,6 +187,7 @@ class BipartitionResult:
 
 def two_coloring(graph: Graph) -> BipartitionResult:
     """Breadth-first bipartition; on failure returns an odd cycle."""
+    masks = graph.masks
     color: dict[int, int] = {}
     parent: dict[int, int | None] = {}
     for root in range(graph.vertex_count):
@@ -204,7 +200,7 @@ def two_coloring(graph: Graph) -> BipartitionResult:
         while head < len(queue):
             u = queue[head]
             head += 1
-            for w in sorted(graph.neighbors(u)):
+            for w in iter_bits(masks[u]):
                 if w not in color:
                     color[w] = 3 - color[u]
                     parent[w] = u
@@ -237,8 +233,8 @@ def _odd_cycle_from_conflict(
 def greedy_coloring(graph: Graph) -> Coloring:
     """First-fit coloring in canonical vertex order (an upper bound)."""
     assignment: dict[int, int] = {}
-    for v in range(graph.vertex_count):
-        taken = {assignment[w] for w in graph.neighbors(v) if w in assignment}
+    for v, mask in enumerate(graph.masks):
+        taken = {assignment[w] for w in iter_bits(mask & ((1 << v) - 1))}
         c = 1
         while c in taken:
             c += 1
@@ -260,7 +256,7 @@ def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | Non
     with no color.
     """
     n = graph.vertex_count
-    adjacent = [graph.neighbors(v) for v in range(n)]
+    adjacent = [tuple(iter_bits(mask)) for mask in graph.masks]
     palette = (1 << (k + 1)) - 2  # colors 1..k are bits 1..k
     forbidden = [0] * n
     counts = [[0] * (k + 1) for _ in range(n)]
@@ -384,7 +380,7 @@ def constructive_pair_coloring(g: StereotypeGraph) -> Coloring:
         theta[vertex_id(i, 2)] = (2 * i - 1) - theta[u1]
 
     pivot = vertex_id(1, 1)
-    used_nearby = {theta[w] for w in graph.neighbors(pivot)}
+    used_nearby = {theta[w] for w in iter_bits(graph.masks[pivot])}
     free = next((c for c in range(1, g.n + 1) if c not in used_nearby), None)
     if free is None:
         raise InternalInvariant("no free color remained for the first vertex")

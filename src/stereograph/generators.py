@@ -235,10 +235,10 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> None:
     palette = set(mapping.values())
     if palette != set(range(1, coloring.colors_used + 1)):
         raise InvalidColoring("colors must be exactly 1..colors_used")
-    if coloring.colors_used != chromatic_number(g.graph):
+    index = chromatic_number(g.graph)
+    if coloring.colors_used != index:
         raise InvalidColoring(
-            f"coloring uses {coloring.colors_used} colors but the index is "
-            f"{chromatic_number(g.graph)}"
+            f"coloring uses {coloring.colors_used} colors but the index is {index}"
         )
 
 

@@ -1,17 +1,17 @@
 """Minimal immutable simple graphs and the structural algorithms used here.
 
-Vertices are dense integers ``0..vertex_count-1``. Everything operates on
-graphs small enough (at most a few dozen vertices) that straightforward
-exact algorithms are the right tool; nothing in this module approximates.
+Vertices are dense integers ``0..vertex_count-1``; ``Graph.masks``, one
+neighbour bitmask per vertex, is the only neighbour index, and every
+algorithm here reads it. Everything operates on graphs small enough (at
+most a few dozen vertices) that straightforward exact algorithms are the
+right tool; nothing in this module approximates.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InternalInvariant
 
@@ -24,9 +24,18 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def iter_bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class Graph:
-    """An undirected simple graph on vertices ``0..vertex_count-1``."""
+    """An undirected simple graph on vertices ``0..vertex_count-1``;
+    `neighbors`, `degree` and `degrees` are views of `masks`."""
 
     vertex_count: int
     edges: frozenset[Edge]
@@ -42,14 +51,6 @@ class Graph:
         return cls(vertex_count, frozenset(normalized))
 
     @cached_property
-    def _adjacency(self) -> tuple[frozenset[int], ...]:
-        neighbors: list[set[int]] = [set() for _ in range(self.vertex_count)]
-        for u, v in self.edges:
-            neighbors[u].add(v)
-            neighbors[v].add(u)
-        return tuple(frozenset(s) for s in neighbors)
-
-    @cached_property
     def masks(self) -> tuple[int, ...]:
         """One neighbour bitmask per vertex: bit w of masks[v] is set iff
         vw is an edge."""
@@ -60,13 +61,13 @@ class Graph:
         return tuple(masks)
 
     def neighbors(self, v: int) -> frozenset[int]:
-        return self._adjacency[v]
+        return frozenset(iter_bits(self.masks[v]))
 
     def degree(self, v: int) -> int:
-        return len(self._adjacency[v])
+        return self.masks[v].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._adjacency)
+        return tuple(mask.bit_count() for mask in self.masks)
 
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
@@ -75,20 +76,7 @@ class Graph:
         return sorted(self.edges)
 
     def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        return len(self._bfs_distances(0)) == self.vertex_count
-
-    def _bfs_distances(self, source: int) -> dict[int, int]:
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._adjacency[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    queue.append(w)
-        return dist
+        return self.vertex_count == 0 or self._eccentricity(0) is not None
 
     def diameter(self) -> int | None:
         """Greatest pairwise distance, or None when disconnected."""
@@ -96,11 +84,28 @@ class Graph:
             return None
         best = 0
         for v in range(self.vertex_count):
-            dist = self._bfs_distances(v)
-            if len(dist) != self.vertex_count:
+            eccentricity = self._eccentricity(v)
+            if eccentricity is None:
                 return None
-            best = max(best, max(dist.values()))
+            best = max(best, eccentricity)
         return best
+
+    def _eccentricity(self, root: int) -> int | None:
+        """Greatest distance from root, or None when a vertex is out of
+        reach: a BFS over level bitmasks, one OR per vertex."""
+        masks = self.masks
+        level = seen = 1 << root
+        d = 0
+        while True:
+            reached = 0
+            for v in iter_bits(level):
+                reached |= masks[v]
+            level = reached & ~seen
+            if not level:
+                break
+            seen |= level
+            d += 1
+        return d if seen == (1 << self.vertex_count) - 1 else None
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, or None for a forest.
@@ -119,12 +124,7 @@ class Graph:
         for root in range(self.vertex_count):
             level, seen, d = 1 << root, 1 << root, 0
             while level and (best is None or 2 * d + 1 < best):
-                neighbourhoods = []
-                rest = level
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    neighbourhoods.append(masks[low.bit_length() - 1])
+                neighbourhoods = [masks[v] for v in iter_bits(level)]
                 if any(mask & level for mask in neighbourhoods):
                     best = 2 * d + 1
                     break
@@ -143,12 +143,14 @@ class Graph:
         return best
 
     def triangles(self) -> list[tuple[int, int, int]]:
-        """All triangles as sorted vertex triples, by explicit enumeration."""
-        adj = self._adjacency
+        """All triangles as sorted vertex triples, in lexicographic order:
+        for each edge uv with u < v, the common neighbours above v."""
+        masks = self.masks
         found = []
-        for u, v, w in itertools.combinations(range(self.vertex_count), 3):
-            if v in adj[u] and w in adj[u] and w in adj[v]:
-                found.append((u, v, w))
+        for u, row in enumerate(masks):
+            for v in iter_bits(row >> (u + 1) << (u + 1)):
+                for w in iter_bits((row & masks[v]) >> (v + 1) << (v + 1)):
+                    found.append((u, v, w))
         return found
 
     def triangle_count(self) -> int:
@@ -169,14 +171,15 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     n = g1.vertex_count
     if n != g2.vertex_count or len(g1.edges) != len(g2.edges):
         return None
-    if sorted(g1.degrees()) != sorted(g2.degrees()):
+    deg1, deg2 = g1.degrees(), g2.degrees()
+    if sorted(deg1) != sorted(deg2):
         return None
     if g1.triangle_count() != g2.triangle_count():
         return None
 
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    sig1 = [(deg1[v], tuple(sorted(deg1[w] for w in g1.neighbors(v)))) for v in range(n)]
-    sig2 = [(deg2[v], tuple(sorted(deg2[w] for w in g2.neighbors(v)))) for v in range(n)]
+    m1, m2 = g1.masks, g2.masks
+    sig1 = [(deg1[v], tuple(sorted(deg1[w] for w in iter_bits(m1[v])))) for v in range(n)]
+    sig2 = [(deg2[v], tuple(sorted(deg2[w] for w in iter_bits(m2[v])))) for v in range(n)]
     if sorted(sig1) != sorted(sig2):
         return None
 
@@ -186,13 +189,9 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     used: set[int] = set()
 
     def consistent(v: int, w: int) -> bool:
-        for x in g1.neighbors(v):
-            if x in mapping and mapping[x] not in g2.neighbors(w):
-                return False
-        for x in range(n):
-            if x in mapping and x not in g1.neighbors(v) and mapping[x] in g2.neighbors(w):
-                return False
-        return True
+        """Whether v -> w keeps adjacency to and from every mapped vertex."""
+        row1, row2 = m1[v], m2[w]
+        return all(row1 >> x & 1 == row2 >> y & 1 for x, y in mapping.items())
 
     def backtrack(idx: int) -> bool:
         if idx == n:

@@ -28,23 +28,13 @@ from functools import cached_property
 from typing import Sequence
 
 from .errors import InvalidOrder, PairAbsent, TooLarge
-from .graphs import Edge, normalize_edge
+from .graphs import Edge, iter_bits, normalize_edge
 from .model import StereotypeGraph, vertex_id
 
 Triangle = tuple[int, int, int]
 ClassPartition = frozenset[frozenset[int]]
 
 ORDER_ENUMERATION_BOUND = 5
-
-
-def _members(mask: int) -> frozenset[int]:
-    """The set bits of mask, as vertex ids."""
-    members = []
-    while mask:
-        low = mask & -mask
-        members.append(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(members)
 
 
 @dataclass(frozen=True)
@@ -79,13 +69,13 @@ class PairedGraph:
     @cached_property
     def edges(self) -> frozenset[Edge]:
         return frozenset(
-            (u, v) for u, mask in enumerate(self.masks) for v in _members(mask) if u < v
+            (u, v) for u, mask in enumerate(self.masks) for v in iter_bits(mask) if u < v
         )
 
     @cached_property
     def classes(self) -> tuple[tuple[int, frozenset[int]], ...]:
         return tuple(
-            (v, _members(mask)) for v, mask in enumerate(self.class_masks) if mask
+            (v, frozenset(iter_bits(mask))) for v, mask in enumerate(self.class_masks) if mask
         )
 
     @property
@@ -96,7 +86,8 @@ class PairedGraph:
         return vertex_id(label, 1), vertex_id(label, 2)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+        u, v = normalize_edge(u, v)
+        return 0 <= u and v < len(self.masks) and self.masks[u] >> v & 1 == 1
 
     def class_partition(self) -> ClassPartition:
         return frozenset(members for _, members in self.classes)
@@ -228,7 +219,10 @@ def reduce_to_k2(
         pg = outcome.graph
         pairs = pg.pairs
         v1, v2 = pg.pair_vertices(min(i, j))
-        classes = (_members(pg.class_masks[v1]), _members(pg.class_masks[v2]))
+        classes = (
+            frozenset(iter_bits(pg.class_masks[v1])),
+            frozenset(iter_bits(pg.class_masks[v2])),
+        )
         steps.append(MergeStep((i, j), classes))
         step_index += 1
 

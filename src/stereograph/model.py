@@ -28,7 +28,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, LengthMismatch, NotAStereotypeGraph
-from .graphs import Edge, Graph, find_isomorphism, graph_isomorphic, normalize_edge
+from .graphs import Edge, Graph, find_isomorphism, graph_isomorphic, iter_bits, normalize_edge
 
 
 def vertex_id(pair: int, side: int) -> int:
@@ -265,22 +265,15 @@ def validate_stereotype(graph: Graph) -> ValidationReport:
         CheckResult("in-pair-edges", not missing, missing[0] if missing else None)
     )
 
+    # Two pairs induce a 4-cycle iff each of their four vertices has
+    # exactly two neighbours among the four (the six bits of the quad).
+    masks = graph.masks
     bad_pairpair: tuple[int, int] | None = None
-    for i in range(1, n + 1):
-        if bad_pairpair:
+    for i, j in itertools.combinations(range(n), 2):
+        quad = 3 << 2 * i | 3 << 2 * j
+        if any((masks[v] & quad).bit_count() != 2 for v in iter_bits(quad)):
+            bad_pairpair = (i + 1, j + 1)
             break
-        for j in range(i + 1, n + 1):
-            quad = [vertex_id(i, 1), vertex_id(i, 2), vertex_id(j, 1), vertex_id(j, 2)]
-            induced = {
-                normalize_edge(u, v)
-                for u, v in itertools.combinations(quad, 2)
-                if normalize_edge(u, v) in graph.edges
-            }
-            degrees = {v: sum(v in e for e in induced) for v in quad}
-            is_c4 = len(induced) == 4 and all(d == 2 for d in degrees.values())
-            if not is_c4:
-                bad_pairpair = (i, j)
-                break
     checks.append(CheckResult("pair-pair-four-cycles", bad_pairpair is None, bad_pairpair))
 
     # Derived structural properties; these follow from the clauses above

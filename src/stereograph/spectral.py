@@ -189,12 +189,15 @@ def srg_check(g: StereotypeGraph) -> tuple[int, int, int, int] | None:
     """Strongly-regular parameters (2n, n, 0, n) when every adjacent vertex
     pair shares 0 neighbors and every non-adjacent pair shares exactly n;
     None otherwise. When parameters are found, the quadratic identity
-    A^2 + (q-p)A = (k-q)I + qJ is verified as an internal check."""
+    A^2 + (q-p)A = (k-q)I + qJ is verified as an internal check; the
+    parameters come from neighbour-set intersections, a different route
+    from the identity's popcounts."""
     graph = g.graph
     n = g.n
+    neighbours = [graph.neighbors(v) for v in range(graph.vertex_count)]
     for u, v in itertools.combinations(range(graph.vertex_count), 2):
-        common = len(graph.neighbors(u) & graph.neighbors(v))
-        if graph.has_edge(u, v):
+        common = len(neighbours[u] & neighbours[v])
+        if v in neighbours[u]:
             if common != 0:
                 return None
         elif common != n:

@@ -12,9 +12,12 @@ the quadratic matrix identities A^2 + aA = iI + jJ from dense products
 of the adjacency matrix, the census from every labeled graph with
 pairwise isomorphism tests, pair merges from frozensets of edge tuples
 rebuilt on every merge (setwise_merge_pairs, setwise_reduce_to_k2,
-setwise_order_invariance), and the girth from one BFS per edge with that
-edge removed (edge_bfs_girth). Keep it that way; the point is that a
-shared bug cannot hide."""
+setwise_order_invariance), the girth from one BFS per edge with that
+edge removed (edge_bfs_girth), distances, degrees and connectivity from
+Floyd-Warshall on the dense adjacency matrix (floyd_warshall_profile),
+isomorphism from every vertex permutation (permutation_isomorphic), and
+stereotype validation from edge-tuple sets (setwise_validate_stereotype).
+Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
 
@@ -26,7 +29,14 @@ from fractions import Fraction
 from stereograph import chromatic_number, from_pattern
 from stereograph.graphs import Edge, Graph, graph_isomorphic, normalize_edge
 from stereograph.merge import MergeOutcome, MergeStep, StabilityVerdict
-from stereograph.model import StereotypeGraph, pattern_length, vertex_id
+from stereograph.model import (
+    CheckResult,
+    StereotypeGraph,
+    ValidationReport,
+    pattern_length,
+    vertex_id,
+)
+from stereograph.spectral import adjacency_matrix
 
 
 def enumerate_coloring_count(graph: Graph, x: int) -> int:
@@ -282,6 +292,90 @@ def edge_bfs_girth(graph: Graph) -> int | None:
         if v in dist and (best is None or dist[v] + 1 < best):
             best = dist[v] + 1
     return best
+
+
+@dataclass(frozen=True)
+class DenseProfile:
+    degrees: tuple[int, ...]
+    connected: bool
+    diameter: int | None
+
+
+def floyd_warshall_profile(graph: Graph) -> DenseProfile:
+    """Degrees as row sums of the dense adjacency matrix, and
+    connectivity and diameter from Floyd-Warshall all-pairs distances
+    (None stands for no path). The diameter of the empty graph is None."""
+    matrix = adjacency_matrix(graph)
+    n = len(matrix)
+    dist = [
+        [0 if u == v else (1 if matrix[u][v] else None) for v in range(n)] for u in range(n)
+    ]
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if dist[i][k] is None or dist[k][j] is None:
+                    continue
+                through = dist[i][k] + dist[k][j]
+                if dist[i][j] is None or through < dist[i][j]:
+                    dist[i][j] = through
+    connected = all(d is not None for row in dist for d in row)
+    diameter = max(max(row) for row in dist) if n and connected else None
+    return DenseProfile(tuple(sum(row) for row in matrix), connected, diameter)
+
+
+def permutation_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """Whether some vertex permutation maps the edges of g1 onto those of g2."""
+    if g1.vertex_count != g2.vertex_count or len(g1.edges) != len(g2.edges):
+        return False
+    return any(
+        {normalize_edge(p[u], p[v]) for u, v in g1.edges} == g2.edges
+        for p in itertools.permutations(range(g1.vertex_count))
+    )
+
+
+def setwise_validate_stereotype(graph: Graph) -> ValidationReport:
+    """validate_stereotype from edge-tuple sets: each pair of pairs must
+    induce four edges with every quad vertex in exactly two of them; the
+    derived checks come from the edge count, Floyd-Warshall and one BFS
+    per edge."""
+    checks = []
+    even = graph.vertex_count % 2 == 0 and graph.vertex_count > 0
+    n = graph.vertex_count // 2
+    checks.append(CheckResult("pair-structure", even, None if even else graph.vertex_count))
+    if not even:
+        return ValidationReport(n, tuple(checks))
+
+    missing = [
+        i for i in range(1, n + 1) if (vertex_id(i, 1), vertex_id(i, 2)) not in graph.edges
+    ]
+    checks.append(CheckResult("in-pair-edges", not missing, missing[0] if missing else None))
+
+    bad_pairpair = None
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        quad = [vertex_id(i, 1), vertex_id(i, 2), vertex_id(j, 1), vertex_id(j, 2)]
+        induced = {
+            normalize_edge(u, v)
+            for u, v in itertools.combinations(quad, 2)
+            if normalize_edge(u, v) in graph.edges
+        }
+        degrees = {v: sum(v in e for e in induced) for v in quad}
+        if not (len(induced) == 4 and all(d == 2 for d in degrees.values())):
+            bad_pairpair = (i, j)
+            break
+    checks.append(CheckResult("pair-pair-four-cycles", bad_pairpair is None, bad_pairpair))
+
+    size = len(graph.edges)
+    checks.append(CheckResult("edge-count", size == n * n, None if size == n * n else size))
+    profile = floyd_warshall_profile(graph)
+    irregular = [v for v, d in enumerate(profile.degrees) if d != n]
+    checks.append(CheckResult("n-regular", not irregular, irregular[0] if irregular else None))
+    checks.append(CheckResult("connected", profile.connected))
+    diameter_ok = profile.diameter == (1 if n == 1 else 2)
+    checks.append(CheckResult("diameter", diameter_ok, None if diameter_ok else profile.diameter))
+    girth = edge_bfs_girth(graph)
+    girth_ok = girth is None if n == 1 else girth in (3, 4)
+    checks.append(CheckResult("girth", girth_ok, None if girth_ok else girth))
+    return ValidationReport(n, tuple(checks))
 
 
 @dataclass(frozen=True)

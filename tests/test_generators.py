@@ -248,7 +248,7 @@ class TestExpansion:
 
     def test_non_optimal_coloring_rejected(self, k33):
         wasteful = Coloring.from_mapping({v: v + 1 for v in range(6)})
-        with pytest.raises(InvalidColoring):
+        with pytest.raises(InvalidColoring, match="uses 6 colors but the index is 2"):
             expand_incrementing(k33, wasteful)
 
     def test_index_above_clique_case_rejected(self):

@@ -1,0 +1,130 @@
+"""The generic graph readers on graphs that are not stereotype graphs.
+
+Stereotype graphs are always connected with diameter 1 or 2, so here
+the mask-based readers (triangles, distances, degrees, isomorphism) also
+meet disconnected graphs, forests, paths and long cycles, and are held
+against dense-matrix and brute-force oracles.
+"""
+
+import itertools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import floyd_warshall_profile, permutation_isomorphic, trace_triangle_count
+from stereograph.graphs import Graph, find_isomorphism, iter_bits, normalize_edge
+from stereograph.spectral import adjacency_matrix
+from test_chromatic import GIRTH_GRAPHS, general_graphs, sparse_graphs
+
+any_graphs = st.one_of(sparse_graphs(), general_graphs(min_vertices=0, max_vertices=12))
+
+PATHS = {f"P{n}": Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in range(1, 8)}
+NAMED = {**PATHS, **{name: graph for name, (graph, _) in GIRTH_GRAPHS.items()}}
+
+
+def relabelled(graph, perm):
+    return Graph.from_edges(graph.vertex_count, [(perm[u], perm[v]) for u, v in graph.edges])
+
+
+class TestIterBits:
+    @given(mask=st.integers(min_value=0, max_value=(1 << 70) - 1))
+    def test_ascending_set_bits(self, mask):
+        assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestNeighbourViews:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=any_graphs)
+    def test_masks_and_neighbors_agree_with_edges(self, graph):
+        for v in range(graph.vertex_count):
+            expected = {w for e in graph.edges if v in e for w in e if w != v}
+            assert graph.masks[v] == sum(1 << w for w in expected)
+            assert graph.neighbors(v) == expected
+            assert graph.degree(v) == len(expected)
+
+
+class TestTriangles:
+    @settings(max_examples=200, deadline=None)
+    @given(graph=any_graphs)
+    def test_count_matches_trace_of_cube(self, graph):
+        assert graph.triangle_count() == trace_triangle_count(adjacency_matrix(graph))
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=any_graphs)
+    def test_every_triangle_once_in_lexicographic_order(self, graph):
+        expected = [
+            t
+            for t in itertools.combinations(range(graph.vertex_count), 3)
+            if all(e in graph.edges for e in itertools.combinations(t, 2))
+        ]
+        assert graph.triangles() == expected
+
+
+class TestDistances:
+    @pytest.mark.parametrize("name", sorted(NAMED))
+    def test_named_graphs(self, name):
+        graph = NAMED[name]
+        profile = floyd_warshall_profile(graph)
+        assert graph.degrees() == profile.degrees
+        assert graph.is_connected() == profile.connected
+        assert graph.diameter() == profile.diameter
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=any_graphs)
+    def test_match_floyd_warshall(self, graph):
+        profile = floyd_warshall_profile(graph)
+        assert graph.degrees() == profile.degrees
+        assert graph.is_connected() == profile.connected
+        assert graph.diameter() == profile.diameter
+
+
+def assert_is_isomorphism(mapping, g1, g2):
+    assert mapping is not None
+    assert sorted(mapping) == sorted(mapping.values()) == list(range(g1.vertex_count))
+    assert {normalize_edge(mapping[u], mapping[v]) for u, v in g1.edges} == g2.edges
+
+
+class TestIsomorphism:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), graph=any_graphs)
+    def test_found_for_every_relabelling(self, data, graph):
+        perm = data.draw(st.permutations(range(graph.vertex_count)))
+        image = relabelled(graph, perm)
+        assert_is_isomorphism(find_isomorphism(graph, image), graph, image)
+        assert_is_isomorphism(find_isomorphism(image, graph), image, graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        graph=st.one_of(
+            sparse_graphs(max_vertices=6), general_graphs(min_vertices=0, max_vertices=6)
+        ),
+    )
+    def test_matches_permutation_search(self, data, graph):
+        """A relabelling with one edge swapped for one non-edge keeps the
+        degree sum, so it is isomorphic to the original or not."""
+        perm = data.draw(st.permutations(range(graph.vertex_count)))
+        image = relabelled(graph, perm)
+        non_edges = [
+            e for e in itertools.combinations(range(graph.vertex_count), 2) if e not in image.edges
+        ]
+        if image.edges and non_edges and data.draw(st.booleans()):
+            gone = data.draw(st.sampled_from(sorted(image.edges)))
+            added = data.draw(st.sampled_from(non_edges))
+            image = Graph(image.vertex_count, image.edges - {gone} | {added})
+        mapping = find_isomorphism(graph, image)
+        assert (mapping is not None) == permutation_isomorphic(graph, image)
+        if mapping is not None:
+            assert_is_isomorphism(mapping, graph, image)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_exhaustive_small_graphs(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        graphs = [
+            Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
+            for bits in itertools.product((0, 1), repeat=len(pairs))
+        ]
+        for g1, g2 in itertools.combinations_with_replacement(graphs, 2):
+            if len(g1.edges) == len(g2.edges):
+                assert (find_isomorphism(g1, g2) is not None) == permutation_isomorphic(g1, g2)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import trace_triangle_count
+from oracles import setwise_validate_stereotype, trace_triangle_count
+from test_chromatic import general_graphs
 from stereograph.spectral import adjacency_matrix
 from stereograph import (
     DomainError,
@@ -238,14 +239,33 @@ class TestBitmasks:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_graph_masks_agree_with_neighbors(self, n):
+        """neighbors is a view of masks, so both are checked against the
+        edge set itself (general graphs: test_graphs.TestNeighbourViews)."""
         for g in enumerate_all(n):
             graph = g.graph
-            assert graph.masks == tuple(
-                sum(1 << w for w in graph.neighbors(v)) for v in range(graph.vertex_count)
-            )
+            for v in range(graph.vertex_count):
+                expected = {w for e in graph.edges if v in e for w in e if w != v}
+                assert graph.masks[v] == sum(1 << w for w in expected)
+                assert graph.neighbors(v) == expected
 
 
 class TestValidation:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_setwise_oracle_after_one_edge_change(self, n):
+        """Whole reports, checks and witnesses, on every graph with one
+        vertex pair toggled: one edge deleted or one added."""
+        for g in enumerate_all(n):
+            edges = g.graph.edges
+            assert validate_stereotype(g.graph) == setwise_validate_stereotype(g.graph)
+            for e in itertools.combinations(range(2 * n), 2):
+                perturbed = Graph(2 * n, edges ^ {e})
+                assert validate_stereotype(perturbed) == setwise_validate_stereotype(perturbed), e
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=general_graphs(min_vertices=1, max_vertices=10))
+    def test_matches_setwise_oracle_on_general_graphs(self, graph):
+        assert validate_stereotype(graph) == setwise_validate_stereotype(graph)
+
     def test_valid_patterns_pass_all_checks(self, k22, k33, kl4):
         for g in (k22, k33, kl4):
             report = validate_stereotype(g.graph)
