@@ -9,6 +9,7 @@ argument. STEREOGRAPH_MAX_N overrides the enumeration bound.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,8 +308,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built on the first main() call, since building costs milliseconds; parse_args keeps no state.
+_shared_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "handler"):
         parser.print_help()

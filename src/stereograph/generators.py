@@ -25,7 +25,14 @@ from .errors import (
     RangeError,
     TooLarge,
 )
-from .graphs import Edge, Graph, find_clique_of_size, graph_isomorphic, normalize_edge
+from .graphs import (
+    Edge,
+    Graph,
+    find_clique_of_size,
+    graph_isomorphic,
+    max_clique_size,
+    normalize_edge,
+)
 from .model import (
     StereotypeGraph,
     from_pattern,
@@ -235,6 +242,9 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> None:
     palette = set(mapping.values())
     if palette != set(range(1, coloring.colors_used + 1)):
         raise InvalidColoring("colors must be exactly 1..colors_used")
+    # omega <= chi <= colors_used: a clique as large as the palette proves it optimal.
+    if coloring.colors_used == max_clique_size(g.graph):
+        return
     index = chromatic_number(g.graph)
     if coloring.colors_used != index:
         raise InvalidColoring(

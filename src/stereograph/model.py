@@ -152,10 +152,13 @@ def pattern_of(g: StereotypeGraph) -> tuple[int, ...]:
 def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
     """Build a stereotype graph from an explicit edge set, or reject it.
 
-    Raises NotAStereotypeGraph carrying the first violated clause:
-    a missing in-pair edge, or a pair of pairs whose cross edges are not
-    one of the two perfect matchings (which always exhibits either a
-    missing adjacency or a triangle through a shared endpoint).
+    A self-loop, a vertex outside 0..2n-1 or a repeated edge raises
+    DomainError, in input order. Then the first of the two defining
+    clauses of validate_stereotype that fails raises NotAStereotypeGraph
+    with its clause and witness: a pair missing its in-pair edge, or two
+    pairs whose cross edges are not a perfect matching. Once both hold,
+    every edge is an in-pair or a matching edge, so the pattern is read
+    off the masks: pair i crosses pair j iff u1^i is adjacent to u2^j.
     """
     if type(n) is not int or n < 1:
         raise DomainError(f"pair count must be a positive int, got {n!r}")
@@ -168,53 +171,28 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
             raise DomainError(f"duplicate edge {e}")
         edge_set.add(e)
 
-    for i in range(1, n + 1):
-        if (vertex_id(i, 1), vertex_id(i, 2)) not in edge_set:
-            raise NotAStereotypeGraph(
-                clause="in-pair-edge",
-                witness=i,
-                message=f"pair {i} is missing its in-pair edge "
-                f"{vertex_name(vertex_id(i, 1))}-{vertex_name(vertex_id(i, 2))}",
-            )
-
-    bits = [0] * pattern_length(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            a1, a2 = vertex_id(i, 1), vertex_id(i, 2)
-            b1, b2 = vertex_id(j, 1), vertex_id(j, 2)
-            cross = {
-                e
-                for e in (
-                    normalize_edge(a1, b1),
-                    normalize_edge(a1, b2),
-                    normalize_edge(a2, b1),
-                    normalize_edge(a2, b2),
-                )
-                if e in edge_set
-            }
-            parallel = {normalize_edge(a1, b1), normalize_edge(a2, b2)}
-            crossed = {normalize_edge(a1, b2), normalize_edge(a2, b1)}
-            if cross == parallel:
-                bits[pattern_slot(n, i, j)] = 0
-            elif cross == crossed:
-                bits[pattern_slot(n, i, j)] = 1
-            else:
-                raise NotAStereotypeGraph(
-                    clause="pair-pair-four-cycle",
-                    witness=(i, j, sorted(cross)),
-                    message=f"pairs ({i}, {j}) induce cross edges "
-                    f"{sorted(cross)} instead of a perfect matching",
-                )
-
-    g = from_pattern(n, bits)
-    if set(g.graph.edges) != edge_set:
-        extra = sorted(edge_set - set(g.graph.edges))
+    masks = Graph(2 * n, frozenset(edge_set)).masks
+    missing, bad_pairpair = _defining_clauses(masks)
+    if missing is not None:
         raise NotAStereotypeGraph(
-            clause="edge-count",
-            witness=extra,
-            message=f"unexpected extra edges {extra}",
+            clause="in-pair-edge",
+            witness=missing,
+            message=f"pair {missing} is missing its in-pair edge "
+            f"{vertex_name(2 * missing - 2)}-{vertex_name(2 * missing - 1)}",
         )
-    return g
+    if bad_pairpair is not None:
+        i, j = bad_pairpair
+        pair_i, pair_j = (2 * i - 2, 2 * i - 1), (2 * j - 2, 2 * j - 1)
+        cross = [(a, b) for a in pair_i for b in pair_j if masks[a] >> b & 1]
+        raise NotAStereotypeGraph(
+            clause="pair-pair-four-cycle",
+            witness=(i, j, cross),
+            message=f"pairs ({i}, {j}) induce cross edges "
+            f"{cross} instead of a perfect matching",
+        )
+    return StereotypeGraph(
+        n, tuple(masks[2 * i] >> 2 * j + 1 & 1 for i, j in itertools.combinations(range(n), 2))
+    )
 
 
 @dataclass(frozen=True)
@@ -241,6 +219,24 @@ class ValidationReport:
         return [c for c in self.checks if not c.passed]
 
 
+def _defining_clauses(masks: Sequence[int]) -> tuple[int | None, tuple[int, int] | None]:
+    """The two clauses that define a stereotype graph, read off the
+    neighbour masks of a graph on 2n vertices: the first pair (1-based)
+    missing its in-pair edge, and the first two pairs (i, j) whose four
+    vertices do not induce a 4-cycle; None where the clause holds.
+
+    Two pairs induce a 4-cycle iff each of their four vertices has
+    exactly two neighbours among the four (the six bits of the quad).
+    """
+    n = len(masks) // 2
+    missing = next((i + 1 for i in range(n) if not masks[2 * i] >> 2 * i + 1 & 1), None)
+    for i, j in itertools.combinations(range(n), 2):
+        quad = 3 << 2 * i | 3 << 2 * j
+        if any((masks[v] & quad).bit_count() != 2 for v in iter_bits(quad)):
+            return missing, (i + 1, j + 1)
+    return missing, None
+
+
 def validate_stereotype(graph: Graph) -> ValidationReport:
     """Check whether a labeled graph is a stereotype graph under the dense
     vertex-id convention, reporting every clause and derived property.
@@ -256,24 +252,8 @@ def validate_stereotype(graph: Graph) -> ValidationReport:
     if not even:
         return ValidationReport(n, tuple(checks))
 
-    missing = [
-        i
-        for i in range(1, n + 1)
-        if (vertex_id(i, 1), vertex_id(i, 2)) not in graph.edges
-    ]
-    checks.append(
-        CheckResult("in-pair-edges", not missing, missing[0] if missing else None)
-    )
-
-    # Two pairs induce a 4-cycle iff each of their four vertices has
-    # exactly two neighbours among the four (the six bits of the quad).
-    masks = graph.masks
-    bad_pairpair: tuple[int, int] | None = None
-    for i, j in itertools.combinations(range(n), 2):
-        quad = 3 << 2 * i | 3 << 2 * j
-        if any((masks[v] & quad).bit_count() != 2 for v in iter_bits(quad)):
-            bad_pairpair = (i + 1, j + 1)
-            break
+    missing, bad_pairpair = _defining_clauses(graph.masks)
+    checks.append(CheckResult("in-pair-edges", missing is None, missing))
     checks.append(CheckResult("pair-pair-four-cycles", bad_pairpair is None, bad_pairpair))
 
     # Derived structural properties; these follow from the clauses above

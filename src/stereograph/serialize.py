@@ -38,33 +38,34 @@ def graph_to_json(g: StereotypeGraph, meta: Mapping[str, object] | None = None) 
     return json.dumps(graph_to_dict(g, meta))
 
 
-def graph_from_dict(doc: object) -> StereotypeGraph:
-    """Parse either JSON form into a validated stereotype graph.
-
-    Malformed documents raise ParseError; structurally invalid edge sets
-    raise NotAStereotypeGraph with the violated clause.
-    """
+def _parse(doc: object) -> tuple[int, StereotypeGraph | Graph]:
+    """The header check and format dispatch of both parsers: (n, the
+    stereotype graph of a bit-form document or the plain graph of an
+    edge-form one). Malformed documents raise ParseError."""
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
-    fmt = doc.get("format")
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ParseError(f"'n' must be a positive integer, got {n!r}")
+    fmt = doc.get("format")
     if fmt == FORMAT_BITS:
         pattern = doc.get("pattern")
         if not isinstance(pattern, list):
             raise ParseError("'pattern' must be a list of 0/1 bits")
         try:
             # Bits that are not the plain ints 0/1 (true, 1.0) fail here.
-            return from_pattern(n, pattern)
+            return n, from_pattern(n, pattern)
         except (LengthMismatch, DomainError) as exc:
             raise ParseError(str(exc)) from exc
     if fmt == FORMAT_EDGES:
-        return from_edge_list(n, _parse_named_edges(doc))
+        return n, _edge_graph(doc, n)
     raise ParseError(f"unknown format {fmt!r}")
 
 
-def _parse_named_edges(doc: dict) -> list[tuple[int, int]]:
+def _edge_graph(doc: dict, n: int) -> Graph:
+    """The named edges of an edge-form document as a graph on 2n vertices.
+    A bad entry or a repeated edge, then a self-loop or a vertex past
+    pair n, raises ParseError."""
     raw = doc.get("edges")
     if not isinstance(raw, list):
         raise ParseError("'edges' must be a list of name pairs")
@@ -82,7 +83,21 @@ def _parse_named_edges(doc: dict) -> list[tuple[int, int]]:
             raise ParseError(f"duplicate edge {key}")
         seen.add(key)
         edges.append((u, v))
-    return edges
+    try:
+        return Graph.from_edges(2 * n, edges)
+    except DomainError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def graph_from_dict(doc: object) -> StereotypeGraph:
+    """Parse either JSON form into a validated stereotype graph.
+
+    Malformed documents raise ParseError, exactly as in
+    raw_graph_from_dict; edge sets that break the definition raise
+    NotAStereotypeGraph with the violated clause.
+    """
+    n, g = _parse(doc)
+    return g if isinstance(g, StereotypeGraph) else from_edge_list(n, g.edges)
 
 
 def graph_from_json(text: str) -> StereotypeGraph:
@@ -95,21 +110,10 @@ def graph_from_json(text: str) -> StereotypeGraph:
 
 def raw_graph_from_dict(doc: object) -> tuple[int, Graph]:
     """Parse either form into (n, plain labeled graph) without requiring
-    structural validity; used to produce full validation reports."""
-    if not isinstance(doc, dict):
-        raise ParseError("graph document must be a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"'n' must be a positive integer, got {n!r}")
-    fmt = doc.get("format")
-    if fmt == FORMAT_BITS:
-        return n, graph_from_dict(doc).graph
-    if fmt == FORMAT_EDGES:
-        try:
-            return n, Graph.from_edges(2 * n, _parse_named_edges(doc))
-        except DomainError as exc:
-            raise ParseError(str(exc)) from exc
-    raise ParseError(f"unknown format {fmt!r}")
+    structural validity; used to produce full validation reports.
+    Malformed documents raise ParseError, exactly as in graph_from_dict."""
+    n, g = _parse(doc)
+    return n, g.graph if isinstance(g, StereotypeGraph) else g
 
 
 def to_dot(g: StereotypeGraph) -> str:

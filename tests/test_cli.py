@@ -308,6 +308,23 @@ class TestArgumentHandling:
         assert code == 1
         assert "usage" in out.lower()
 
+    def test_consecutive_calls_share_no_state(self, capsys, kl3_file):
+        code, out, _ = run(capsys, "report", kl3_file, "--json")
+        assert code == 0
+        assert json.loads(out)["csi"] == 3
+        code, out, _ = run(capsys, "report", kl3_file)
+        assert code == 0
+        assert "csi: 3" in out.splitlines()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["csi", kl3_file, "--frobnicate"])
+        assert exc.value.code == 1
+        capsys.readouterr()
+        code, out, err = run(capsys, "csi", kl3_file, "--witness")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0] == "3"
+        assert len(json.loads(lines[1])) == 6
+
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         import io
 

@@ -29,6 +29,7 @@ from stereograph import (
     two_coloring,
     validate_stereotype,
 )
+from stereograph import generators
 from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
 from stereograph.model import pattern_length
@@ -280,6 +281,26 @@ class TestBuildWithCsi:
                 g = build_with_csi(n, k)
                 assert validate_stereotype(g.graph).valid
                 assert chromatic_number(g.graph) == k
+
+    def test_one_exact_search_per_step(self, monkeypatch):
+        """Each step's coloring is certified by a clique of its size, so
+        only the final check reruns the exact search."""
+        calls = {"optimal_coloring": 0, "chromatic_number": 0}
+
+        def counted(name):
+            original = getattr(generators, name)
+
+            def wrapper(graph):
+                calls[name] += 1
+                return original(graph)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(generators, name, counted(name))
+        g = build_with_csi(10, 5)
+        assert chromatic_number(g.graph) == 5
+        assert calls == {"optimal_coloring": 8, "chromatic_number": 1}
 
 
 class TestDeleteEdges:

@@ -198,6 +198,48 @@ class TestFromEdgeList:
             from_edge_list(3, edges)
 
 
+def assert_agrees_with_validator(n, edges, source=None):
+    """from_edge_list accepts exactly what validate_stereotype calls
+    valid, names the first clause it fails, and reads back the pattern."""
+    report = validate_stereotype(Graph(2 * n, frozenset(edges)))
+    checks = {c.name: c for c in report.checks}
+    try:
+        g = from_edge_list(n, sorted(edges))
+    except NotAStereotypeGraph as err:
+        assert not report.valid
+        if not checks["in-pair-edges"].passed:
+            assert err.clause == "in-pair-edge"
+            assert err.witness == checks["in-pair-edges"].witness
+        else:
+            assert err.clause == "pair-pair-four-cycle"
+            assert err.witness[:2] == checks["pair-pair-four-cycles"].witness
+            i, j, cross = err.witness
+            expected = [(a, b) for a, b in sorted(edges) if a // 2 == i - 1 and b // 2 == j - 1]
+            assert cross == expected
+        return
+    assert report.valid
+    assert g.graph.edges == frozenset(edges)
+    if source is not None:
+        assert g.bits == source.bits
+
+
+class TestAgreementWithValidator:
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_every_edge_subset(self, n):
+        pairs = list(itertools.combinations(range(2 * n), 2))
+        for k in range(len(pairs) + 1):
+            for edges in itertools.combinations(pairs, k):
+                assert_agrees_with_validator(n, set(edges))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=3, max_value=6))
+    def test_one_edge_toggled(self, data, n):
+        g = from_pattern(n, data.draw(pattern_bits(n)))
+        toggled = data.draw(st.sampled_from(list(itertools.combinations(range(2 * n), 2))))
+        assert_agrees_with_validator(n, set(g.graph.edges), source=g)
+        assert_agrees_with_validator(n, set(g.graph.edges ^ {toggled}))
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_pattern_round_trip_exhaustive(self, n):

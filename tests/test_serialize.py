@@ -88,6 +88,22 @@ class TestParseErrors:
         with pytest.raises(ParseError, match=r"duplicate edge \(0, 2\)"):
             raw_graph_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["u1.1", "u1.1"], r"self-loop at vertex 0"),
+            (["u1.1", "u1.3"], r"edge \(0, 4\) references a vertex outside 0\.\.3"),
+            (["u1.2", "u1.1"], r"duplicate edge \(0, 2\)"),
+        ],
+    )
+    def test_malformed_edges_raise_parse_error_from_both_parsers(self, extra, message):
+        edges = [["u1.1", "u2.1"], ["u1.2", "u2.2"], ["u1.1", "u1.2"], ["u2.1", "u2.2"]]
+        doc = {"format": "stereograph-edges-v1", "n": 2, "edges": edges + [extra]}
+        with pytest.raises(ParseError, match=message):
+            graph_from_dict(doc)
+        with pytest.raises(ParseError, match=message):
+            raw_graph_from_dict(doc)
+
     def test_wrong_pattern_length(self):
         with pytest.raises(ParseError):
             graph_from_dict({"format": "stereograph-v1", "n": 3, "pattern": [0, 1]})
