@@ -15,16 +15,17 @@ separately, plain backtracking over raw color assignments so the two
 routes stay independent of each other. The chromatic number is exact
 branch and bound: greedy upper bound, maximum-clique lower bound, then,
 when they differ, DSATUR k-coloring searches with one maximum clique
-pre-colored.
+pre-colored. Every coloring is one color per vertex id, a `Coloring`
+tuple, from the search to the witness.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb
-from typing import Mapping
+from typing import Sequence
 
 from .errors import DomainError, InternalInvariant, SizeExceeded
 from .graphs import Graph, find_clique_of_size, iter_bits, max_clique_size
@@ -47,25 +48,25 @@ CHROMATIC_POLY_VERTEX_BOUND = 14
 
 @dataclass(frozen=True)
 class Coloring:
-    """A proper color assignment, vertex id -> 1-based color index."""
+    """A color assignment: colors[v] is the 1-based color of vertex id v."""
 
-    assignment: tuple[tuple[int, int], ...]
-    colors_used: int
+    colors: tuple[int, ...]
 
-    @classmethod
-    def from_mapping(cls, assignment: Mapping[int, int]) -> "Coloring":
-        return cls(
-            assignment=tuple(sorted(assignment.items())),
-            colors_used=len(set(assignment.values())),
-        )
-
-    @property
-    def mapping(self) -> dict[int, int]:
-        return dict(self.assignment)
+    @cached_property
+    def colors_used(self) -> int:
+        return len(set(self.colors))
 
     def is_proper(self, graph: Graph) -> bool:
-        colors = self.mapping
-        return all(colors[u] != colors[v] for u, v in graph.edges)
+        """Whether every vertex of graph has a color and no edge joins two
+        vertices of one color: one bitmask per color class, and each
+        vertex's neighbour mask must miss its own class."""
+        colors = self.colors
+        if len(colors) != graph.vertex_count:
+            return False
+        classes: dict[int, int] = {}
+        for v, c in enumerate(colors):
+            classes[c] = classes.get(c, 0) | 1 << v
+        return not any(mask & classes[c] for mask, c in zip(graph.masks, colors))
 
 
 def count_proper_colorings(graph: Graph, x: int) -> int:
@@ -188,33 +189,30 @@ class BipartitionResult:
 def two_coloring(graph: Graph) -> BipartitionResult:
     """Breadth-first bipartition; on failure returns an odd cycle."""
     masks = graph.masks
-    color: dict[int, int] = {}
-    parent: dict[int, int | None] = {}
+    color = [0] * graph.vertex_count  # 0: not reached yet
+    parent: list[int | None] = [None] * graph.vertex_count
     for root in range(graph.vertex_count):
-        if root in color:
+        if color[root]:
             continue
         color[root] = 1
-        parent[root] = None
         queue = [root]
         head = 0
         while head < len(queue):
             u = queue[head]
             head += 1
             for w in iter_bits(masks[u]):
-                if w not in color:
+                if not color[w]:
                     color[w] = 3 - color[u]
                     parent[w] = u
                     queue.append(w)
                 elif color[w] == color[u]:
                     cycle = _odd_cycle_from_conflict(u, w, parent)
                     return BipartitionResult(coloring=None, odd_cycle=cycle)
-    if graph.vertex_count == 0:
-        return BipartitionResult(coloring=Coloring((), 0), odd_cycle=None)
-    return BipartitionResult(coloring=Coloring.from_mapping(color), odd_cycle=None)
+    return BipartitionResult(coloring=Coloring(tuple(color)), odd_cycle=None)
 
 
 def _odd_cycle_from_conflict(
-    u: int, w: int, parent: Mapping[int, int | None]
+    u: int, w: int, parent: Sequence[int | None]
 ) -> tuple[int, ...]:
     ancestors_u = [u]
     while parent[ancestors_u[-1]] is not None:
@@ -232,14 +230,14 @@ def _odd_cycle_from_conflict(
 
 def greedy_coloring(graph: Graph) -> Coloring:
     """First-fit coloring in canonical vertex order (an upper bound)."""
-    assignment: dict[int, int] = {}
+    colors: list[int] = []
     for v, mask in enumerate(graph.masks):
-        taken = {assignment[w] for w in iter_bits(mask & ((1 << v) - 1))}
+        taken = {colors[w] for w in iter_bits(mask & ((1 << v) - 1))}
         c = 1
         while c in taken:
             c += 1
-        assignment[v] = c
-    return Coloring.from_mapping(assignment)
+        colors.append(c)
+    return Coloring(tuple(colors))
 
 
 def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | None:
@@ -315,7 +313,7 @@ def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | Non
             return None
     if not search(len(clique)):
         return None
-    return Coloring.from_mapping(dict(enumerate(colors)))
+    return Coloring(tuple(colors))
 
 
 def optimal_coloring(graph: Graph) -> Coloring:
@@ -360,7 +358,8 @@ def constructive_pair_coloring(g: StereotypeGraph) -> Coloring:
     if g.n < 2:
         raise DomainError("the pair-walk coloring needs at least two pairs")
     graph = g.graph
-    theta: dict[int, int] = {vertex_id(1, 2): 1}
+    theta = [0] * g.vertex_count  # the pivot u1^1 is colored last
+    theta[vertex_id(1, 2)] = 1
 
     first = vertex_id(2, 1)
     if graph.has_edge(vertex_id(1, 2), first):
@@ -386,7 +385,7 @@ def constructive_pair_coloring(g: StereotypeGraph) -> Coloring:
         raise InternalInvariant("no free color remained for the first vertex")
     theta[pivot] = free
 
-    coloring = Coloring.from_mapping(theta)
+    coloring = Coloring(tuple(theta))
     if not coloring.is_proper(graph) or coloring.colors_used > g.n:
         raise InternalInvariant("pair-walk coloring violated its own contract")
     return coloring

@@ -134,7 +134,7 @@ def _cmd_csi(args) -> int:
     coloring = optimal_coloring(g.graph)
     print(coloring.colors_used)
     if args.witness:
-        witness = {vertex_name(v): c for v, c in coloring.assignment}
+        witness = {vertex_name(v): c for v, c in enumerate(coloring.colors)}
         print(json.dumps(witness))
     return 0
 

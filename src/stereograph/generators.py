@@ -30,7 +30,6 @@ from .graphs import (
     Graph,
     find_clique_of_size,
     graph_isomorphic,
-    max_clique_size,
     normalize_edge,
 )
 from .model import (
@@ -220,36 +219,27 @@ def _switching_orbit(g: StereotypeGraph, permutations: list[tuple[int, ...]]) ->
     return orbit
 
 
-def _transversal_clique(g: StereotypeGraph, size: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest clique of the given size touching each
-    pair at most once. Cliques of size 3+ never use an in-pair edge, so
-    searching the cross-edges-only graph is exact; for size 2 it picks
-    the smallest cross edge, which is what the expansion needs."""
-    if g.n < 2:
-        raise DomainError("a cross clique needs at least two pairs")
-    cross_edges = {
-        e for e in g.graph.edges if vertex_pair_side(e[0])[0] != vertex_pair_side(e[1])[0]
-    }
-    return find_clique_of_size(Graph(g.vertex_count, frozenset(cross_edges)), size)
-
-
-def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> None:
-    mapping = coloring.mapping
-    if sorted(mapping) != list(range(g.vertex_count)):
+def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[int, ...] | None:
+    """Check that coloring is proper and optimal with colors 1..colors_used;
+    return the smallest clique certifying it, or None if only the exact
+    search could (the index exceeds the clique number)."""
+    colors = coloring.colors
+    if len(colors) != g.vertex_count:
         raise InvalidColoring("coloring must assign every vertex exactly once")
     if not coloring.is_proper(g.graph):
         raise InvalidColoring("coloring is not proper")
-    palette = set(mapping.values())
-    if palette != set(range(1, coloring.colors_used + 1)):
+    if set(colors) != set(range(1, coloring.colors_used + 1)):
         raise InvalidColoring("colors must be exactly 1..colors_used")
     # omega <= chi <= colors_used: a clique as large as the palette proves it optimal.
-    if coloring.colors_used == max_clique_size(g.graph):
-        return
+    clique = find_clique_of_size(g.graph, coloring.colors_used)
+    if clique is not None:
+        return clique
     index = chromatic_number(g.graph)
     if coloring.colors_used != index:
         raise InvalidColoring(
             f"coloring uses {coloring.colors_used} colors but the index is {index}"
         )
+    return None
 
 
 def _assemble(g: StereotypeGraph, new_pair_bit: Callable[[int], int]) -> StereotypeGraph:
@@ -270,23 +260,18 @@ def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph
     result has one more pair and the same chromatic stability index.
     """
     _validate_optimal_coloring(g, coloring)
-    theta = dict(coloring.mapping)
+    colors = list(coloring.colors)
 
     def bit_for(i: int) -> int:
-        c1 = theta[vertex_id(i, 1)]
-        c2 = theta[vertex_id(i, 2)]
-        if c1 == 1 or c2 == 1:
-            p = 1 if c1 == 1 else 2
-            return 1 if p == 1 else 0
-        if c1 == 2 or c2 == 2:
-            q = 1 if c1 == 2 else 2
-            return 0 if q == 1 else 1
-        return 0
+        c1, c2 = colors[vertex_id(i, 1)], colors[vertex_id(i, 2)]
+        # Crossed (1) when u1^i has color 1 or u2^i color 2, parallel when
+        # u1^i has color 2 or u2^i color 1, so no vertex meets the new one
+        # of its color; the two clash only if u1^i and u2^i share a color.
+        return int(c1 == 1 or c2 == 2)
 
     expanded = _assemble(g, bit_for)
-    theta[vertex_id(g.n + 1, 1)] = 1
-    theta[vertex_id(g.n + 1, 2)] = 2
-    if not Coloring.from_mapping(theta).is_proper(expanded.graph):
+    colors += [1, 2]
+    if not Coloring(tuple(colors)).is_proper(expanded.graph):
         raise InternalInvariant("preserving expansion broke the extended coloring")
     return expanded
 
@@ -295,15 +280,23 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
     """Add one pair that raises the chromatic stability index by one.
 
     Builds a clique of size colors_used+1 through the new side-1 vertex:
-    it is wired to every vertex of a smallest chi-clique, the mirror
-    vertices then force the wiring of the new side-2 vertex, and when the
-    mirror subgraph already shows all chi colors one mirror vertex swaps
-    onto the new color. Remaining pairs are matched so the extended
-    coloring stays proper.
+    it is wired to every vertex of a smallest chi-clique (for chi = 2,
+    the smallest edge between two pairs), the mirror vertices then force
+    the wiring of the new side-2 vertex, and when the mirror subgraph
+    already shows all chi colors one mirror vertex swaps onto the new
+    color. Remaining pairs are matched so the extended coloring stays
+    proper.
     """
-    _validate_optimal_coloring(g, coloring)
+    clique = _validate_optimal_coloring(g, coloring)
+    if g.n < 2:
+        raise DomainError("a cross clique needs at least two pairs")
     t = coloring.colors_used
-    clique = _transversal_clique(g, t)
+    if t == 2:
+        # The smallest 2-clique is pair 1's own edge (0, 1); the expansion
+        # needs the smallest cross edge, vertex 0 and its lowest neighbour
+        # outside pair 1. Cliques of 3+ vertices never hold an in-pair edge.
+        cross = g.graph.masks[0] & ~3
+        clique = (0, (cross & -cross).bit_length() - 1)
     if clique is None:
         # The index can exceed the clique number (first at 5 pairs), and
         # the incrementing wiring is undefined without a clique to grow.
@@ -312,7 +305,7 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
             f"graph has index {t} but no cross clique of that size; "
             "the incrementing expansion does not apply"
         )
-    theta = dict(coloring.mapping)
+    colors = list(coloring.colors)
     new_color = t + 1
 
     clique_side: dict[int, int] = {}
@@ -321,30 +314,28 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
         clique_side[pair] = side
 
     mirror = [vertex_id(pair, 3 - side) for pair, side in sorted(clique_side.items())]
-    mirror_colors = {theta[v] for v in mirror}
+    mirror_colors = {colors[v] for v in mirror}
     if len(mirror_colors) < t:
-        partner_color = min(c for c in range(1, t + 1) if c not in mirror_colors)
+        partner = min(c for c in range(1, t + 1) if c not in mirror_colors)
     else:
         first_pair, first_side = vertex_pair_side(min(clique))
         swap_vertex = vertex_id(first_pair, 3 - first_side)
-        partner_color = theta[swap_vertex]
-        theta[swap_vertex] = new_color
+        partner = colors[swap_vertex]
+        colors[swap_vertex] = new_color
 
     def bit_for(i: int) -> int:
+        # A clique pair is wired so the new side-1 vertex meets its clique
+        # vertex: parallel (0) for side 1, crossed (1) for side 2. Any other
+        # pair is crossed exactly when u2^i has the partner color, so no
+        # vertex of that color meets the new side-2 vertex (u1^i and u2^i
+        # never share a color).
         if i in clique_side:
-            return 0 if clique_side[i] == 1 else 1
-        if theta[vertex_id(i, 1)] == partner_color:
-            q = 1
-        elif theta[vertex_id(i, 2)] == partner_color:
-            q = 2
-        else:
-            q = 1
-        return 0 if q == 1 else 1
+            return clique_side[i] - 1
+        return int(colors[vertex_id(i, 2)] == partner)
 
     expanded = _assemble(g, bit_for)
-    theta[vertex_id(g.n + 1, 1)] = new_color
-    theta[vertex_id(g.n + 1, 2)] = partner_color
-    if not Coloring.from_mapping(theta).is_proper(expanded.graph):
+    colors += [new_color, partner]
+    if not Coloring(tuple(colors)).is_proper(expanded.graph):
         raise InternalInvariant("incrementing expansion broke the extended coloring")
     return expanded
 

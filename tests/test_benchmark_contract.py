@@ -1,9 +1,10 @@
 """The library names the benchmark reaches into must keep resolving.
 
 perfbench/spans.py wraps functions and methods by (module, attribute)
-name, and perfbench/batch.py reads both polynomial caches'
-cache_info(); a rename or deletion here would break tracing or every
-benchmark batch, so it fails tier-1 instead. spans.py is only read.
+name and reads a value off some of their results, and perfbench/batch.py
+reads both polynomial caches' cache_info(); a rename or deletion here
+would break tracing or every benchmark batch, so it fails tier-1
+instead. spans.py is only read.
 """
 
 import importlib
@@ -11,6 +12,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from stereograph import gen_random
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -24,6 +27,15 @@ def load_spans():
 
 SPANS = load_spans()
 
+# Arguments, built from one small graph, for each traced function whose
+# span records a value taken from its result.
+VALUE_ARGS = {
+    "greedy_coloring": lambda g: (g.graph,),
+    "max_clique_size": lambda g: (g.graph,),
+    "graph_isomorphic": lambda g: (g.graph, g.graph),
+    "reduce_to_k2": lambda g: (g,),
+}
+
 
 @pytest.mark.parametrize(
     "module_name, attr",
@@ -31,6 +43,20 @@ SPANS = load_spans()
 )
 def test_traced_function_resolves(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+@pytest.mark.parametrize(
+    "module_name, attr, value",
+    [
+        pytest.param(module, attr, value, id=attr)
+        for module, attr, _, value in SPANS.FUNCTIONS
+        if value is not None
+    ],
+)
+def test_traced_value_reads_the_result(module_name, attr, value):
+    fn = getattr(importlib.import_module(module_name), attr)
+    g = gen_random(4, 0)
+    assert isinstance(value(fn(*VALUE_ARGS[attr](g))), int)
 
 
 @pytest.mark.parametrize("cls, attr", [entry[:2] for entry in SPANS.METHODS])

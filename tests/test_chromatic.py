@@ -40,6 +40,7 @@ from stereograph import (
 )
 from stereograph import spectral
 from stereograph.chromatic import (
+    Coloring,
     _compute_stability_report,
     _stability_report_cached,
     greedy_coloring,
@@ -343,9 +344,9 @@ class TestSearchAgainstOracle:
     @given(graph=general_graphs())
     def test_uses_the_least_palette_with_a_coloring(self, graph):
         coloring = optimal_coloring(graph)
-        assert sorted(coloring.mapping) == list(range(graph.vertex_count))
+        assert len(coloring.colors) == graph.vertex_count
         assert coloring.is_proper(graph)
-        assert set(coloring.mapping.values()) == set(range(1, coloring.colors_used + 1))
+        assert set(coloring.colors) == set(range(1, coloring.colors_used + 1))
         least = next(x for x in itertools.count(1) if count_proper_colorings(graph, x) > 0)
         assert coloring.colors_used == least
 
@@ -356,12 +357,26 @@ class TestSearchAgainstOracle:
         assert csi(gen_random(18, seed)) == index
 
 
+class TestIsProper:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), graph=general_graphs(min_vertices=0))
+    def test_matches_edge_scan(self, data, graph):
+        n = graph.vertex_count
+        colors = tuple(data.draw(st.lists(st.integers(-1, 4), min_size=n, max_size=n)))
+        coloring = Coloring(colors)
+        assert coloring.is_proper(graph) == all(colors[u] != colors[v] for u, v in graph.edges)
+        assert coloring.colors_used == len(set(colors))
+        assert not Coloring(colors + (1,)).is_proper(graph)
+        if n:
+            assert not Coloring(colors[:-1]).is_proper(graph)
+
+
 class TestTwoColoring:
     def test_all_crossed_separates_sides(self, k33):
         result = two_coloring(k33.graph)
         assert result.odd_cycle is None
         classes = {}
-        for v, c in result.coloring.assignment:
+        for v, c in enumerate(result.coloring.colors):
             classes.setdefault(c, set()).add(v)
         assert sorted(classes.values(), key=min) == [{0, 2, 4}, {1, 3, 5}]
 
@@ -375,7 +390,7 @@ class TestTwoColoring:
 
     def test_single_edge(self):
         result = two_coloring(from_pattern(1, []).graph)
-        assert result.coloring.mapping == {0: 1, 1: 2}
+        assert result.coloring.colors == (1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(bits=random_pattern(5))

@@ -29,7 +29,7 @@ from stereograph import (
     two_coloring,
     validate_stereotype,
 )
-from stereograph import generators
+from stereograph import chromatic, generators, graphs
 from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
 from stereograph.model import pattern_length
@@ -43,6 +43,27 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 # A 5-pair pattern whose index (4) exceeds its largest clique (3); the
 # incrementing expansion has nothing to grow there. Verified in-test.
 INDEX_ABOVE_CLIQUE = (0, 0, 0, 0, 0, 0, 1, 1, 0, 1)
+
+# build_with_csi(n, k) for 2 <= k <= n <= 10, each pattern written as the
+# hex value of its bits read as one big-endian binary number. Recorded
+# before colorings became one color per vertex, so any change to which
+# graph a build returns fails here.
+BUILT_PATTERNS = {
+    (2, 2): "1",
+    (3, 2): "7", (3, 3): "5",
+    (4, 2): "3f", (4, 3): "37", (4, 4): "26",
+    (5, 2): "3ff", (5, 3): "3bf", (5, 4): "33e", (5, 5): "238",
+    (6, 2): "7fff", (6, 3): "7bff", (6, 4): "73fe", (6, 5): "63f8", (6, 6): "43c0",
+    (7, 2): "1fffff", (7, 3): "1f7fff", (7, 4): "1e7ffe", (7, 5): "1c7ff8",
+    (7, 6): "187fc0", (7, 7): "107c00",
+    (8, 2): "fffffff", (8, 3): "fdfffff", (8, 4): "f9ffffe", (8, 5): "f1ffff8",
+    (8, 6): "e1fffc0", (8, 7): "c1ffc00", (8, 8): "81f8000",
+    (9, 2): "fffffffff", (9, 3): "fefffffff", (9, 4): "fcffffffe", (9, 5): "f8ffffff8",
+    (9, 6): "f0fffffc0", (9, 7): "e0ffffc00", (9, 8): "c0fff8000", (9, 9): "80fe00000",
+    (10, 2): "1fffffffffff", (10, 3): "1fefffffffff", (10, 4): "1fcffffffffe",
+    (10, 5): "1f8ffffffff8", (10, 6): "1f0fffffffc0", (10, 7): "1e0ffffffc00",
+    (10, 8): "1c0fffff8000", (10, 9): "180fffe00000", (10, 10): "100ff0000000",
+}
 
 # census(6) as (k, labeled, isomorphism classes); the labeled counts agree
 # with the index of each of the 32768 labeled graphs computed one by one.
@@ -243,12 +264,26 @@ class TestExpansion:
             assert restrict_pairs(expanded, g.n).bits == g.bits
 
     def test_improper_coloring_rejected(self, kl3):
-        bad = Coloring.from_mapping({v: 1 for v in range(6)})
+        bad = Coloring((1,) * 6)
         with pytest.raises(InvalidColoring):
             expand_preserving(kl3, bad)
 
+    @pytest.mark.parametrize("expand", [expand_preserving, expand_incrementing])
+    @pytest.mark.parametrize("colors", [(1, 2, 1, 2, 1), (1, 2, 1, 2, 1, 2, 1)])
+    def test_coloring_of_wrong_length_rejected(self, k33, expand, colors):
+        with pytest.raises(InvalidColoring, match="must assign every vertex exactly once"):
+            expand(k33, Coloring(colors))
+
+    @pytest.mark.parametrize("expand", [expand_preserving, expand_incrementing])
+    def test_palette_with_a_gap_rejected(self, k33, expand):
+        # Proper, on two colors, but numbered {1, 3}.
+        gapped = Coloring((1, 3, 1, 3, 1, 3))
+        assert gapped.is_proper(k33.graph) and gapped.colors_used == 2
+        with pytest.raises(InvalidColoring, match=r"colors must be exactly 1\.\.colors_used"):
+            expand(k33, gapped)
+
     def test_non_optimal_coloring_rejected(self, k33):
-        wasteful = Coloring.from_mapping({v: v + 1 for v in range(6)})
+        wasteful = Coloring(tuple(range(1, 7)))
         with pytest.raises(InvalidColoring, match="uses 6 colors but the index is 2"):
             expand_incrementing(k33, wasteful)
 
@@ -259,6 +294,35 @@ class TestExpansion:
         assert max_clique_size(g.graph) == 3
         with pytest.raises(DomainError):
             expand_incrementing(g, coloring)
+
+
+    @pytest.mark.parametrize("expand", [expand_preserving, expand_incrementing])
+    def test_one_clique_search_per_step(self, monkeypatch, expand):
+        """The clique that certifies the coloring is the only clique
+        search an expansion runs, including the one it grows."""
+        samples = [g for n in (2, 3, 4) for g in enumerate_all(n)]
+        colorings = [optimal_coloring(g.graph) for g in samples]
+        calls = {"find_clique_of_size": 0, "max_clique_size": 0}
+
+        def counted(name):
+            original = getattr(graphs, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(generators, "find_clique_of_size", counted("find_clique_of_size"))
+        # generators no longer names max_clique_size; the exact search in
+        # chromatic does, and an expansion must not reach it by any name.
+        max_clique = counted("max_clique_size")
+        for module in (graphs, chromatic, generators):
+            monkeypatch.setattr(module, "max_clique_size", max_clique, raising=False)
+        for g, coloring in zip(samples, colorings):
+            calls.update(find_clique_of_size=0, max_clique_size=0)
+            expand(g, coloring)
+            assert calls == {"find_clique_of_size": 1, "max_clique_size": 0}, g.bits
 
 
 class TestBuildWithCsi:
@@ -281,6 +345,12 @@ class TestBuildWithCsi:
                 g = build_with_csi(n, k)
                 assert validate_stereotype(g.graph).valid
                 assert chromatic_number(g.graph) == k
+
+    def test_pinned_patterns(self):
+        for (n, k), pattern in BUILT_PATTERNS.items():
+            g = build_with_csi(n, k)
+            assert g.n == n
+            assert int("".join(map(str, g.bits)), 2) == int(pattern, 16), (n, k)
 
     def test_one_exact_search_per_step(self, monkeypatch):
         """Each step's coloring is certified by a clique of its size, so
