@@ -2,8 +2,9 @@
 stability index, and the aggregate stability report.
 
 The chromatic polynomial is assembled from the number of partitions of
-the vertex set into i nonempty independent sets, combined with falling
-factorials. Those counts come from a memoised DP over the vertex
+the vertex set into i nonempty independent sets, as the coefficients
+of its Newton form over the falling factorials, expanded by Horner's
+rule. Those counts come from a memoised DP over the vertex
 subsets reached from the full set by removing independent sets, with
 each subset's counts packed into one int. The chromatically-bipartite
 criterion asks for the polynomial of the switching class's normalised
@@ -36,7 +37,7 @@ from .model import (
     switching_representative,
     vertex_id,
 )
-from .polynomials import IntPolynomial, falling_factorial_coefficients
+from .polynomials import IntPolynomial
 from .spectral import (
     matrix_criterion,
     minor_criterion,
@@ -158,14 +159,14 @@ def independent_partition_counts(graph: Graph) -> list[int]:
 
 @lru_cache(maxsize=4096)
 def _chromatic_polynomial_cached(graph: Graph) -> IntPolynomial:
+    # sum_k counts[k] x(x-1)...(x-k+1) in Newton form, Horner from the
+    # top count: repeatedly times (x - k), plus counts[k].
     counts = independent_partition_counts(graph)
-    ascending = [0] * (graph.vertex_count + 1)
-    for parts, ways in enumerate(counts):
-        if ways == 0:
-            continue
-        for power, coeff in enumerate(falling_factorial_coefficients(parts)):
-            ascending[power] += ways * coeff
-    return IntPolynomial(tuple(reversed(ascending)))
+    poly = [counts[-1]]
+    for k in range(len(counts) - 2, -1, -1):
+        poly = [a - k * b for a, b in zip(poly + [0], [0] + poly)]
+        poly[-1] += counts[k]
+    return IntPolynomial(tuple(poly))
 
 
 def chromatic_polynomial(graph: Graph) -> IntPolynomial:

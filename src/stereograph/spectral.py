@@ -2,9 +2,9 @@
 
 Everything here is arbitrary-precision integer arithmetic; the stability
 criteria in this module are exact equalities, so no floating point is
-allowed anywhere. The characteristic polynomial of a matrix is obtained
-by evaluating det(xI - A) at dim+1 integer points with fraction-free
-(Bareiss) elimination and interpolating exactly. For a stereotype graph
+allowed anywhere. The characteristic polynomial of a matrix comes from
+Berkowitz's division-free recurrence, one pass of integer matrix-vector
+products over the leading principal blocks. For a stereotype graph
 it is reduced to the n x n Seidel matrix of its pattern first, taken
 from the switching class's normalised pattern, so the cached matrix
 polynomial is computed once per switching class. The
@@ -18,11 +18,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .errors import DomainError, InternalInvariant
 from .graphs import Graph
 from .model import StereotypeGraph, switching_representative
-from .polynomials import IntPolynomial, interpolate_integer_polynomial
+from .polynomials import IntPolynomial
 
 IntMatrix = tuple[tuple[int, ...], ...]
 
@@ -41,6 +42,7 @@ def adjacency_matrix(graph: Graph | StereotypeGraph) -> IntMatrix:
 
 def bareiss_determinant(matrix: IntMatrix) -> int:
     """Exact integer determinant by fraction-free elimination."""
+    _require_int_entries(matrix)
     n = len(matrix)
     if n == 0:
         return 1
@@ -62,25 +64,49 @@ def bareiss_determinant(matrix: IntMatrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _char_matrix(matrix: IntMatrix, x: int) -> IntMatrix:
-    dim = len(matrix)
-    return tuple(
-        tuple((x if i == j else 0) - matrix[i][j] for j in range(dim))
-        for i in range(dim)
-    )
-
-
-@lru_cache(maxsize=8192)
 def characteristic_polynomial(matrix: IntMatrix) -> IntPolynomial:
-    """Exact coefficients of det(xI - matrix), monic of degree dim."""
+    """Exact coefficients of det(xI - matrix), monic of degree dim.
+
+    Entries must be of type int (bool and float are rejected), checked
+    before the cache is read, since equal tuples share one cache key.
+    """
     dim = len(matrix)
     if any(len(row) != dim for row in matrix):
         raise DomainError("matrix must be square")
-    points = [(x, bareiss_determinant(_char_matrix(matrix, x))) for x in range(dim + 1)]
-    poly = interpolate_integer_polynomial(points)
-    if poly.degree != dim or poly.coefficient(0) != 1:
+    _require_int_entries(matrix)
+    return _characteristic_polynomial_cached(matrix)
+
+
+@lru_cache(maxsize=8192)
+def _characteristic_polynomial_cached(matrix: IntMatrix) -> IntPolynomial:
+    """Berkowitz's recurrence: with A the leading r x r block, R the row
+    matrix[r][:r] and C the column matrix[:r][r], the polynomial of the
+    leading (r+1) x (r+1) block is the lower-triangular Toeplitz matrix
+    with first column 1, -matrix[r][r], -RC, -RAC, ..., -RA^(r-1)C times
+    that of A. Only integer products and sums, no divisions."""
+    dim = len(matrix)
+    if dim == 0:
+        return IntPolynomial((1,))
+    poly = [1, -matrix[0][0]]
+    for r in range(1, dim):
+        block = [line[:r] for line in matrix[:r]]
+        row = matrix[r][:r]
+        column = [line[r] for line in matrix[:r]]
+        toeplitz = [1, -matrix[r][r], -sum(map(mul, row, column))]
+        for _ in range(r - 1):
+            column = [sum(map(mul, line, column)) for line in block]
+            toeplitz.append(-sum(map(mul, row, column)))
+        # reverse[r + 1 - i:] pairs poly[j] with toeplitz[i - j], j <= i.
+        reverse = toeplitz[::-1]
+        poly = [sum(map(mul, poly, reverse[r + 1 - i :])) for i in range(r + 2)]
+    result = IntPolynomial(tuple(poly))
+    if result.degree != dim or result.coefficient(0) != 1:
         raise InternalInvariant("characteristic polynomial is not monic of full degree")
-    return poly
+    return result
+
+
+characteristic_polynomial.cache_info = _characteristic_polynomial_cached.cache_info
+characteristic_polynomial.cache_clear = _characteristic_polynomial_cached.cache_clear
 
 
 def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
@@ -220,6 +246,11 @@ def _quadratic_identity_holds(graph: Graph, a: int, i: int, j: int) -> bool:
             if lhs != j + (i if u == v else 0):
                 return False
     return True
+
+
+def _require_int_entries(matrix: IntMatrix) -> None:
+    if any(type(x) is not int for row in matrix for x in row):
+        raise DomainError("matrix entries must be of type int")
 
 
 def _require_at_least_two_pairs(g: StereotypeGraph) -> None:

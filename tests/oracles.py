@@ -7,8 +7,10 @@ fixed vertex order with no bounds, chromatic polynomials from deletion
 and contraction, independent-set partition counts from a bottom-up DP
 over every vertex subset (each walking every subset of its available
 vertices), determinants from Laplace expansion or rational
-Gaussian elimination, triangles from the cube of the adjacency matrix,
-the quadratic matrix identities A^2 + aA = iI + jJ from dense products
+Gaussian elimination, characteristic polynomials from Bareiss
+determinants at x = 0..dim and exact interpolation, triangles from
+the cube of the adjacency matrix, the quadratic matrix identities
+A^2 + aA = iI + jJ from dense products
 of the adjacency matrix, the census from every labeled graph with
 pairwise isomorphism tests, pair merges from frozensets of edge tuples
 rebuilt on every merge (setwise_merge_pairs, setwise_reduce_to_k2,
@@ -36,7 +38,8 @@ from stereograph.model import (
     pattern_length,
     vertex_id,
 )
-from stereograph.spectral import adjacency_matrix
+from stereograph.polynomials import interpolate_integer_polynomial
+from stereograph.spectral import adjacency_matrix, bareiss_determinant
 
 
 def enumerate_coloring_count(graph: Graph, x: int) -> int:
@@ -254,6 +257,17 @@ def char_matrix_at(matrix, x: int):
     return [
         [(x if i == j else 0) - matrix[i][j] for j in range(dim)] for i in range(dim)
     ]
+
+
+def interpolated_characteristic_polynomial(matrix) -> tuple[int, ...]:
+    """Coefficients of det(xI - matrix) from Bareiss determinants at
+    x = 0..dim, interpolated exactly in Newton's forward-difference form."""
+    dim = len(matrix)
+    points = [
+        (x, bareiss_determinant(tuple(map(tuple, char_matrix_at(matrix, x)))))
+        for x in range(dim + 1)
+    ]
+    return interpolate_integer_polynomial(points).coefficients
 
 
 def pairwise_census(n: int) -> list[tuple[int, int, int, int]]:

@@ -73,4 +73,8 @@ def test_traced_method_resolves(cls, attr):
 )
 def test_polynomial_cache_exposes_cache_info(module_name, attr):
     cached = getattr(importlib.import_module(module_name), attr)
-    assert cached.cache_info().maxsize
+    info = cached.cache_info()
+    assert info.maxsize
+    assert cached.__name__ == attr
+    for field in ("currsize", "hits", "misses"):
+        assert isinstance(getattr(info, field), int)

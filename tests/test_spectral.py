@@ -3,12 +3,13 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
     char_matrix_at,
     dense_quadratic_identity_holds,
+    interpolated_characteristic_polynomial,
     laplace_determinant,
     mat_mul,
     ones_matrix,
@@ -44,6 +45,36 @@ CHARPOLY_K33 = (1, 0, -9, 0, 0, 0, 0)
 CHARPOLY_KL3 = (1, 0, -9, -4, 12, 0, 0)
 
 TRIANGLE_MINOR = ((0, 1, 1), (1, 0, 1), (1, 1, 0))
+
+# characteristic_polynomial(adjacency_matrix(gen_random(24, 0))), recorded
+# from the Bareiss-and-interpolation route.
+CHARPOLY_RANDOM_24 = (
+    1, 0, -576, -3984, 75456, 732800, -3999424, -54316416, 80731648,
+    2094648832, 578454528, -45412399104, -54197129216, 561501609984,
+    957697572864, -3874217000960, -7783379304448, 14225139302400,
+    31370808655872, -26024973172736, -60572248834048, 23053142589440,
+    51656863514624, -10170264453120, -14545091297280, 3074257059840,
+) + (0,) * 23
+
+
+def square_int_matrices(max_dim: int):
+    """Square int matrices, not symmetric, entries in -3..3."""
+    return st.integers(min_value=0, max_value=max_dim).flatmap(
+        lambda dim: st.lists(
+            st.tuples(*[st.integers(min_value=-3, max_value=3)] * dim),
+            min_size=dim,
+            max_size=dim,
+        ).map(tuple)
+    )
+
+
+# A zero leading entry, a singular matrix and a nilpotent one, pinned as
+# examples of the properties on square_int_matrices.
+HAND_MATRICES = (
+    ((0, 1), (1, 0)),
+    ((0, 0, 2), (1, 2, 3), (2, 4, 6)),
+    ((0, 1, 0), (0, 0, 1), (0, 0, 0)),
+)
 
 
 def principal_submatrix(matrix: IntMatrix, indices: tuple[int, ...]) -> IntMatrix:
@@ -105,6 +136,77 @@ class TestCharacteristicPolynomial:
                 assert poly.evaluate(x) == rational_gauss_determinant(
                     char_matrix_at(a, x)
                 )
+
+
+class TestCharacteristicPolynomialOnIntMatrices:
+    @settings(max_examples=150, deadline=None)
+    @given(square_int_matrices(9))
+    @example(HAND_MATRICES[0])
+    @example(HAND_MATRICES[1])
+    @example(HAND_MATRICES[2])
+    @example(())
+    def test_matches_interpolation_oracle(self, m):
+        poly = characteristic_polynomial(m)
+        assert poly.coefficients == interpolated_characteristic_polynomial(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(square_int_matrices(6))
+    @example(HAND_MATRICES[1])
+    def test_values_match_laplace(self, m):
+        poly = characteristic_polynomial(m)
+        for x in (-2, len(m) + 3):
+            assert poly.evaluate(x) == laplace_determinant(char_matrix_at(m, x))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_unchanged_under_transpose_and_permutation(self, data):
+        m = data.draw(square_int_matrices(9))
+        order = tuple(data.draw(st.permutations(range(len(m)))))
+        poly = characteristic_polynomial(m)
+        assert characteristic_polynomial(tuple(zip(*m))) == poly
+        assert characteristic_polynomial(principal_submatrix(m, order)) == poly
+
+    def test_pinned_random_adjacency_at_24_pairs(self):
+        poly = characteristic_polynomial(adjacency_matrix(gen_random(24, 0)))
+        assert poly.coefficients == CHARPOLY_RANDOM_24
+
+    def test_non_square_rejected(self):
+        with pytest.raises(DomainError):
+            characteristic_polynomial(((1, 2),))
+
+
+# (an int matrix, a matrix with a non-int entry); all but the last pair
+# compare equal and so share one cache key.
+NON_INT_MATRICES = (
+    (((1, 2), (3, 4)), ((1, 2), (3, 4.0))),
+    (((1,),), ((True,),)),
+    (((0,),), ((0.0,),)),
+    (((0,),), ((0.5,),)),
+)
+
+
+class TestNonIntEntriesRejected:
+    """Equal tuples share one cache key, so the type check runs first."""
+
+    @pytest.mark.parametrize("exact, other", NON_INT_MATRICES)
+    @pytest.mark.parametrize("int_first", [True, False])
+    def test_outcome_independent_of_cache_state(self, exact, other, int_first):
+        characteristic_polynomial.cache_clear()
+        if int_first:
+            expected = characteristic_polynomial(exact).coefficients
+        with pytest.raises(DomainError):
+            characteristic_polynomial(other)
+        coefficients = characteristic_polynomial(exact).coefficients
+        if int_first:
+            assert coefficients == expected
+        assert all(type(c) is int for c in coefficients)
+        with pytest.raises(DomainError):
+            characteristic_polynomial(other)
+
+    @pytest.mark.parametrize("m", [((0.5,),), ((1, 2), (3, 4.0)), ((True, 0), (0, 1))])
+    def test_bareiss_rejects(self, m):
+        with pytest.raises(DomainError):
+            bareiss_determinant(m)
 
 
 class TestStereotypeCharacteristicPolynomial:
