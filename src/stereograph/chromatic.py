@@ -39,6 +39,7 @@ from .model import (
 )
 from .polynomials import IntPolynomial
 from .spectral import (
+    _require_at_least_two_pairs,
     matrix_criterion,
     minor_criterion,
     stereotype_characteristic_polynomial,
@@ -419,8 +420,7 @@ def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
     which is isomorphic to g, so the cache of chromatic_polynomial holds
     one entry per switching class.
     """
-    if g.n < 2:
-        raise DomainError("criterion requires at least two pairs")
+    _require_at_least_two_pairs(g)
     rep = switching_representative(g)
     return _chromatically_bipartite(rep, stereotype_characteristic_polynomial(rep).coefficient(3))
 

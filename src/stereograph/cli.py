@@ -180,15 +180,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    limit = _enumeration_limit()
     if args.census:
-        rows = census(args.n, limit=limit)
-        _write_text(args.output, census_to_csv(rows))
-    else:
-        lines = [
-            json.dumps(graph_to_dict(g)) for g in enumerate_all(args.n, limit=limit)
-        ]
-        _write_text(args.output, "\n".join(lines) + "\n")
+        return _cmd_census(args)
+    lines = [
+        json.dumps(graph_to_dict(g)) for g in enumerate_all(args.n, limit=_enumeration_limit())
+    ]
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 

@@ -34,6 +34,8 @@ from .graphs import (
 )
 from .model import (
     StereotypeGraph,
+    _check_pair_count,
+    _from_rows,
     from_pattern,
     pattern_length,
     recognize_complete_bipartite,
@@ -67,13 +69,6 @@ def _splitmix64(state: int) -> Iterator[int]:
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
         yield z ^ (z >> 31)
-
-
-def _check_pair_count(n: int) -> None:
-    # type() rather than isinstance(): True and 2.0 compare equal to the
-    # ints 1 and 2, and pattern_length(2.0) is not a length.
-    if type(n) is not int or n < 1:
-        raise DomainError(f"pair count must be a positive int, got {n!r}")
 
 
 def gen_complete_bipartite(n: int) -> StereotypeGraph:
@@ -243,12 +238,10 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
 
 
 def _assemble(g: StereotypeGraph, new_pair_bit: Callable[[int], int]) -> StereotypeGraph:
-    m = g.n + 1
-    bits = []
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            bits.append(new_pair_bit(i) if j == m else g.bit(i, j))
-    return from_pattern(m, bits)
+    """g with pair n+1 added, wired to each pair i by new_pair_bit(i)."""
+    rows = [row | new_pair_bit(i) << g.n for i, row in enumerate(g.rows, 1)]
+    # The new pair's own row holds no bit above the diagonal.
+    return _from_rows(rows + [0])
 
 
 def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph:

@@ -24,6 +24,14 @@ def normalize_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _checked_edge(u: int, v: int, vertex_count: int) -> Edge:
+    """normalize_edge, then reject a vertex outside 0..vertex_count-1."""
+    e = normalize_edge(u, v)
+    if not (0 <= e[0] and e[1] < vertex_count):
+        raise DomainError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
+    return e
+
+
 def iter_bits(mask: int) -> Iterator[int]:
     """The positions of the set bits of mask, in ascending order."""
     while mask:
@@ -42,13 +50,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Edge]) -> "Graph":
-        normalized = set()
-        for u, v in edges:
-            e = normalize_edge(u, v)
-            if not (0 <= e[0] and e[1] < vertex_count):
-                raise DomainError(f"edge {e} references a vertex outside 0..{vertex_count - 1}")
-            normalized.add(e)
-        return cls(vertex_count, frozenset(normalized))
+        return cls(vertex_count, frozenset({_checked_edge(u, v, vertex_count) for u, v in edges}))
 
     @cached_property
     def masks(self) -> tuple[int, ...]:

@@ -194,21 +194,14 @@ def reduce_to_k2(
     step_index = 0
     pairs = pg.pairs
     while len(pairs) > 1:
-        if order is not None:
-            i, j = order[step_index]
-            if (
-                type(i) is not int
-                or type(j) is not int
-                or i not in pairs
-                or j not in pairs
-                or i == j
-            ):
-                raise InvalidOrder(
-                    f"step {step_index}: pair ({i!r}, {j!r}) is not alive in {pairs}"
-                )
-        else:
-            i, j = pairs[0], pairs[1]
-        outcome = merge_pairs(pg, i, j)
+        i, j = pairs[:2] if order is None else order[step_index]
+        try:
+            outcome = merge_pairs(pg, i, j)
+        except PairAbsent:
+            # merge_pairs alone decides which labels can merge.
+            raise InvalidOrder(
+                f"step {step_index}: pair ({i!r}, {j!r}) is not alive in {pairs}"
+            ) from None
         if not outcome.merged:
             return StabilityVerdict(
                 stable=False,

@@ -15,8 +15,13 @@ Swapping the two sides of pair i (Seidel switching) flips every bit
 (i, j) and maps the graph to an isomorphic one, so every graph invariant
 is an invariant of the pattern's switching class. Each class has one
 normalised pattern, with pair 1 parallel to every other pair;
-switching_representative computes it, and stability_report and the
-polynomial criteria key their caches on it.
+switching_representative computes it, stability_report and the
+polynomial criteria key their caches on it, and the two recognizers
+read it: the complete bipartite class normalises to 1 on every bit
+outside pair 1's row, the complete ladder class to all 0.
+
+Every constructor checks the pair count with _check_pair_count, and
+every pattern built from per-pair rows goes through _from_rows.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainError, LengthMismatch, NotAStereotypeGraph
-from .graphs import Edge, Graph, find_isomorphism, graph_isomorphic, iter_bits, normalize_edge
+from .graphs import Edge, Graph, _checked_edge, iter_bits
 
 
 def vertex_id(pair: int, side: int) -> int:
@@ -79,6 +84,14 @@ def pattern_length(n: int) -> int:
     return n * (n - 1) // 2
 
 
+def _check_pair_count(n: int) -> None:
+    # type() rather than isinstance(): True and 2.0 compare equal to the
+    # ints 1 and 2, but would be written back as themselves, and
+    # pattern_length(2.0) is not a length.
+    if type(n) is not int or n < 1:
+        raise DomainError(f"pair count must be a positive int, got {n!r}")
+
+
 @dataclass(frozen=True)
 class StereotypeGraph:
     """A stereotype graph on n pairs, canonically encoded by its pattern bits."""
@@ -91,10 +104,7 @@ class StereotypeGraph:
         # compare and hash alike and the pattern can key a cache.
         if type(self.bits) is not tuple:
             object.__setattr__(self, "bits", tuple(self.bits))
-        # type() rather than isinstance(): True and 2.0 compare equal to
-        # the ints 1 and 2 but would be written back as themselves.
-        if type(self.n) is not int or self.n < 1:
-            raise DomainError(f"pair count must be a positive int, got {self.n!r}")
+        _check_pair_count(self.n)
         if len(self.bits) != pattern_length(self.n):
             raise LengthMismatch(
                 f"expected {pattern_length(self.n)} pattern bits for n={self.n}, "
@@ -139,6 +149,15 @@ class StereotypeGraph:
         return edges
 
 
+def _from_rows(rows: Sequence[int]) -> StereotypeGraph:
+    """The stereotype graph on len(rows) pairs whose bit(i, j) is bit j-1
+    of rows[i-1]; only the bits above the diagonal (j > i) are read."""
+    n = len(rows)
+    return StereotypeGraph(
+        n, tuple(row >> j & 1 for i, row in enumerate(rows) for j in range(i + 1, n))
+    )
+
+
 def from_pattern(n: int, bits: Sequence[int]) -> StereotypeGraph:
     """Build the unique stereotype graph with the given matching bits."""
     return StereotypeGraph(n, tuple(bits))
@@ -160,13 +179,10 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
     every edge is an in-pair or a matching edge, so the pattern is read
     off the masks: pair i crosses pair j iff u1^i is adjacent to u2^j.
     """
-    if type(n) is not int or n < 1:
-        raise DomainError(f"pair count must be a positive int, got {n!r}")
+    _check_pair_count(n)
     edge_set: set[Edge] = set()
     for u, v in edges:
-        e = normalize_edge(u, v)
-        if e[0] < 0 or e[1] >= 2 * n:
-            raise DomainError(f"edge {e} references a vertex outside 0..{2 * n - 1}")
+        e = _checked_edge(u, v, 2 * n)
         if e in edge_set:
             raise DomainError(f"duplicate edge {e}")
         edge_set.add(e)
@@ -267,9 +283,10 @@ def validate_stereotype(graph: Graph) -> ValidationReport:
     checks.append(
         CheckResult("n-regular", not irregular, irregular[0] if irregular else None)
     )
-    connected = graph.is_connected()
-    checks.append(CheckResult("connected", connected))
+    # The vertex count is positive here, so diameter() is None exactly
+    # when the graph is disconnected.
     diameter = graph.diameter()
+    checks.append(CheckResult("connected", diameter is not None))
     diameter_ok = diameter == (1 if n == 1 else 2)
     checks.append(
         CheckResult("diameter", diameter_ok, None if diameter_ok else diameter)
@@ -296,13 +313,14 @@ class BasicProfile:
 
 def basic_profile(g: StereotypeGraph) -> BasicProfile:
     graph = g.graph
+    diameter = graph.diameter()
     return BasicProfile(
         order=graph.vertex_count,
         size=len(graph.edges),
         regular_degree=g.n,
         girth=graph.girth(),
-        diameter=graph.diameter(),
-        connected=graph.is_connected(),
+        diameter=diameter,
+        connected=diameter is not None,
         triangle_count=graph.triangle_count(),
     )
 
@@ -326,8 +344,7 @@ def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
     """Induced stereotype graph on the first m pairs."""
     if not 1 <= m <= g.n:
         raise DomainError(f"need 1 <= m <= {g.n}, got {m}")
-    bits = [row >> j & 1 for i, row in enumerate(g.rows[:m]) for j in range(i + 1, m)]
-    return from_pattern(m, bits)
+    return _from_rows(g.rows[:m])
 
 
 def switching_representative(g: StereotypeGraph) -> StereotypeGraph:
@@ -345,38 +362,22 @@ def switching_representative(g: StereotypeGraph) -> StereotypeGraph:
     s = rows[0]
     if s == 0:
         return g
-    n = g.n
-    full = (1 << n) - 1
-    rows = [row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows)]
-    return StereotypeGraph(
-        n, tuple(row >> j & 1 for i, row in enumerate(rows) for j in range(i + 1, n))
-    )
+    full = (1 << g.n) - 1
+    return _from_rows([row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows)])
 
 
 def recognize_complete_bipartite(g: StereotypeGraph) -> bool:
     """True iff g is a complete bipartite graph on equal sides, i.e. the
-    pattern switches to all-crossed (no pair triple is XOR-0)."""
-    return _switches_to_constant(g, 1)
+    pattern switches to all-crossed (no pair triple is XOR-0): its
+    switching representative is 1 everywhere after pair 1's row."""
+    return all(switching_representative(g).bits[g.n - 1 :])
 
 
 def recognize_complete_ladder(g: StereotypeGraph) -> bool:
     """True iff g is two n-cliques joined by a perfect matching, i.e. the
-    pattern switches to all-parallel (every pair triple is XOR-0)."""
-    return _switches_to_constant(g, 0)
-
-
-def _switches_to_constant(g: StereotypeGraph, b: int) -> bool:
-    """Whether Seidel switching turns every bit of the pattern into b.
-
-    Swapping the sides of pair i flips every bit(i, j), so switching the
-    pairs i with bit(1, i) != b sets row 1 to b; the rest then equals b
-    iff bit(1, i) ^ bit(1, j) ^ bit(i, j) == b for all 2 <= i < j.
-    """
-    rows = g.rows
-    return all(
-        (rows[0] >> i ^ rows[0] >> j ^ rows[i] >> j) & 1 == b
-        for i, j in itertools.combinations(range(1, g.n), 2)
-    )
+    pattern switches to all-parallel (every pair triple is XOR-0): its
+    switching representative is 0 everywhere."""
+    return not any(switching_representative(g).bits)
 
 
 __all__ = [
@@ -386,10 +387,8 @@ __all__ = [
     "StereotypeGraph",
     "ValidationReport",
     "basic_profile",
-    "find_isomorphism",
     "from_edge_list",
     "from_pattern",
-    "graph_isomorphic",
     "parse_vertex_name",
     "pattern_length",
     "pattern_of",

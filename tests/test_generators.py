@@ -1,6 +1,7 @@
 """Generators: canonical families, seeded randomness, census, expansion."""
 
 import itertools
+import re
 
 import pytest
 
@@ -9,6 +10,7 @@ from stereograph import (
     EdgeAbsent,
     InvalidColoring,
     RangeError,
+    StereotypeGraph,
     TooLarge,
     build_with_csi,
     census,
@@ -17,6 +19,7 @@ from stereograph import (
     enumerate_all,
     expand_incrementing,
     expand_preserving,
+    from_edge_list,
     from_pattern,
     gen_complete_bipartite,
     gen_complete_ladder,
@@ -70,7 +73,7 @@ BUILT_PATTERNS = {
 SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32, 1)]
 
 
-@pytest.mark.parametrize("n", [0, 2.0, True])
+@pytest.mark.parametrize("n", [0, 2.0, True, -1, "2", None])
 @pytest.mark.parametrize(
     "make",
     [
@@ -78,11 +81,27 @@ SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32
         gen_complete_ladder,
         lambda n: gen_random(n, 0),
         lambda n: list(enumerate_all(n)),
+        census,
+        lambda n: StereotypeGraph(n, ()),
+        lambda n: from_pattern(n, ()),
+        lambda n: from_edge_list(n, [(0, 1)]),
     ],
-    ids=["bipartite", "ladder", "random", "enumerate"],
+    ids=[
+        "bipartite",
+        "ladder",
+        "random",
+        "enumerate",
+        "census",
+        "StereotypeGraph",
+        "from_pattern",
+        "from_edge_list",
+    ],
 )
 def test_generators_reject_bad_pair_count(make, n):
-    with pytest.raises(DomainError):
+    """The generators and the model constructors share one pair-count
+    check, so each reports the same error."""
+    message = f"pair count must be a positive int, got {n!r}"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         make(n)
 
 

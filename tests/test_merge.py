@@ -1,6 +1,7 @@
 """Merge engine: single merges, full reductions, order invariance."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -116,8 +117,23 @@ class TestReduceToK2:
 
     def test_order_with_dead_pair(self, k33):
         # After merging (1, 2) the label 2 is gone.
-        with pytest.raises(InvalidOrder):
+        message = "step 1: pair (2, 3) is not alive in (1, 3)"
+        with pytest.raises(InvalidOrder, match=f"^{re.escape(message)}$"):
             reduce_to_k2(k33, order=[(1, 2), (2, 3)])
+
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([(2, 2), (1, 3)], "step 0: pair (2, 2) is not alive in (1, 2, 3)"),
+            ([(0, 1), (1, 2)], "step 0: pair (0, 1) is not alive in (1, 2, 3)"),
+            ([(1, 4), (1, 2)], "step 0: pair (1, 4) is not alive in (1, 2, 3)"),
+        ],
+        ids=["repeated", "label-0", "label-n+1"],
+    )
+    def test_order_with_illegal_pair(self, k33, order, message):
+        # merge_pairs decides legality; reduce_to_k2 reports the step.
+        with pytest.raises(InvalidOrder, match=f"^{re.escape(message)}$"):
+            reduce_to_k2(k33, order=order)
 
     @pytest.mark.parametrize("label", [1.0, True, "1"])
     def test_order_with_non_int_label(self, k33, label):

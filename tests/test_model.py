@@ -421,16 +421,15 @@ class TestRecognizers:
     def test_all_crossed_is_not_a_ladder(self, k33):
         assert not recognize_complete_ladder(k33)
 
-    def test_recognizers_agree_with_isomorphism(self, all_st4):
-        knn = gen_complete_bipartite(4)
-        ladder = gen_complete_ladder(4)
-        for g in all_st4:
-            assert recognize_complete_bipartite(g) == graph_isomorphic(
-                g.graph, knn.graph
-            )
-            assert recognize_complete_ladder(g) == graph_isomorphic(
-                g.graph, ladder.graph
-            )
+    def test_recognizers_agree_with_isomorphism(self):
+        # Every graph on 1..6 pairs; the recognizers read the switching
+        # representative, isomorphism reads the graph.
+        for n in range(1, 7):
+            knn = gen_complete_bipartite(n).graph
+            ladder = gen_complete_ladder(n).graph
+            for g in enumerate_all(n):
+                assert recognize_complete_bipartite(g) == graph_isomorphic(g.graph, knn), g
+                assert recognize_complete_ladder(g) == graph_isomorphic(g.graph, ladder), g
 
 
 class TestRestrictPairs:
