@@ -231,14 +231,20 @@ def _odd_cycle_from_conflict(
 
 
 def greedy_coloring(graph: Graph) -> Coloring:
-    """First-fit coloring in canonical vertex order (an upper bound)."""
+    """First-fit coloring in canonical vertex order (an upper bound):
+    each vertex joins the first color class, kept as one bitmask, that
+    holds none of its neighbors."""
+    classes: list[int] = []
     colors: list[int] = []
     for v, mask in enumerate(graph.masks):
-        taken = {colors[w] for w in iter_bits(mask & ((1 << v) - 1))}
-        c = 1
-        while c in taken:
-            c += 1
-        colors.append(c)
+        for c, members in enumerate(classes):
+            if not members & mask:
+                classes[c] = members | 1 << v
+                break
+        else:
+            c = len(classes)
+            classes.append(1 << v)
+        colors.append(c + 1)
     return Coloring(tuple(colors))
 
 

@@ -7,7 +7,9 @@ stream, so identical (n, seed) inputs reproduce byte-identical graphs on
 every platform. The expansion operations add one pair at a time, either
 preserving the chromatic stability index or incrementing it by building
 a clique through the new pair, which together reach every index in
-[2, n].
+[2, n]. build_with_csi chains them and carries a proper coloring and a
+clique of equal size from step to step, so the index of what it builds
+is certified without a final search.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .graphs import (
     Graph,
     find_clique_of_size,
     graph_isomorphic,
+    iter_bits,
     normalize_edge,
 )
 from .model import (
@@ -253,7 +256,13 @@ def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph
     result has one more pair and the same chromatic stability index.
     """
     _validate_optimal_coloring(g, coloring)
-    colors = list(coloring.colors)
+    return _preserving_step(g, coloring)[0]
+
+
+def _preserving_step(g: StereotypeGraph, coloring: Coloring) -> tuple[StereotypeGraph, Coloring]:
+    """The preserving wiring for a coloring already known to be optimal:
+    the expanded graph and the coloring extended by [1, 2]."""
+    colors = coloring.colors
 
     def bit_for(i: int) -> int:
         c1, c2 = colors[vertex_id(i, 1)], colors[vertex_id(i, 2)]
@@ -263,10 +272,10 @@ def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph
         return int(c1 == 1 or c2 == 2)
 
     expanded = _assemble(g, bit_for)
-    colors += [1, 2]
-    if not Coloring(tuple(colors)).is_proper(expanded.graph):
+    extended = Coloring(colors + (1, 2))
+    if not extended.is_proper(expanded.graph):
         raise InternalInvariant("preserving expansion broke the extended coloring")
-    return expanded
+    return expanded, extended
 
 
 def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph:
@@ -283,6 +292,16 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
     clique = _validate_optimal_coloring(g, coloring)
     if g.n < 2:
         raise DomainError("a cross clique needs at least two pairs")
+    return _incrementing_step(g, coloring, clique)[0]
+
+
+def _incrementing_step(
+    g: StereotypeGraph, coloring: Coloring, clique: tuple[int, ...] | None
+) -> tuple[StereotypeGraph, Coloring, tuple[int, ...]]:
+    """The incrementing wiring for an optimal coloring of g on at least
+    two pairs and the smallest clique certifying it (None if there is
+    none): the expanded graph, the extended coloring and the grown
+    clique, which is the clique wired through plus the new side-1 vertex."""
     t = coloring.colors_used
     if t == 2:
         # The smallest 2-clique is pair 1's own edge (0, 1); the expansion
@@ -327,30 +346,65 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
         return int(colors[vertex_id(i, 2)] == partner)
 
     expanded = _assemble(g, bit_for)
-    colors += [new_color, partner]
-    if not Coloring(tuple(colors)).is_proper(expanded.graph):
+    extended = Coloring(tuple(colors + [new_color, partner]))
+    if not extended.is_proper(expanded.graph):
         raise InternalInvariant("incrementing expansion broke the extended coloring")
-    return expanded
+    return expanded, extended, clique + (g.vertex_count,)
 
 
 def build_with_csi(n: int, k: int) -> StereotypeGraph:
     """A stereotype graph on n pairs with chromatic stability index
     exactly k, grown from the 2-pair 4-cycle by n-k preserving steps and
-    then k-2 incrementing steps; the final index is re-verified exactly."""
+    then k-2 incrementing steps.
+
+    The construction carries its own certificate: a proper coloring and
+    a clique of the same size, which bound the index from above and
+    below. A preserving step extends the coloring in hand by [1, 2]
+    without a search. That is the coloring the exact search would
+    return: the coloring in hand is first-fit, the preserving wiring
+    leaves color 1 free at the new side-1 vertex and color 2 at the new
+    side-2 vertex, so first-fit on the expanded graph extends it by
+    [1, 2], and the clique in hand, which the step keeps, shows that
+    optimal. Each incrementing step takes the exact search's coloring
+    and its smallest certifying clique, and grows both by one. The final
+    graph is certified by checking the coloring and the clique it ends
+    with, not by another search.
+    """
     if not 2 <= k <= n:
         raise RangeError(f"need 2 <= k <= n, got k={k}, n={n}")
     g = gen_complete_bipartite(2)
+    coloring = optimal_coloring(g.graph)
+    clique = _validate_optimal_coloring(g, coloring)
     for _ in range(n - k):
-        g = expand_preserving(g, optimal_coloring(g.graph))
+        g, coloring = _preserving_step(g, coloring)
     for _ in range(k - 2):
-        g = expand_incrementing(g, optimal_coloring(g.graph))
-    achieved = chromatic_number(g.graph)
-    if achieved != k or g.n != n:
-        raise InternalInvariant(
-            f"targeted construction reached n={g.n}, index {achieved}, "
-            f"wanted n={n}, index {k}"
+        coloring = optimal_coloring(g.graph)
+        g, coloring, clique = _incrementing_step(
+            g, coloring, _validate_optimal_coloring(g, coloring)
         )
+    _check_certificate(g, n, k, coloring, clique)
     return g
+
+
+def _check_certificate(
+    g: StereotypeGraph, n: int, k: int, coloring: Coloring, clique: tuple[int, ...] | None
+) -> None:
+    """Raise InternalInvariant unless g has n pairs, coloring is a proper
+    k-coloring of it and clique is a k-vertex clique of it: then
+    k <= clique number <= index <= k, so the index is exactly k."""
+    masks = g.graph.masks
+    members = sum(1 << v for v in clique or ())
+    if not (
+        g.n == n
+        and coloring.colors_used == k
+        and coloring.is_proper(g.graph)
+        and members.bit_count() == k
+        and all((masks[v] | 1 << v) & members == members for v in iter_bits(members))
+    ):
+        raise InternalInvariant(
+            f"targeted construction reached n={g.n} with a {coloring.colors_used}-coloring "
+            f"and a clique of {members.bit_count()} vertices, wanted n={n}, index {k}"
+        )
 
 
 def delete_edges(g: StereotypeGraph, removed: list[Edge]) -> Graph:
@@ -360,10 +414,9 @@ def delete_edges(g: StereotypeGraph, removed: list[Edge]) -> Graph:
     graph = g.graph
     gone = []
     for u, v in removed:
-        e = normalize_edge(u, v)
-        if e not in graph.edges:
-            raise EdgeAbsent(f"edge {e} is not present")
-        gone.append(e)
+        if not graph.has_edge(u, v):
+            raise EdgeAbsent(f"edge {normalize_edge(u, v)} is not present")
+        gone.append((u, v))
     return graph.delete_edges(gone)
 
 

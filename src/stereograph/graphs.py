@@ -1,8 +1,9 @@
 """Minimal immutable simple graphs and the structural algorithms used here.
 
-Vertices are dense integers ``0..vertex_count-1``; ``Graph.masks``, one
-neighbour bitmask per vertex, is the only neighbour index, and every
-algorithm here reads it. Everything operates on graphs small enough (at
+Vertices are dense integers ``0..vertex_count-1``. A graph is stored as
+``Graph.masks``, one neighbour bitmask per vertex; it is the only
+neighbour index, every algorithm here reads it, and the edge set is
+derived from it on demand. Everything operates on graphs small enough (at
 most a few dozen vertices) that straightforward exact algorithms are the
 right tool; nothing in this module approximates.
 """
@@ -42,25 +43,48 @@ def iter_bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class Graph:
-    """An undirected simple graph on vertices ``0..vertex_count-1``;
-    `neighbors`, `degree` and `degrees` are views of `masks`."""
+    """An undirected simple graph on vertices ``0..vertex_count-1``, stored
+    as one neighbour bitmask per vertex: bit w of masks[v] is set iff vw
+    is an edge. `edges`, `neighbors`, `degree` and `degrees` are views of
+    `masks`; two graphs are equal iff they have the same vertex count and
+    the same edges.
+
+    The masks must be a tuple of vertex_count ints, symmetric and free of
+    self-loops; `from_edges` builds them from an edge list and checks
+    every edge."""
 
     vertex_count: int
-    edges: frozenset[Edge]
+    masks: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        if type(self.masks) is not tuple:
+            raise TypeError(
+                f"Graph takes a tuple of neighbour masks, got {type(self.masks).__name__}; "
+                "build a graph from edges with Graph.from_edges"
+            )
+        if len(self.masks) != self.vertex_count:
+            raise DomainError(
+                f"expected {self.vertex_count} neighbour masks, got {len(self.masks)}"
+            )
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Edge]) -> "Graph":
-        return cls(vertex_count, frozenset({_checked_edge(u, v, vertex_count) for u, v in edges}))
-
-    @cached_property
-    def masks(self) -> tuple[int, ...]:
-        """One neighbour bitmask per vertex: bit w of masks[v] is set iff
-        vw is an edge."""
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
+        masks = [0] * vertex_count
+        for u, v in edges:
+            u, v = _checked_edge(u, v, vertex_count)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        return tuple(masks)
+        return cls(vertex_count, tuple(masks))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (u, v) tuples with u < v."""
+        return frozenset(
+            (u, v) for u, row in enumerate(self.masks) for v in iter_bits(row >> u + 1 << u + 1)
+        )
+
+    def edge_count(self) -> int:
+        return sum(mask.bit_count() for mask in self.masks) // 2
 
     def neighbors(self, v: int) -> frozenset[int]:
         return frozenset(iter_bits(self.masks[v]))
@@ -72,7 +96,9 @@ class Graph:
         return tuple(mask.bit_count() for mask in self.masks)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
+        """Whether uv is an edge; False for a vertex outside the graph."""
+        u, v = normalize_edge(u, v)
+        return 0 <= u and v < self.vertex_count and self.masks[u] >> v & 1 == 1
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -159,19 +185,26 @@ class Graph:
         return len(self.triangles())
 
     def delete_edges(self, removed: Iterable[Edge]) -> "Graph":
-        gone = {normalize_edge(u, v) for u, v in removed}
-        return Graph(self.vertex_count, self.edges - gone)
+        """The graph without the listed edges; an absent edge or a vertex
+        outside the graph is ignored, a self-loop raises."""
+        masks = list(self.masks)
+        for u, v in removed:
+            u, v = normalize_edge(u, v)
+            if 0 <= u and v < self.vertex_count:
+                masks[u] &= ~(1 << v)
+                masks[v] &= ~(1 << u)
+        return Graph(self.vertex_count, tuple(masks))
 
 
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     """One edge-preserving bijection from g1 onto g2, or None.
 
     Backtracking pruned by vertex invariants (degree and sorted neighbor
-    degrees). A returned mapping is always re-verified by a direct
-    edge-set comparison before being handed back.
+    degrees). A returned mapping is always re-verified, mask by mask,
+    before being handed back.
     """
     n = g1.vertex_count
-    if n != g2.vertex_count or len(g1.edges) != len(g2.edges):
+    if n != g2.vertex_count:
         return None
     deg1, deg2 = g1.degrees(), g2.degrees()
     if sorted(deg1) != sorted(deg2):
@@ -219,8 +252,13 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
 
 
 def _mapping_preserves_edges(g1: Graph, g2: Graph, mapping: dict[int, int]) -> bool:
-    image = {normalize_edge(mapping[u], mapping[v]) for u, v in g1.edges}
-    return image == set(g2.edges)
+    """Whether mapping carries each neighbourhood of g1 onto the
+    neighbourhood of the image vertex in g2."""
+    m2 = g2.masks
+    return all(
+        sum(1 << mapping[w] for w in iter_bits(row)) == m2[mapping[v]]
+        for v, row in enumerate(g1.masks)
+    )
 
 
 def graph_isomorphic(g1: Graph, g2: Graph) -> bool:

@@ -9,7 +9,9 @@ indices: 0 selects the parallel matching (u1-u1, u2-u2), 1 the crossed
 matching (u1-u2, u2-u1).
 
 Vertex ids are dense integers: u_p^i has id 2*(i-1) + (p-1), so ids run
-0..2n-1 in pair-major order.
+0..2n-1 in pair-major order. StereotypeGraph.rows holds the pattern as
+one bitmask per pair, and StereotypeGraph.graph builds the neighbour
+masks of the labeled graph from those rows directly.
 
 Swapping the two sides of pair i (Seidel switching) flips every bit
 (i, j) and maps the graph to an isomorphic one, so every graph invariant
@@ -84,6 +86,10 @@ def pattern_length(n: int) -> int:
     return n * (n - 1) // 2
 
 
+# Writes a row in binary with a 0 before each digit, moving bit j to bit 2j.
+_SPREAD = str.maketrans({"0": "00", "1": "01"})
+
+
 def _check_pair_count(n: int) -> None:
     # type() rather than isinstance(): True and 2.0 compare equal to the
     # ints 1 and 2, but would be written back as themselves, and
@@ -126,7 +132,23 @@ class StereotypeGraph:
 
     @cached_property
     def graph(self) -> Graph:
-        return Graph(self.vertex_count, frozenset(self.edge_list()))
+        """The labeled graph, its neighbour masks built from the rows.
+
+        With pairs numbered from 0, u1^i is vertex 2i and u2^i vertex
+        2i + 1. u1^i meets u1^j (an even bit) when pairs i and j are
+        parallel and u2^j (an odd bit) when they are crossed; u2^i meets
+        the other vertex of pair j; each vertex meets its partner.
+        """
+        n = self.n
+        # crossed: the side-1 vertices of the pairs crossed to pair i, bit
+        # j of the row moved to bit 2j; even: every side-1 vertex.
+        even = int("01" * n, 2)
+        masks = []
+        for i, row in enumerate(self.rows):
+            crossed = int(bin(row)[2:].translate(_SPREAD), 2)
+            parallel = even ^ crossed ^ 1 << 2 * i
+            masks += [1 << 2 * i + 1 | parallel | crossed << 1, 1 << 2 * i | crossed | parallel << 1]
+        return Graph(2 * n, tuple(masks))
 
     @cached_property
     def rows(self) -> tuple[int, ...]:
@@ -138,15 +160,6 @@ class StereotypeGraph:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
         return tuple(rows)
-
-    def edge_list(self) -> list[Edge]:
-        # Pair i (0-based) holds the vertices 2i (side 1) and 2i + 1.
-        edges = [(2 * i, 2 * i + 1) for i in range(self.n)]
-        rows = self.rows
-        for i, j in itertools.combinations(range(self.n), 2):
-            crossed = rows[i] >> j & 1
-            edges += [(2 * i, 2 * j + crossed), (2 * i + 1, 2 * j + 1 - crossed)]
-        return edges
 
 
 def _from_rows(rows: Sequence[int]) -> StereotypeGraph:
@@ -187,7 +200,7 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
             raise DomainError(f"duplicate edge {e}")
         edge_set.add(e)
 
-    masks = Graph(2 * n, frozenset(edge_set)).masks
+    masks = Graph.from_edges(2 * n, edge_set).masks
     missing, bad_pairpair = _defining_clauses(masks)
     if missing is not None:
         raise NotAStereotypeGraph(
@@ -274,10 +287,9 @@ def validate_stereotype(graph: Graph) -> ValidationReport:
 
     # Derived structural properties; these follow from the clauses above
     # but are reported so a failure pinpoints what broke.
-    edge_ok = len(graph.edges) == n * n
-    checks.append(
-        CheckResult("edge-count", edge_ok, None if edge_ok else len(graph.edges))
-    )
+    size = graph.edge_count()
+    edge_ok = size == n * n
+    checks.append(CheckResult("edge-count", edge_ok, None if edge_ok else size))
     degrees = graph.degrees()
     irregular = [v for v in range(graph.vertex_count) if degrees[v] != n]
     checks.append(
@@ -316,7 +328,7 @@ def basic_profile(g: StereotypeGraph) -> BasicProfile:
     diameter = graph.diameter()
     return BasicProfile(
         order=graph.vertex_count,
-        size=len(graph.edges),
+        size=graph.edge_count(),
         regular_degree=g.n,
         girth=graph.girth(),
         diameter=diameter,

@@ -33,11 +33,7 @@ def adjacency_matrix(graph: Graph | StereotypeGraph) -> IntMatrix:
     if isinstance(graph, StereotypeGraph):
         graph = graph.graph
     n = graph.vertex_count
-    rows = [[0] * n for _ in range(n)]
-    for u, v in graph.edges:
-        rows[u][v] = 1
-        rows[v][u] = 1
-    return tuple(tuple(row) for row in rows)
+    return tuple(tuple(mask >> w & 1 for w in range(n)) for mask in graph.masks)
 
 
 def bareiss_determinant(matrix: IntMatrix) -> int:

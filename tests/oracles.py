@@ -2,7 +2,8 @@
 
 Every routine here deliberately takes a different algorithmic route from
 the library implementation it checks: proper colorings are enumerated as
-raw assignment tuples, chromatic numbers come from backtracking in a
+raw assignment tuples, first-fit colors come from a set of neighbour
+colors per vertex (first_fit_colors), chromatic numbers come from backtracking in a
 fixed vertex order with no bounds, chromatic polynomials from deletion
 and contraction, independent-set partition counts from a bottom-up DP
 over every vertex subset (each walking every subset of its available
@@ -18,7 +19,9 @@ setwise_order_invariance), the girth from one BFS per edge with that
 edge removed (edge_bfs_girth), distances, degrees and connectivity from
 Floyd-Warshall on the dense adjacency matrix (floyd_warshall_profile),
 isomorphism from every vertex permutation (permutation_isomorphic), and
-stereotype validation from edge-tuple sets (setwise_validate_stereotype).
+stereotype validation from edge-tuple sets (setwise_validate_stereotype),
+and a stereotype graph's edges from its pattern bits one pair of pairs
+at a time (edge_list).
 Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
@@ -55,6 +58,16 @@ def enumerate_coloring_count(graph: Graph, x: int) -> int:
     return total
 
 
+def first_fit_colors(graph: Graph) -> tuple[int, ...]:
+    """Each vertex in id order takes the least color that no earlier
+    neighbor holds, found from the set of those neighbors' colors."""
+    colors: list[int] = []
+    for v in range(graph.vertex_count):
+        taken = {colors[w] for w in graph.neighbors(v) if w < v}
+        colors.append(next(c for c in itertools.count(1) if c not in taken))
+    return tuple(colors)
+
+
 def backtracking_chromatic_number(graph: Graph) -> int:
     """Least k with a proper k-coloring, trying k = 1, 2, ... by plain
     backtracking in canonical vertex order, new colors introduced in
@@ -89,7 +102,7 @@ def deletion_contraction_coefficients(graph: Graph) -> tuple[int, ...]:
         return tuple([1] + [0] * graph.vertex_count)
 
     u, v = min(graph.edges)
-    deleted = Graph(graph.vertex_count, graph.edges - {(u, v)})
+    deleted = Graph.from_edges(graph.vertex_count, graph.edges - {(u, v)})
 
     relabel = {}
     for w in range(graph.vertex_count):
@@ -102,7 +115,7 @@ def deletion_contraction_coefficients(graph: Graph) -> tuple[int, ...]:
         for a, b in graph.edges
         if {a, b} != {u, v} and relabel[a] != relabel[b]
     }
-    contracted = Graph(graph.vertex_count - 1, frozenset(contracted_edges))
+    contracted = Graph.from_edges(graph.vertex_count - 1, frozenset(contracted_edges))
 
     left = deletion_contraction_coefficients(deleted)
     right = deletion_contraction_coefficients(contracted)
@@ -268,6 +281,20 @@ def interpolated_characteristic_polynomial(matrix) -> tuple[int, ...]:
         for x in range(dim + 1)
     ]
     return interpolate_integer_polynomial(points).coefficients
+
+
+def edge_list(g: StereotypeGraph) -> list[Edge]:
+    """The edges of a stereotype graph written out from the definition
+    with bit(i, j): each pair's own edge, then for each two pairs the
+    parallel (u1-u1, u2-u2) or crossed (u1-u2, u2-u1) matching."""
+    edges = [(vertex_id(i, 1), vertex_id(i, 2)) for i in range(1, g.n + 1)]
+    for i, j in itertools.combinations(range(1, g.n + 1), 2):
+        crossed = g.bit(i, j)
+        edges += [
+            (vertex_id(i, 1), vertex_id(j, 1 + crossed)),
+            (vertex_id(i, 2), vertex_id(j, 2 - crossed)),
+        ]
+    return edges
 
 
 def pairwise_census(n: int) -> list[tuple[int, int, int, int]]:

@@ -4,18 +4,24 @@ perfbench/spans.py wraps functions and methods by (module, attribute)
 name and reads a value off some of their results, and perfbench/batch.py
 reads both polynomial caches' cache_info(); a rename or deletion here
 would break tracing or every benchmark batch, so it fails tier-1
-instead. spans.py is only read.
+instead. One csi_files batch also runs end to end and must check clean.
+perfbench/ is only read.
 """
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from stereograph import gen_random
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PATH = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -78,3 +84,31 @@ def test_polynomial_cache_exposes_cache_info(module_name, attr):
     assert cached.__name__ == attr
     for field in ("currsize", "hits", "misses"):
         assert isinstance(getattr(info, field), int)
+
+
+def test_csi_files_batch_checks_clean(tmp_path):
+    """One untraced csi_files batch in a fresh interpreter, as the
+    benchmark runs it: every build, generate, validate and csi --witness
+    output passes the workload's own checks."""
+    # No bytecode files, so the run leaves perfbench/ as it was.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(ROOT / "perfbench" / "batch.py"),
+            "--workload",
+            "csi_files",
+            "--seed",
+            "1",
+            "--workdir",
+            str(tmp_path / "work"),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["errors"] == []
+    assert len(result["op_s"]) == 3 * (11 + 12 + 13 + 12)

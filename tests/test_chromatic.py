@@ -12,6 +12,7 @@ from oracles import (
     deletion_contraction_coefficients,
     edge_bfs_girth,
     enumerate_coloring_count,
+    first_fit_colors,
     subset_dp_partition_counts,
 )
 from stereograph import (
@@ -169,8 +170,8 @@ class TestPartitionCountsAgainstOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(graph=general_graphs(min_vertices=0, max_vertices=10))
-    @example(graph=Graph(0, frozenset()))
-    @example(graph=Graph(10, frozenset()))
+    @example(graph=Graph.from_edges(0, frozenset()))
+    @example(graph=Graph.from_edges(10, frozenset()))
     @example(graph=complete_graph(10))
     def test_general_graphs(self, graph):
         assert independent_partition_counts(graph) == subset_dp_partition_counts(graph)
@@ -202,9 +203,20 @@ class TestChromaticNumber:
         for g in all_st4:
             assert greedy_coloring(g.graph).colors_used >= chromatic_number(g.graph)
 
+    def test_greedy_is_first_fit(self, all_st5):
+        graphs = [g.graph for g in all_st5]
+        graphs += [gen_random(n, s).graph for n in (8, 14, 22) for s in range(4)]
+        for graph in graphs:
+            assert greedy_coloring(graph).colors == first_fit_colors(graph)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=general_graphs(min_vertices=0, max_vertices=12))
+    def test_greedy_is_first_fit_on_general_graphs(self, graph):
+        assert greedy_coloring(graph).colors == first_fit_colors(graph)
+
     def test_empty_graph_rejected(self):
         with pytest.raises(DomainError):
-            chromatic_number(Graph(0, frozenset()))
+            chromatic_number(Graph.from_edges(0, frozenset()))
 
 
 def cycle_graph(n):
@@ -257,7 +269,7 @@ def sparse_graphs(draw, max_vertices=12):
     common; general_graphs is dense and nearly always has a triangle."""
     n = draw(st.integers(min_value=0, max_value=max_vertices))
     if n < 2:
-        return Graph(n, frozenset())
+        return Graph.from_edges(n, frozenset())
     vertex = st.integers(min_value=0, max_value=n - 1)
     edges = draw(
         st.lists(st.tuples(vertex, vertex).filter(lambda e: e[0] != e[1]), max_size=n + 3)
@@ -266,8 +278,8 @@ def sparse_graphs(draw, max_vertices=12):
 
 
 GIRTH_GRAPHS = {
-    "empty": (Graph(0, frozenset()), None),
-    "isolated-vertices": (Graph(3, frozenset()), None),
+    "empty": (Graph.from_edges(0, frozenset()), None),
+    "isolated-vertices": (Graph.from_edges(3, frozenset()), None),
     "path": (Graph.from_edges(6, [(i, i + 1) for i in range(5)]), None),
     "two-trees": (Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), None),
     "C5": (cycle_graph(5), 5),

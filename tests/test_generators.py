@@ -8,6 +8,7 @@ import pytest
 from stereograph import (
     DomainError,
     EdgeAbsent,
+    InternalInvariant,
     InvalidColoring,
     RangeError,
     StereotypeGraph,
@@ -47,10 +48,12 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 # incrementing expansion has nothing to grow there. Verified in-test.
 INDEX_ABOVE_CLIQUE = (0, 0, 0, 0, 0, 0, 1, 1, 0, 1)
 
-# build_with_csi(n, k) for 2 <= k <= n <= 10, each pattern written as the
+# build_with_csi(n, k) for 2 <= k <= n <= 14, each pattern written as the
 # hex value of its bits read as one big-endian binary number. Recorded
-# before colorings became one color per vertex, so any change to which
-# graph a build returns fails here.
+# before colorings became one color per vertex (n <= 10), and before the
+# construction carried its coloring between steps (n = 11..14, the sizes
+# the csi_files benchmark builds), so any change to which graph a build
+# returns fails here.
 BUILT_PATTERNS = {
     (2, 2): "1",
     (3, 2): "7", (3, 3): "5",
@@ -66,6 +69,27 @@ BUILT_PATTERNS = {
     (10, 2): "1fffffffffff", (10, 3): "1fefffffffff", (10, 4): "1fcffffffffe",
     (10, 5): "1f8ffffffff8", (10, 6): "1f0fffffffc0", (10, 7): "1e0ffffffc00",
     (10, 8): "1c0fffff8000", (10, 9): "180fffe00000", (10, 10): "100ff0000000",
+    (11, 2): "7fffffffffffff", (11, 3): "7fdfffffffffff", (11, 4): "7f9ffffffffffe",
+    (11, 5): "7f1ffffffffff8", (11, 6): "7e1fffffffffc0", (11, 7): "7c1ffffffffc00",
+    (11, 8): "781fffffff8000", (11, 9): "701fffffe00000", (11, 10): "601ffff0000000",
+    (11, 11): "401ff000000000",
+    (12, 2): "3ffffffffffffffff", (12, 3): "3ff7fffffffffffff", (12, 4): "3fe7ffffffffffffe",
+    (12, 5): "3fc7ffffffffffff8", (12, 6): "3f87fffffffffffc0", (12, 7): "3f07ffffffffffc00",
+    (12, 8): "3e07fffffffff8000", (12, 9): "3c07fffffffe00000", (12, 10): "3807ffffff0000000",
+    (12, 11): "3007ffff000000000", (12, 12): "2007fe00000000000",
+    (13, 2): "3fffffffffffffffffff", (13, 3): "3ffbffffffffffffffff",
+    (13, 4): "3ff3fffffffffffffffe", (13, 5): "3fe3fffffffffffffff8",
+    (13, 6): "3fc3ffffffffffffffc0", (13, 7): "3f83fffffffffffffc00",
+    (13, 8): "3f03ffffffffffff8000", (13, 9): "3e03ffffffffffe00000",
+    (13, 10): "3c03fffffffff0000000", (13, 11): "3803fffffff000000000",
+    (13, 12): "3003ffffe00000000000", (13, 13): "2003ff80000000000000",
+    (14, 2): "7ffffffffffffffffffffff", (14, 3): "7ffbfffffffffffffffffff",
+    (14, 4): "7ff3ffffffffffffffffffe", (14, 5): "7fe3ffffffffffffffffff8",
+    (14, 6): "7fc3fffffffffffffffffc0", (14, 7): "7f83ffffffffffffffffc00",
+    (14, 8): "7f03fffffffffffffff8000", (14, 9): "7e03fffffffffffffe00000",
+    (14, 10): "7c03ffffffffffff0000000", (14, 11): "7803ffffffffff000000000",
+    (14, 12): "7003fffffffe00000000000", (14, 13): "6003fffff80000000000000",
+    (14, 14): "4003ffc0000000000000000",
 }
 
 # census(6) as (k, labeled, isomorphism classes); the labeled counts agree
@@ -372,8 +396,9 @@ class TestBuildWithCsi:
             assert int("".join(map(str, g.bits)), 2) == int(pattern, 16), (n, k)
 
     def test_one_exact_search_per_step(self, monkeypatch):
-        """Each step's coloring is certified by a clique of its size, so
-        only the final check reruns the exact search."""
+        """The exact search runs once on the 4-cycle and once before each
+        incrementing step; preserving steps carry the coloring, and the
+        final check reads the carried certificate instead of searching."""
         calls = {"optimal_coloring": 0, "chromatic_number": 0}
 
         def counted(name):
@@ -389,7 +414,46 @@ class TestBuildWithCsi:
             monkeypatch.setattr(generators, name, counted(name))
         g = build_with_csi(10, 5)
         assert chromatic_number(g.graph) == 5
-        assert calls == {"optimal_coloring": 8, "chromatic_number": 1}
+        assert calls == {"optimal_coloring": 4, "chromatic_number": 0}
+
+    def test_carried_coloring_is_the_exact_search_coloring(self):
+        """Each preserving step's extended coloring is the one the exact
+        search returns on the expanded graph, so carrying it instead of
+        searching builds the same graph."""
+        g = gen_complete_bipartite(2)
+        coloring = optimal_coloring(g.graph)
+        for _ in range(20):
+            g, coloring = generators._preserving_step(g, coloring)
+            assert coloring == optimal_coloring(g.graph), g.n
+
+    @pytest.mark.parametrize(
+        "case",
+        ["pair-count", "coloring-too-small", "improper-coloring", "short-clique", "not-a-clique"],
+    )
+    def test_final_check_rejects_a_bad_certificate(self, case):
+        """The final check accepts exactly a proper k-coloring and a
+        k-clique of a graph on n pairs; anything less raises."""
+        g = build_with_csi(6, 4)
+        coloring = optimal_coloring(g.graph)
+        clique = graphs.find_clique_of_size(g.graph, 4)
+        generators._check_certificate(g, 6, 4, coloring, clique)
+        n, k = 6, 4
+        if case == "pair-count":
+            n = 7
+        elif case == "coloring-too-small":
+            k = 3
+        elif case == "improper-coloring":
+            # Four colors, but u1^1 and its partner u2^1 share one.
+            coloring = Coloring((coloring.colors[1],) + coloring.colors[1:])
+            assert coloring.colors_used == 4
+        elif case == "short-clique":
+            clique = clique[:3]
+        else:
+            first = clique[0]
+            outsider = next(v for v in range(12) if v != first and not g.graph.has_edge(first, v))
+            clique = (first, outsider) + clique[2:]
+        with pytest.raises(InternalInvariant, match="targeted construction reached"):
+            generators._check_certificate(g, n, k, coloring, clique)
 
 
 class TestDeleteEdges:

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import floyd_warshall_profile, permutation_isomorphic, trace_triangle_count
+from stereograph import graphs
+from stereograph.errors import DomainError
 from stereograph.graphs import Graph, find_isomorphism, iter_bits, normalize_edge
 from stereograph.spectral import adjacency_matrix
 from test_chromatic import GIRTH_GRAPHS, general_graphs, sparse_graphs
@@ -31,6 +33,43 @@ class TestIterBits:
     @given(mask=st.integers(min_value=0, max_value=(1 << 70) - 1))
     def test_ascending_set_bits(self, mask):
         assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+class TestMaskStorage:
+    def test_edge_set_in_place_of_masks_rejected(self):
+        with pytest.raises(TypeError, match="Graph.from_edges"):
+            Graph(3, frozenset({(0, 1)}))
+        with pytest.raises(TypeError):
+            Graph(2, [2, 1])
+
+    def test_mask_count_must_match_vertex_count(self):
+        with pytest.raises(DomainError, match="expected 3 neighbour masks, got 2"):
+            Graph(3, (2, 1))
+
+    def test_equal_edge_sets_give_equal_graphs(self):
+        path = Graph.from_edges(3, [(1, 0), (2, 1), (0, 1)])
+        assert path == Graph(3, (0b010, 0b101, 0b010))
+        assert hash(path) == hash(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        assert path.edges == frozenset({(0, 1), (1, 2)})
+        assert path != Graph.from_edges(4, [(0, 1), (1, 2)])
+
+    def test_has_edge_bounds(self):
+        path = PATHS["P3"]
+        assert path.has_edge(1, 0) and path.has_edge(1, 2)
+        assert not path.has_edge(0, 2)
+        # A negative id must not wrap round to the last vertex's mask.
+        assert not path.has_edge(-1, 1) and not path.has_edge(-1, 0)
+        assert not path.has_edge(2, 3) and not path.has_edge(3, 4)
+        with pytest.raises(DomainError, match="self-loop"):
+            path.has_edge(1, 1)
+
+    def test_delete_edges_ignores_absent_and_outside_edges(self):
+        path = PATHS["P4"]
+        assert path.delete_edges([(2, 1), (0, 3), (3, 9), (-1, 0)]) == Graph.from_edges(
+            4, [(0, 1), (2, 3)]
+        )
+        with pytest.raises(DomainError, match="self-loop"):
+            path.delete_edges([(1, 1)])
 
 
 class TestNeighbourViews:
@@ -112,17 +151,24 @@ class TestIsomorphism:
         if image.edges and non_edges and data.draw(st.booleans()):
             gone = data.draw(st.sampled_from(sorted(image.edges)))
             added = data.draw(st.sampled_from(non_edges))
-            image = Graph(image.vertex_count, image.edges - {gone} | {added})
+            image = Graph.from_edges(image.vertex_count, image.edges - {gone} | {added})
         mapping = find_isomorphism(graph, image)
         assert (mapping is not None) == permutation_isomorphic(graph, image)
         if mapping is not None:
             assert_is_isomorphism(mapping, graph, image)
 
+    def test_mapping_check_reads_every_neighbourhood(self):
+        """The re-verification of a found mapping rejects a bijection that
+        breaks an edge."""
+        path = PATHS["P3"]
+        assert graphs._mapping_preserves_edges(path, path, {0: 2, 1: 1, 2: 0})
+        assert not graphs._mapping_preserves_edges(path, path, {0: 1, 1: 0, 2: 2})
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_exhaustive_small_graphs(self, n):
         pairs = list(itertools.combinations(range(n), 2))
         graphs = [
-            Graph(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
+            Graph.from_edges(n, frozenset(e for e, keep in zip(pairs, bits) if keep))
             for bits in itertools.product((0, 1), repeat=len(pairs))
         ]
         for g1, g2 in itertools.combinations_with_replacement(graphs, 2):

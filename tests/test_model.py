@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import setwise_validate_stereotype, trace_triangle_count
+from oracles import edge_list, setwise_validate_stereotype, trace_triangle_count
 from test_chromatic import general_graphs
 from stereograph.spectral import adjacency_matrix
 from stereograph import (
@@ -201,7 +201,7 @@ class TestFromEdgeList:
 def assert_agrees_with_validator(n, edges, source=None):
     """from_edge_list accepts exactly what validate_stereotype calls
     valid, names the first clause it fails, and reads back the pattern."""
-    report = validate_stereotype(Graph(2 * n, frozenset(edges)))
+    report = validate_stereotype(Graph.from_edges(2 * n, frozenset(edges)))
     checks = {c.name: c for c in report.checks}
     try:
         g = from_edge_list(n, sorted(edges))
@@ -256,13 +256,13 @@ class TestRoundTrip:
     @settings(max_examples=80, deadline=None)
     @given(g=patterns())
     def test_edge_list_round_trip(self, g):
-        assert from_edge_list(g.n, g.edge_list()) == g
+        assert from_edge_list(g.n, edge_list(g)) == g
 
     @settings(max_examples=40, deadline=None)
     @given(g=patterns())
     def test_validation_accepts_graph_and_rejects_each_edge_deletion(self, g):
         assert validate_stereotype(g.graph).valid
-        for e in g.edge_list():
+        for e in edge_list(g):
             assert not validate_stereotype(g.graph.delete_edges([e])).valid
 
 
@@ -278,6 +278,16 @@ class TestBitmasks:
                 for j in range(1, n + 1):
                     if j != i:
                         assert row >> (j - 1) & 1 == g.bit(i, j), (g.bits, i, j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(g=patterns(max_n=24))
+    def test_graph_masks_agree_with_edge_list(self, g):
+        """The masks built from the rows, and the edge set derived from
+        them, are those of the edges written out from the definition."""
+        oracle = Graph.from_edges(g.vertex_count, edge_list(g))
+        assert g.graph.masks == oracle.masks
+        assert g.graph.edges == frozenset(edge_list(g))
+        assert Graph.from_edges(g.vertex_count, g.graph.edges) == g.graph
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_graph_masks_agree_with_neighbors(self, n):
@@ -300,7 +310,7 @@ class TestValidation:
             edges = g.graph.edges
             assert validate_stereotype(g.graph) == setwise_validate_stereotype(g.graph)
             for e in itertools.combinations(range(2 * n), 2):
-                perturbed = Graph(2 * n, edges ^ {e})
+                perturbed = Graph.from_edges(2 * n, edges ^ {e})
                 assert validate_stereotype(perturbed) == setwise_validate_stereotype(perturbed), e
 
     @settings(max_examples=300, deadline=None)
@@ -316,7 +326,7 @@ class TestValidation:
 
     def test_missing_in_pair_edge_detected(self):
         g = from_pattern(2, [0])
-        broken = Graph(4, g.graph.edges - {(2, 3)})
+        broken = Graph.from_edges(4, g.graph.edges - {(2, 3)})
         report = validate_stereotype(broken)
         assert not report.valid
         names = {c.name for c in report.failed()}
@@ -325,7 +335,7 @@ class TestValidation:
         assert witness == 2
 
     def test_odd_vertex_count_fails_pair_structure(self):
-        report = validate_stereotype(Graph(3, frozenset({(0, 1)})))
+        report = validate_stereotype(Graph.from_edges(3, frozenset({(0, 1)})))
         assert not report.valid
         assert report.checks[0].name == "pair-structure"
         assert not report.checks[0].passed
