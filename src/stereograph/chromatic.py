@@ -494,15 +494,15 @@ def stability_report(g: StereotypeGraph) -> StabilityReport:
     pattern switching_representative(g), which is isomorphic to g, and
     cached on that pattern: the 1024 graphs on 5 pairs need 64 reports.
     """
-    rep = switching_representative(g)
-    return _stability_report_cached(rep.n, rep.bits)
+    return _stability_report_cached(switching_representative(g).rows)
 
 
-# Keyed on the pattern rather than the graph so that an entry does not
-# keep the representative's graph, rows and neighbour masks alive.
+# Keyed on the representative's rows, which fix n as their length, rather
+# than on the graph, so that an entry does not keep the graph and its
+# neighbour masks alive.
 @lru_cache(maxsize=4096)
-def _stability_report_cached(n: int, bits: tuple[int, ...]) -> StabilityReport:
-    return _compute_stability_report(StereotypeGraph(n, bits))
+def _stability_report_cached(rows: tuple[int, ...]) -> StabilityReport:
+    return _compute_stability_report(StereotypeGraph(len(rows), rows))
 
 
 def _compute_stability_report(g: StereotypeGraph) -> StabilityReport:

@@ -38,7 +38,8 @@ from .graphs import (
 from .model import (
     StereotypeGraph,
     _check_pair_count,
-    _from_rows,
+    _all_rows,
+    _value_rows,
     from_pattern,
     pattern_length,
     recognize_complete_bipartite,
@@ -101,19 +102,13 @@ def enumerate_all(
     """All 2^C(n,2) stereotype graphs on n pairs in lexicographic bit order."""
     _check_pair_count(n)
     _check_bound("enumeration", n, limit, force)
-    length = pattern_length(n)
-    for value in range(1 << length):
-        yield from_pattern(n, _pattern_bits(value, length))
+    for rows in _all_rows(n):
+        yield StereotypeGraph(n, rows)
 
 
 def _check_bound(what: str, n: int, limit: int | None, force: bool) -> None:
     if limit is not None and n > limit and not force:
         raise TooLarge(f"{what} bounded at n <= {limit}, got n={n}")
-
-
-def _pattern_bits(value: int, length: int) -> tuple[int, ...]:
-    """The pattern whose bits, read as a big-endian binary number, are value."""
-    return tuple((value >> (length - 1 - s)) & 1 for s in range(length))
 
 
 @dataclass(frozen=True)
@@ -158,7 +153,7 @@ def census(
     for value in range(normalised):
         if seen[value]:
             continue
-        g = from_pattern(n, _pattern_bits(value, pattern_length(n)))
+        g = StereotypeGraph(n, _value_rows(n, value))
         orbit = _switching_orbit(g, permutations)
         for member in orbit:
             seen[member] = 1
@@ -241,10 +236,11 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
 
 
 def _assemble(g: StereotypeGraph, new_pair_bit: Callable[[int], int]) -> StereotypeGraph:
-    """g with pair n+1 added, wired to each pair i by new_pair_bit(i)."""
-    rows = [row | new_pair_bit(i) << g.n for i, row in enumerate(g.rows, 1)]
-    # The new pair's own row holds no bit above the diagonal.
-    return _from_rows(rows + [0])
+    """g with pair n+1 added, wired to each pair i by new_pair_bit(i):
+    that bit is bit n of rows[i-1] and bit i-1 of the new pair's row."""
+    wiring = [new_pair_bit(i) for i in range(1, g.n + 1)]
+    rows = tuple(row | bit << g.n for row, bit in zip(g.rows, wiring))
+    return StereotypeGraph(g.n + 1, rows + (sum(bit << i for i, bit in enumerate(wiring)),))
 
 
 def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph:

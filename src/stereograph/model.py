@@ -9,30 +9,34 @@ indices: 0 selects the parallel matching (u1-u1, u2-u2), 1 the crossed
 matching (u1-u2, u2-u1).
 
 Vertex ids are dense integers: u_p^i has id 2*(i-1) + (p-1), so ids run
-0..2n-1 in pair-major order. StereotypeGraph.rows holds the pattern as
-one bitmask per pair, and StereotypeGraph.graph builds the neighbour
-masks of the labeled graph from those rows directly.
+0..2n-1 in pair-major order. StereotypeGraph stores the pattern as one
+bitmask per pair (its rows); the bits are derived from them, and
+StereotypeGraph.graph builds the neighbour masks from them directly.
 
 Swapping the two sides of pair i (Seidel switching) flips every bit
 (i, j) and maps the graph to an isomorphic one, so every graph invariant
 is an invariant of the pattern's switching class. Each class has one
 normalised pattern, with pair 1 parallel to every other pair;
-switching_representative computes it, stability_report and the
-polynomial criteria key their caches on it, and the two recognizers
-read it: the complete bipartite class normalises to 1 on every bit
-outside pair 1's row, the complete ladder class to all 0.
+switching_representative computes it row by row, stability_report and
+the polynomial criteria key their caches on it, and the two recognizers
+compare g's switched rows with it: the complete bipartite class
+normalises to 1 on every bit outside pair 1's row, the complete ladder
+class to all 0.
 
 Every constructor checks the pair count with _check_pair_count, and
-every pattern built from per-pair rows goes through _from_rows.
+every pattern is checked as rows by the StereotypeGraph constructor;
+_pattern_rows is the one bits-to-rows conversion, which _value_rows and
+_all_rows use for pattern numbers.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, LengthMismatch, NotAStereotypeGraph
 from .graphs import Edge, Graph, _checked_edge, iter_bits
@@ -100,31 +104,48 @@ def _check_pair_count(n: int) -> None:
 
 @dataclass(frozen=True)
 class StereotypeGraph:
-    """A stereotype graph on n pairs, canonically encoded by its pattern bits."""
+    """A stereotype graph on n pairs, stored as its pattern's rows: bit
+    j-1 of rows[i-1] is bit(i, j), so each row lies in [0, 2^n), the
+    diagonal bits are 0 and the rows are symmetric. from_pattern builds
+    one from its matching bits."""
 
     n: int
-    bits: tuple[int, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # Any sequence of bits is stored as a tuple, so that equal patterns
-        # compare and hash alike and the pattern can key a cache.
-        if type(self.bits) is not tuple:
-            object.__setattr__(self, "bits", tuple(self.bits))
         _check_pair_count(self.n)
-        if len(self.bits) != pattern_length(self.n):
-            raise LengthMismatch(
-                f"expected {pattern_length(self.n)} pattern bits for n={self.n}, "
-                f"got {len(self.bits)}"
+        n, rows = self.n, self.rows
+        if type(rows) is not tuple:
+            raise TypeError(
+                f"StereotypeGraph takes a tuple of row bitmasks, got {type(rows).__name__}; "
+                "build a graph from matching bits with from_pattern"
             )
-        for b in self.bits:
-            if type(b) is not int or b not in (0, 1):
-                raise DomainError(f"pattern bits must be the int 0 or 1, got {b!r}")
+        if len(rows) != n:
+            raise LengthMismatch(f"expected {n} rows for n={n}, got {len(rows)}")
+        # Each row is checked against the rows before it.
+        limit = 1 << n
+        for i, row in enumerate(rows):
+            if type(row) is not int or not 0 <= row < limit or row >> i & 1:
+                raise DomainError(
+                    f"row {i} must be an int in [0, 2^{n}) with bit {i} clear, got {row!r}"
+                )
+            for j in range(i):
+                if (row >> j ^ rows[j] >> i) & 1:
+                    raise DomainError(f"row {i} is not symmetric with row {j}")
 
     def bit(self, i: int, j: int) -> int:
         """Matching bit between pairs i and j (order-insensitive)."""
         if i > j:
             i, j = j, i
-        return self.bits[pattern_slot(self.n, i, j)]
+        pattern_slot(self.n, i, j)  # raises DomainError unless 1 <= i < j <= n
+        return self.rows[i - 1] >> j - 1 & 1
+
+    @cached_property
+    def bits(self) -> tuple[int, ...]:
+        """The matching bits in lexicographic pair order: bit(1, 2),
+        bit(1, 3), ..., bit(n-1, n); from_pattern's argument."""
+        n = self.n
+        return tuple(row >> j & 1 for i, row in enumerate(self.rows) for j in range(i + 1, n))
 
     @property
     def vertex_count(self) -> int:
@@ -150,30 +171,56 @@ class StereotypeGraph:
             masks += [1 << 2 * i + 1 | parallel | crossed << 1, 1 << 2 * i | crossed | parallel << 1]
         return Graph(2 * n, tuple(masks))
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """One bitmask per pair: bit j-1 of rows[i-1] is bit(i, j), and
-        bit i-1 of rows[i-1] is 0."""
-        rows = [0] * self.n
-        for (i, j), b in zip(itertools.combinations(range(self.n), 2), self.bits):
-            if b:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-        return tuple(rows)
+
+def _pattern_rows(n: int, bits: Sequence[object]) -> tuple[int, ...]:
+    """The rows of the pattern on n pairs with the given matching bits, in
+    lexicographic pair order, after checking that each bit is the int 0
+    or 1. itertools.compress skips the parallel pairs of pairs, so only
+    the crossed ones are visited to set their two mirror bits; this
+    measured faster than checking and placing in one loop over every bit."""
+    for b in bits:
+        if type(b) is not int or b not in (0, 1):
+            raise DomainError(f"pattern bits must be the int 0 or 1, got {b!r}")
+    rows = [0] * n
+    for i, j in itertools.compress(itertools.combinations(range(n), 2), bits):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return tuple(rows)
 
 
-def _from_rows(rows: Sequence[int]) -> StereotypeGraph:
-    """The stereotype graph on len(rows) pairs whose bit(i, j) is bit j-1
-    of rows[i-1]; only the bits above the diagonal (j > i) are read."""
-    n = len(rows)
-    return StereotypeGraph(
-        n, tuple(row >> j & 1 for i, row in enumerate(rows) for j in range(i + 1, n))
-    )
+def _value_rows(n: int, value: int) -> tuple[int, ...]:
+    """The rows of the pattern on n pairs whose matching bits, read as a
+    binary number with bit(1, 2) most significant, are value."""
+    length = pattern_length(n)
+    return _pattern_rows(n, [value >> s & 1 for s in range(length - 1, -1, -1)])
+
+
+def _all_rows(n: int) -> Iterator[tuple[int, ...]]:
+    """The rows of every pattern on n pairs, in pattern-number order.
+
+    Rows are linear in the bits, so the rows of high << low | low_value
+    are the XOR of the rows of its two halves: each half is converted
+    once, and each pattern costs one XOR per row.
+    """
+    length = pattern_length(n)
+    low = length // 2
+    lows = [_value_rows(n, value) for value in range(1 << low)]
+    for high in range(1 << length - low):
+        high_rows = _value_rows(n, high << low)
+        for low_rows in lows:
+            yield tuple(map(operator.xor, high_rows, low_rows))
 
 
 def from_pattern(n: int, bits: Sequence[int]) -> StereotypeGraph:
-    """Build the unique stereotype graph with the given matching bits."""
-    return StereotypeGraph(n, tuple(bits))
+    """Build the unique stereotype graph with the given matching bits, in
+    lexicographic pair order (the order of StereotypeGraph.bits)."""
+    _check_pair_count(n)
+    bits = tuple(bits)
+    if len(bits) != pattern_length(n):
+        raise LengthMismatch(
+            f"expected {pattern_length(n)} pattern bits for n={n}, got {len(bits)}"
+        )
+    return StereotypeGraph(n, _pattern_rows(n, bits))
 
 
 def pattern_of(g: StereotypeGraph) -> tuple[int, ...]:
@@ -219,9 +266,10 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
             message=f"pairs ({i}, {j}) induce cross edges "
             f"{cross} instead of a perfect matching",
         )
-    return StereotypeGraph(
-        n, tuple(masks[2 * i] >> 2 * j + 1 & 1 for i, j in itertools.combinations(range(n), 2))
+    crossed = (
+        sum(1 << j for j in range(n) if j != i and masks[2 * i] >> 2 * j + 1 & 1) for i in range(n)
     )
+    return StereotypeGraph(n, tuple(crossed))
 
 
 @dataclass(frozen=True)
@@ -356,40 +404,50 @@ def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
     """Induced stereotype graph on the first m pairs."""
     if not 1 <= m <= g.n:
         raise DomainError(f"need 1 <= m <= {g.n}, got {m}")
-    return _from_rows(g.rows[:m])
+    return StereotypeGraph(m, tuple(row & (1 << m) - 1 for row in g.rows[:m]))
+
+
+def _normalised_rows(g: StereotypeGraph) -> Iterator[int]:
+    """The rows of switching_representative(g), one at a time.
+
+    Swapping the sides of pair i flips every bit(i, j), so switching the
+    pairs i with bit(1, i) = 1 clears row 1 and turns bit(i, j) into
+    bit(i, j) ^ bit(1, i) ^ bit(1, j). On the rows, with s = rows[0],
+    row i becomes row_i ^ s, complemented when pair i is switched.
+    """
+    rows = g.rows
+    s = rows[0]
+    full = (1 << g.n) - 1
+    return (row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows))
 
 
 def switching_representative(g: StereotypeGraph) -> StereotypeGraph:
     """The member of g's switching class with pair 1 parallel to every
     other pair: the normalised pattern the census walks.
 
-    Swapping the sides of pair i flips every bit(i, j), so switching the
-    pairs i with bit(1, i) = 1 clears row 1 and turns bit(i, j) into
-    bit(i, j) ^ bit(1, i) ^ bit(1, j). On the rows, with s = rows[0],
-    row i becomes row_i ^ s, complemented when pair i is switched. The
-    result is isomorphic to g, so every graph invariant agrees on the
-    two, and all 2^(n-1) patterns of a class share it.
+    The result is isomorphic to g, so every graph invariant agrees on
+    the two, and all 2^(n-1) patterns of a class share it.
     """
-    rows = g.rows
-    s = rows[0]
-    if s == 0:
+    if g.rows[0] == 0:
         return g
-    full = (1 << g.n) - 1
-    return _from_rows([row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows)])
+    return StereotypeGraph(g.n, tuple(_normalised_rows(g)))
 
 
 def recognize_complete_bipartite(g: StereotypeGraph) -> bool:
     """True iff g is a complete bipartite graph on equal sides, i.e. the
-    pattern switches to all-crossed (no pair triple is XOR-0): its
-    switching representative is 1 everywhere after pair 1's row."""
-    return all(switching_representative(g).bits[g.n - 1 :])
+    pattern switches to all-crossed (no pair triple is XOR-0): every row
+    of its switching representative after pair 1's is 1 off the diagonal
+    and pair 1. Stops at the first row that is not."""
+    full = (1 << g.n) - 1
+    return all(row == full ^ 1 ^ 1 << i for i, row in enumerate(_normalised_rows(g)) if i)
 
 
 def recognize_complete_ladder(g: StereotypeGraph) -> bool:
     """True iff g is two n-cliques joined by a perfect matching, i.e. the
-    pattern switches to all-parallel (every pair triple is XOR-0): its
-    switching representative is 0 everywhere."""
-    return not any(switching_representative(g).bits)
+    pattern switches to all-parallel (every pair triple is XOR-0): every
+    row of its switching representative is 0. Stops at the first row
+    that is not."""
+    return not any(_normalised_rows(g))
 
 
 __all__ = [

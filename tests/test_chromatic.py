@@ -540,9 +540,11 @@ class TestStabilityReport:
             assert report.agreement, (g.n, g.bits)
 
     def test_pattern_given_as_a_list(self):
-        # Row 0 is zero, so the graph is its own representative and its
-        # bits key the report cache directly.
-        assert stability_report(StereotypeGraph(3, [0, 0, 0])) == stability_report(
+        # The constructor takes only a tuple of rows, so no list can reach
+        # the report cache as a key; a list of bits goes through from_pattern.
+        with pytest.raises(TypeError, match="from_pattern"):
+            StereotypeGraph(3, [0, 0, 0])
+        assert stability_report(StereotypeGraph(3, (0, 0, 0))) == stability_report(
             from_pattern(3, [0, 0, 0])
         )
 

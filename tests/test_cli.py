@@ -1,9 +1,14 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stereograph
 import stereograph.cli as cli
 from stereograph.chromatic import StabilityReport
 
@@ -142,6 +147,23 @@ class TestCsiAndPolynomials:
         code, out, _ = run(capsys, "csi", kl3_file)
         assert code == 0
         assert out.splitlines()[0] == "3"
+
+    def test_python_dash_m_runs_the_cli(self, capsys, kl3_file):
+        # python -m stereograph prints what the stereograph entry point,
+        # cli.main, prints for the same arguments.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(stereograph.__file__).parent.parent), env.get("PYTHONPATH")) if p
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "stereograph", "csi", kl3_file],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        code, out, _ = run(capsys, "csi", kl3_file)
+        assert (result.returncode, result.stdout) == (code, out) == (0, "3\n")
 
     def test_csi_witness(self, capsys, kl3_file):
         code, out, _ = run(capsys, "csi", kl3_file, "--witness")

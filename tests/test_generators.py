@@ -201,6 +201,16 @@ class TestEnumeration:
         assert patterns[0] == (0, 0, 0)
         assert patterns[-1] == (1, 1, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_pattern_number_order(self, n):
+        # Graph number v has the bits of v, most significant first.
+        length = pattern_length(n)
+        expected = [
+            from_pattern(n, [v >> length - 1 - s & 1 for s in range(length)])
+            for v in range(1 << length)
+        ]
+        assert list(enumerate_all(n)) == expected
+
     def test_three_pairs_stable_count(self):
         stable = [
             g for g in enumerate_all(3) if two_coloring(g.graph).coloring is not None

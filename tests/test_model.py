@@ -136,12 +136,16 @@ class TestFromPattern:
             StereotypeGraph(3, (0, bit, 0))
 
     def test_bits_stored_as_tuple(self):
-        # A list of bits is kept as the tuple from_pattern builds, so the
-        # graph hashes and keys the report cache like any other.
-        g = StereotypeGraph(3, [0, 1, 0])
-        assert type(g.bits) is tuple
-        assert g == from_pattern(3, [0, 1, 0])
-        assert hash(g) == hash(from_pattern(3, [0, 1, 0]))
+        # The constructor takes a tuple of rows and nothing else, so a
+        # stale call with a list of bits fails loudly; from_pattern takes
+        # any sequence of bits and derives them back as a tuple.
+        with pytest.raises(TypeError, match="from_pattern"):
+            StereotypeGraph(3, [0, 1, 0])
+        g = from_pattern(3, [0, 1, 0])
+        assert type(g.rows) is tuple and type(g.bits) is tuple
+        assert g.bits == (0, 1, 0)
+        assert g == StereotypeGraph(3, g.rows)
+        assert hash(g) == hash(StereotypeGraph(3, g.rows))
 
     @pytest.mark.parametrize("n, bits", [(2.0, [1]), (True, [])])
     def test_non_int_pair_count_rejected(self, n, bits):
@@ -299,6 +303,66 @@ class TestBitmasks:
                 expected = {w for e in graph.edges if v in e for w in e if w != v}
                 assert graph.masks[v] == sum(1 << w for w in expected)
                 assert graph.neighbors(v) == expected
+
+
+class TestRows:
+    """The rows are the stored form; the bits are derived from them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=patterns(max_n=12))
+    def test_rows_and_bits_build_the_same_graph(self, g):
+        by_rows = StereotypeGraph(g.n, g.rows)
+        by_bits = from_pattern(g.n, g.bits)
+        assert by_rows == by_bits == g
+        assert hash(by_rows) == hash(by_bits) == hash(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=patterns(max_n=12))
+    def test_rows_are_symmetric_with_a_zero_diagonal(self, g):
+        for i, row in enumerate(g.rows):
+            assert row >> i & 1 == 0
+            assert row >> g.n == 0
+            for j, other in enumerate(g.rows):
+                assert row >> j & 1 == other >> i & 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=patterns(max_n=12), data=st.data())
+    def test_each_broken_row_is_rejected(self, g, data):
+        n, rows = g.n, g.rows
+        i = data.draw(st.integers(min_value=0, max_value=n - 1), label="row")
+
+        def with_row(row):
+            return rows[:i] + (row,) + rows[i + 1 :]
+
+        broken = [rows[i] | 1 << i, rows[i] | 1 << n, True, False]
+        if n >= 2:
+            j = data.draw(st.sampled_from([j for j in range(n) if j != i]), label="column")
+            broken.append(rows[i] ^ 1 << j)
+        for row in broken:
+            with pytest.raises(DomainError):
+                StereotypeGraph(n, with_row(row))
+
+    @pytest.mark.parametrize(
+        "n, rows, error",
+        [
+            (3, [0, 1, 0], TypeError),
+            (3, (0, 1, 0), DomainError),
+            (2, (0,), LengthMismatch),
+            (2, (0, 1, 0), LengthMismatch),
+            (2, (-1, 0), DomainError),
+            (2, (2.0, 1), DomainError),
+        ],
+    )
+    def test_constructor_rejects(self, n, rows, error):
+        with pytest.raises(error):
+            StereotypeGraph(n, rows)
+
+    def test_extreme_classes_at_larger_sizes(self):
+        for n in (7, 8, 9, 17):
+            for g in (gen_complete_bipartite(n), gen_complete_ladder(n)):
+                assert StereotypeGraph(n, g.rows) == from_pattern(n, g.bits) == g
+            full = (1 << n) - 1
+            assert gen_complete_bipartite(n).rows == tuple(full ^ 1 << i for i in range(n))
 
 
 class TestValidation:
