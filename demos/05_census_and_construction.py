@@ -2,8 +2,11 @@
 
 The chromatic stability index ranges over every integer in [2, n], with
 the all-crossed pattern alone at 2 and the ladder alone at n. Any index
-in between is reachable by growing the 2-pair 4-cycle one pair at a
-time. Deleting edges (dropping assumptions) never raises the index.
+in between is reached by the expansion chain: grow the 2-pair 4-cycle
+one pair at a time, n-k steps that keep the index and then k-2 that
+raise it. build_with_csi writes that chain's result down directly,
+with a coloring and a clique that certify its index. Deleting edges
+(dropping assumptions) never raises the index.
 """
 
 from stereograph import (

@@ -7,9 +7,9 @@ stream, so identical (n, seed) inputs reproduce byte-identical graphs on
 every platform. The expansion operations add one pair at a time, either
 preserving the chromatic stability index or incrementing it by building
 a clique through the new pair, which together reach every index in
-[2, n]. build_with_csi chains them and carries a proper coloring and a
-clique of equal size from step to step, so the index of what it builds
-is certified without a final search.
+[2, n]. build_with_csi writes down the graph their chain reaches, with a
+proper coloring and a clique of equal size, so the index of what it
+builds is certified in O(n^2) without a search.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from .chromatic import Coloring, chromatic_number, optimal_coloring
+from .chromatic import Coloring, chromatic_number
 from .errors import (
     DomainError,
     EdgeAbsent,
@@ -252,12 +252,6 @@ def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph
     result has one more pair and the same chromatic stability index.
     """
     _validate_optimal_coloring(g, coloring)
-    return _preserving_step(g, coloring)[0]
-
-
-def _preserving_step(g: StereotypeGraph, coloring: Coloring) -> tuple[StereotypeGraph, Coloring]:
-    """The preserving wiring for a coloring already known to be optimal:
-    the expanded graph and the coloring extended by [1, 2]."""
     colors = coloring.colors
 
     def bit_for(i: int) -> int:
@@ -268,10 +262,9 @@ def _preserving_step(g: StereotypeGraph, coloring: Coloring) -> tuple[Stereotype
         return int(c1 == 1 or c2 == 2)
 
     expanded = _assemble(g, bit_for)
-    extended = Coloring(colors + (1, 2))
-    if not extended.is_proper(expanded.graph):
+    if not Coloring(colors + (1, 2)).is_proper(expanded.graph):
         raise InternalInvariant("preserving expansion broke the extended coloring")
-    return expanded, extended
+    return expanded
 
 
 def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph:
@@ -288,16 +281,6 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
     clique = _validate_optimal_coloring(g, coloring)
     if g.n < 2:
         raise DomainError("a cross clique needs at least two pairs")
-    return _incrementing_step(g, coloring, clique)[0]
-
-
-def _incrementing_step(
-    g: StereotypeGraph, coloring: Coloring, clique: tuple[int, ...] | None
-) -> tuple[StereotypeGraph, Coloring, tuple[int, ...]]:
-    """The incrementing wiring for an optimal coloring of g on at least
-    two pairs and the smallest clique certifying it (None if there is
-    none): the expanded graph, the extended coloring and the grown
-    clique, which is the clique wired through plus the new side-1 vertex."""
     t = coloring.colors_used
     if t == 2:
         # The smallest 2-clique is pair 1's own edge (0, 1); the expansion
@@ -308,7 +291,6 @@ def _incrementing_step(
     if clique is None:
         # The index can exceed the clique number (first at 5 pairs), and
         # the incrementing wiring is undefined without a clique to grow.
-        # Graphs produced by build_with_csi always carry one.
         raise DomainError(
             f"graph has index {t} but no cross clique of that size; "
             "the incrementing expansion does not apply"
@@ -342,54 +324,58 @@ def _incrementing_step(
         return int(colors[vertex_id(i, 2)] == partner)
 
     expanded = _assemble(g, bit_for)
-    extended = Coloring(tuple(colors + [new_color, partner]))
-    if not extended.is_proper(expanded.graph):
+    if not Coloring(tuple(colors + [new_color, partner])).is_proper(expanded.graph):
         raise InternalInvariant("incrementing expansion broke the extended coloring")
-    return expanded, extended, clique + (g.vertex_count,)
+    return expanded
 
 
 def build_with_csi(n: int, k: int) -> StereotypeGraph:
     """A stereotype graph on n pairs with chromatic stability index
-    exactly k, grown from the 2-pair 4-cycle by n-k preserving steps and
-    then k-2 incrementing steps.
+    exactly k: the graph that n-k preserving and then k-2 incrementing
+    expansions grow from the 2-pair 4-cycle, written down directly.
 
-    The construction carries its own certificate: a proper coloring and
-    a clique of the same size, which bound the index from above and
-    below. A preserving step extends the coloring in hand by [1, 2]
-    without a search. That is the coloring the exact search would
-    return: the coloring in hand is first-fit, the preserving wiring
-    leaves color 1 free at the new side-1 vertex and color 2 at the new
-    side-2 vertex, so first-fit on the expanded graph extends it by
-    [1, 2], and the clique in hand, which the step keeps, shows that
-    optimal. Each incrementing step takes the exact search's coloring
-    and its smallest certifying clique, and grows both by one. The final
-    graph is certified by checking the coloring and the clique it ends
-    with, not by another search.
+    With m = n-k+2, pairs 1..m are all crossed (K_{m,m}), and the k-2
+    added pairs m+1..n are parallel to pair 1 and to each other and
+    crossed to pairs 2..m. The certificate is written down with it:
+    - the clique u1^1, u2^2, u1^{m+1}, ..., u1^n. u2^2 is crossed to
+      pair 1 and to every added pair, and those pairs are pairwise
+      parallel, so their side-1 vertices meet each other and u2^2.
+    - the coloring u1 = 1, u2 = 2 on pairs 2..m; u1^1 = 1, u2^1 = k; and
+      3+e, 2+e on the e-th added pair (e = 0..k-3). Each pair's two
+      colors differ. Color 1 is only on side 1 and color 2 only on side
+      2, and every crossed edge joins a vertex of pairs 2..m to one on
+      the other side. The parallel edges join pair 1 and the added
+      pairs, whose side-1 colors 1, 3..k and side-2 colors k, 2..k-1 are
+      distinct.
+    A k-clique and a proper k-coloring give k <= index <= k, and
+    _check_certificate checks both on every call.
     """
-    if not 2 <= k <= n:
-        raise RangeError(f"need 2 <= k <= n, got k={k}, n={n}")
-    g = gen_complete_bipartite(2)
-    coloring = optimal_coloring(g.graph)
-    clique = _validate_optimal_coloring(g, coloring)
-    for _ in range(n - k):
-        g, coloring = _preserving_step(g, coloring)
-    for _ in range(k - 2):
-        coloring = optimal_coloring(g.graph)
-        g, coloring, clique = _incrementing_step(
-            g, coloring, _validate_optimal_coloring(g, coloring)
-        )
+    _check_pair_count(n)
+    if type(k) is not int or not 2 <= k <= n:
+        raise RangeError(f"need 2 <= k <= n, got k={k!r}, n={n}")
+    m = n - k + 2
+    # Bit j-1 of row i-1 is set when pairs i and j are crossed.
+    to_2_m = (1 << m) - 2
+    every_pair = (1 << n) - 1
+    rows = (to_2_m,) + tuple(every_pair ^ 1 << i for i in range(1, m)) + (to_2_m,) * (k - 2)
+    g = StereotypeGraph(n, rows)
+    added = range(k - 2)
+    coloring = Coloring(
+        (1, k) + (1, 2) * (m - 1) + tuple(c for e in added for c in (3 + e, 2 + e))
+    )
+    clique = (vertex_id(1, 1), vertex_id(2, 2)) + tuple(vertex_id(m + 1 + e, 1) for e in added)
     _check_certificate(g, n, k, coloring, clique)
     return g
 
 
 def _check_certificate(
-    g: StereotypeGraph, n: int, k: int, coloring: Coloring, clique: tuple[int, ...] | None
+    g: StereotypeGraph, n: int, k: int, coloring: Coloring, clique: tuple[int, ...]
 ) -> None:
     """Raise InternalInvariant unless g has n pairs, coloring is a proper
     k-coloring of it and clique is a k-vertex clique of it: then
     k <= clique number <= index <= k, so the index is exactly k."""
     masks = g.graph.masks
-    members = sum(1 << v for v in clique or ())
+    members = sum(1 << v for v in clique)
     if not (
         g.n == n
         and coloring.colors_used == k

@@ -20,8 +20,10 @@ edge removed (edge_bfs_girth), distances, degrees and connectivity from
 Floyd-Warshall on the dense adjacency matrix (floyd_warshall_profile),
 isomorphism from every vertex permutation (permutation_isomorphic), and
 stereotype validation from edge-tuple sets (setwise_validate_stereotype),
-and a stereotype graph's edges from its pattern bits one pair of pairs
-at a time (edge_list).
+a stereotype graph's edges from its pattern bits one pair of pairs
+at a time (edge_list), and the CSI-targeted construction from the
+paper's chain of expansion steps, each on the exact search's coloring
+(chained_build_with_csi).
 Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
@@ -31,7 +33,14 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from stereograph import chromatic_number, from_pattern
+from stereograph import (
+    chromatic_number,
+    expand_incrementing,
+    expand_preserving,
+    from_pattern,
+    gen_complete_bipartite,
+    optimal_coloring,
+)
 from stereograph.graphs import Edge, Graph, graph_isomorphic, normalize_edge
 from stereograph.merge import MergeOutcome, MergeStep, StabilityVerdict
 from stereograph.model import (
@@ -311,6 +320,18 @@ def pairwise_census(n: int) -> list[tuple[int, int, int, int]]:
         if not any(graph_isomorphic(graph, known) for known in reps):
             reps.append(graph)
     return [(n, k, labeled[k], len(representatives[k])) for k in sorted(labeled)]
+
+
+def chained_build_with_csi(n: int, k: int) -> StereotypeGraph:
+    """The graph on n pairs with index k grown from the 2-pair 4-cycle by
+    n-k preserving and then k-2 incrementing expansions, each step on the
+    exact search's optimal coloring of the graph in hand."""
+    g = gen_complete_bipartite(2)
+    for _ in range(n - k):
+        g = expand_preserving(g, optimal_coloring(g.graph))
+    for _ in range(k - 2):
+        g = expand_incrementing(g, optimal_coloring(g.graph))
+    return g
 
 
 def edge_bfs_girth(graph: Graph) -> int | None:

@@ -229,6 +229,14 @@ class TestGenerateAndBuild:
         assert doc["n"] == 5
         assert doc["meta"]["csi"] == 3
 
+    def test_build_at_120_pairs(self, capsys):
+        """build needs no bound: it writes its graph down without a search."""
+        code, out, _ = run(capsys, "build", "--n", "120", "--csi", "60")
+        assert code == 0
+        g = stereograph.graph_from_dict(json.loads(out))
+        assert g.n == 120
+        assert stereograph.recognize_complete_bipartite(stereograph.restrict_pairs(g, 62))
+
     def test_build_out_of_range(self, capsys):
         code, _, err = run(capsys, "build", "--n", "3", "--csi", "5")
         assert code == 1

@@ -38,7 +38,7 @@ from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
 from stereograph.model import pattern_length
 
-from oracles import pairwise_census
+from oracles import chained_build_with_csi, pairwise_census
 
 # Reference outputs of splitmix64 for seed 0, from the published test
 # vectors of the original implementation.
@@ -109,6 +109,7 @@ SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32
         lambda n: StereotypeGraph(n, ()),
         lambda n: from_pattern(n, ()),
         lambda n: from_edge_list(n, [(0, 1)]),
+        lambda n: build_with_csi(n, 2),
     ],
     ids=[
         "bipartite",
@@ -119,6 +120,7 @@ SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32
         "StereotypeGraph",
         "from_pattern",
         "from_edge_list",
+        "build_with_csi",
     ],
 )
 def test_generators_reject_bad_pair_count(make, n):
@@ -380,10 +382,10 @@ class TestExpansion:
 
 class TestBuildWithCsi:
     def test_range_errors(self):
-        with pytest.raises(RangeError):
-            build_with_csi(3, 1)
-        with pytest.raises(RangeError):
-            build_with_csi(3, 4)
+        for k in (1, 4, 2.0, 3.0, True, "3", None):
+            message = f"need 2 <= k <= n, got k={k!r}, n=3"
+            with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+                build_with_csi(3, k)
 
     def test_examples(self):
         g = build_with_csi(4, 3)
@@ -405,36 +407,62 @@ class TestBuildWithCsi:
             assert g.n == n
             assert int("".join(map(str, g.bits)), 2) == int(pattern, 16), (n, k)
 
-    def test_one_exact_search_per_step(self, monkeypatch):
-        """The exact search runs once on the 4-cycle and once before each
-        incrementing step; preserving steps carry the coloring, and the
-        final check reads the carried certificate instead of searching."""
-        calls = {"optimal_coloring": 0, "chromatic_number": 0}
+    def test_equals_the_expansion_chain(self):
+        """The closed form is the graph the chain of expansion steps
+        builds, each step on the exact search's coloring."""
+        for n in range(2, 17):
+            for k in range(2, n + 1):
+                assert build_with_csi(n, k) == chained_build_with_csi(n, k), (n, k)
 
-        def counted(name):
-            original = getattr(generators, name)
+    def test_runs_no_search(self, monkeypatch):
+        """A build writes its certificate down: no coloring or clique
+        search runs, under any name the package gives one."""
+        names = (
+            "optimal_coloring",
+            "chromatic_number",
+            "find_clique_of_size",
+            "max_clique_size",
+            "_k_coloring",
+        )
+        calls = dict.fromkeys(names, 0)
 
-            def wrapper(graph):
+        def counted(name, original):
+            def wrapper(*args):
                 calls[name] += 1
-                return original(graph)
+                return original(*args)
 
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(generators, name, counted(name))
+        for module in (graphs, chromatic, generators):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         g = build_with_csi(10, 5)
-        assert chromatic_number(g.graph) == 5
-        assert calls == {"optimal_coloring": 4, "chromatic_number": 0}
+        assert calls == dict.fromkeys(names, 0)
+        # The counters are live: the exact search on the result reaches them.
+        assert chromatic.chromatic_number(g.graph) == 5
+        assert calls["chromatic_number"] == 1 and calls["_k_coloring"] >= 1
 
-    def test_carried_coloring_is_the_exact_search_coloring(self):
-        """Each preserving step's extended coloring is the one the exact
-        search returns on the expanded graph, so carrying it instead of
-        searching builds the same graph."""
-        g = gen_complete_bipartite(2)
-        coloring = optimal_coloring(g.graph)
-        for _ in range(20):
-            g, coloring = generators._preserving_step(g, coloring)
-            assert coloring == optimal_coloring(g.graph), g.n
+    def test_certificate_holds_up_to_forty_pairs(self, monkeypatch):
+        """Every build up to 40 pairs is a stereotype graph whose written
+        certificate is a proper k-coloring and a k-clique."""
+        certificates = []
+
+        def recorded(g, n, k, coloring, clique):
+            certificates.append((g, coloring, clique))
+            check_certificate(g, n, k, coloring, clique)
+
+        check_certificate = generators._check_certificate
+        monkeypatch.setattr(generators, "_check_certificate", recorded)
+        for n in range(2, 41):
+            for k in range(2, n + 1):
+                g = build_with_csi(n, k)
+                assert validate_stereotype(g.graph).valid, (n, k)
+                assert certificates[-1][0] is g
+                _, coloring, clique = certificates[-1]
+                assert coloring.colors_used == k and coloring.is_proper(g.graph), (n, k)
+                assert len(set(clique)) == k, (n, k)
+                assert all(g.graph.has_edge(u, v) for u, v in itertools.combinations(clique, 2))
 
     @pytest.mark.parametrize(
         "case",
