@@ -14,10 +14,14 @@ the normalised pattern, and cached on that pattern: the 1024 graphs on
 5 pairs need 64 reports. Proper-coloring counts are,
 separately, plain backtracking over raw color assignments so the two
 routes stay independent of each other. The chromatic number is exact
-branch and bound: greedy upper bound, maximum-clique lower bound, then,
-when they differ, DSATUR k-coloring searches with one maximum clique
-pre-colored. Every coloring is one color per vertex id, a `Coloring`
-tuple, from the search to the witness.
+branch and bound: greedy upper bound, then one clique search for the
+smallest maximum clique, which is both the lower bound and the clique
+pre-colored by the DSATUR k-coloring searches run when the bounds
+differ. Each search keeps its state as ints on the neighbour bitmasks:
+the uncolored set, each color's members and the union of their
+neighbourhoods, and the uncolored vertices bucketed by saturation.
+Every coloring is one color per vertex id, a `Coloring` tuple, from the
+search to the witness.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, InternalInvariant, SizeExceeded
-from .graphs import Graph, find_clique_of_size, iter_bits, max_clique_size
+from .graphs import Graph, is_clique, iter_bits, max_clique
 from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
@@ -253,95 +257,111 @@ def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | Non
     with at most k colors, the given clique (k >= its size) pre-colored
     1..len(clique).
 
-    Each vertex keeps a bitmask of the colors on its colored neighbors,
-    backed by per-vertex, per-color counts so that undoing a color is
-    exact. The search branches on the uncolored vertex with the most
-    distinct neighbor colors (ties: most uncolored neighbors, then the
-    lowest id), tries only its free colors and at most one color not yet
-    used anywhere, and backs out as soon as an uncolored neighbor is left
-    with no color.
+    The state is a handful of ints on the neighbour bitmasks: the
+    uncolored set, the members of each color, the union `seen[c]` of
+    the neighbourhoods of color c's members, and buckets of vertices
+    keyed by saturation (the number of distinct colors on their
+    neighbours). Coloring v with c moves `masks[v] & uncolored &
+    ~seen[c]` up one bucket; a vertex reaching bucket k has no color
+    left, which is a dead end, and undoing restores the saved ints. A
+    colored vertex stays in the bucket it left, so the buckets are read
+    through the uncolored set. The search branches on the lowest id
+    with the most uncolored neighbours in the highest non-empty bucket,
+    that is on the uncolored vertex with the most distinct neighbour
+    colors, then the most uncolored neighbours, then the lowest id. It
+    tries only that vertex's free colors, and at most one color not yet
+    used anywhere.
     """
-    n = graph.vertex_count
-    adjacent = [tuple(iter_bits(mask)) for mask in graph.masks]
-    palette = (1 << (k + 1)) - 2  # colors 1..k are bits 1..k
-    forbidden = [0] * n
-    counts = [[0] * (k + 1) for _ in range(n)]
-    open_degree = [len(ws) for ws in adjacent]
-    colors = [0] * n
-    uncolored = set(range(n))
+    masks = graph.masks
+    members = [0] * (k + 1)  # colors 1..k; entry 0 unused
+    seen = [0] * (k + 1)
 
-    def assign(v: int, c: int) -> bool:
-        """Color v with c; False if an uncolored neighbor has no color left."""
-        colors[v] = c
-        uncolored.discard(v)
-        bit = 1 << c
-        alive = True
-        for w in adjacent[v]:
-            open_degree[w] -= 1
-            row = counts[w]
-            row[c] += 1
-            if row[c] == 1:
-                forbidden[w] |= bit
-                if forbidden[w] == palette and not colors[w]:
-                    alive = False
-        return alive
+    def color(v: int, c: int, uncolored: int, buckets: list[int]) -> list[int] | None:
+        """The buckets after coloring v with c, or None at a dead end;
+        members[c] and seen[c] are updated in place."""
+        members[c] |= 1 << v
+        raised = masks[v] & uncolored & ~seen[c]
+        seen[c] |= masks[v]
+        buckets = buckets[:]
+        s = 0
+        while raised:
+            up = buckets[s] & raised
+            if up:
+                buckets[s] ^= up
+                buckets[s + 1] |= up
+                raised ^= up
+            s += 1
+        return None if buckets[k] else buckets
 
-    def unassign(v: int) -> None:
-        c = colors[v]
-        colors[v] = 0
-        uncolored.add(v)
-        bit = 1 << c
-        for w in adjacent[v]:
-            open_degree[w] += 1
-            row = counts[w]
-            row[c] -= 1
-            if row[c] == 0:
-                forbidden[w] ^= bit
-
-    def search(used: int) -> bool:
+    def search(uncolored: int, buckets: list[int], used: int) -> bool:
         if not uncolored:
             return True
-        v = max(
-            uncolored,
-            key=lambda u: (forbidden[u].bit_count(), open_degree[u], -u),
-        )
-        limit = min(used + 1, k)
-        free = palette & ~forbidden[v] & ((2 << limit) - 1)
-        while free:
-            bit = free & -free
-            free ^= bit
-            c = bit.bit_length() - 1
-            if assign(v, c) and search(max(used, c)):
+        s = k - 1
+        while not buckets[s] & uncolored:
+            s -= 1
+        top = buckets[s] & uncolored
+        most = -1
+        while top:
+            bit = top & -top
+            top ^= bit
+            u = bit.bit_length() - 1
+            degree = (masks[u] & uncolored).bit_count()
+            if degree > most:
+                v, most = u, degree
+        rest = uncolored ^ 1 << v
+        for c in range(1, min(used + 1, k) + 1):
+            if seen[c] >> v & 1:
+                continue
+            saved = seen[c]
+            after = color(v, c, rest, buckets)
+            if after is not None and search(rest, after, max(used, c)):
                 return True
-            unassign(v)
+            members[c] ^= 1 << v
+            seen[c] = saved
         return False
 
+    uncolored = (1 << graph.vertex_count) - 1
+    buckets = [uncolored] + [0] * k
     for c, v in enumerate(clique, start=1):
-        if not assign(v, c):
+        uncolored ^= 1 << v
+        after = color(v, c, uncolored, buckets)
+        if after is None:
             return None
-    if not search(len(clique)):
+        buckets = after
+    if not search(uncolored, buckets, len(clique)):
         return None
+    colors = [0] * graph.vertex_count
+    for c in range(1, k + 1):
+        for v in iter_bits(members[c]):
+            colors[v] = c
     return Coloring(tuple(colors))
 
 
 def optimal_coloring(graph: Graph) -> Coloring:
-    """A verified proper coloring using exactly chi(graph) colors."""
+    """A verified proper coloring using exactly chi(graph) colors.
+
+    One clique search gives both the lower bound and the clique that the
+    exact search pre-colors. That clique is checked on the masks before
+    the search and against the palette after it, so a wrong lower bound
+    raises instead of passing unnoticed."""
     if graph.vertex_count == 0:
         raise DomainError("chromatic number of an empty graph is undefined here")
     upper = greedy_coloring(graph)
-    lower = max_clique_size(graph)
+    clique = max_clique(graph)
+    if not is_clique(graph, clique):
+        raise InternalInvariant(f"the lower-bound clique {clique} is not a clique")
     best = upper
-    if upper.colors_used > lower:
-        clique = find_clique_of_size(graph, lower)
-        if clique is None:
-            raise InternalInvariant(f"no clique of the maximum size {lower} was found")
-        for k in range(lower, upper.colors_used):
-            attempt = _k_coloring(graph, k, clique)
-            if attempt is not None:
-                best = attempt
-                break
+    for k in range(len(clique), upper.colors_used):
+        attempt = _k_coloring(graph, k, clique)
+        if attempt is not None:
+            best = attempt
+            break
     if not best.is_proper(graph):
         raise InternalInvariant("optimal coloring failed the properness check")
+    if len(clique) > best.colors_used:
+        raise InternalInvariant(
+            f"a clique of {len(clique)} vertices outgrew a {best.colors_used}-coloring"
+        )
     return best
 
 

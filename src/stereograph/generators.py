@@ -32,7 +32,7 @@ from .graphs import (
     Graph,
     find_clique_of_size,
     graph_isomorphic,
-    iter_bits,
+    is_clique,
     normalize_edge,
 )
 from .model import (
@@ -374,18 +374,16 @@ def _check_certificate(
     """Raise InternalInvariant unless g has n pairs, coloring is a proper
     k-coloring of it and clique is a k-vertex clique of it: then
     k <= clique number <= index <= k, so the index is exactly k."""
-    masks = g.graph.masks
-    members = sum(1 << v for v in clique)
     if not (
         g.n == n
         and coloring.colors_used == k
         and coloring.is_proper(g.graph)
-        and members.bit_count() == k
-        and all((masks[v] | 1 << v) & members == members for v in iter_bits(members))
+        and len(clique) == k
+        and is_clique(g.graph, clique)
     ):
         raise InternalInvariant(
             f"targeted construction reached n={g.n} with a {coloring.colors_used}-coloring "
-            f"and a clique of {members.bit_count()} vertices, wanted n={n}, index {k}"
+            f"and a clique of {len(clique)} vertices, wanted n={n}, index {k}"
         )
 
 

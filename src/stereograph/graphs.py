@@ -265,30 +265,56 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
     return find_isomorphism(g1, g2) is not None
 
 
-def max_clique_size(g: Graph) -> int:
-    """Exact maximum clique size via bitmask backtracking."""
+def max_clique(g: Graph) -> tuple[int, ...]:
+    """The lexicographically smallest maximum clique, in ascending order,
+    from one bitmask branch and bound.
+
+    The search adds vertices lowest first and prunes a branch only when
+    it cannot beat the best clique so far, so the first maximum clique
+    it reaches is the smallest one; it returns () for no vertices.
+    """
     n = g.vertex_count
     if n == 0:
-        return 0
+        return ()
     masks = g.masks
-    best = 1
+    chosen: list[int] = []
+    best: tuple[int, ...] = (0,)
+    best_size = 1
 
     def extend(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
+        nonlocal best, best_size
         if candidates == 0:
-            best = max(best, size)
+            if size > best_size:
+                best, best_size = tuple(chosen), size
             return
         while candidates:
-            if size + candidates.bit_count() <= best:
+            if size + candidates.bit_count() <= best_size:
                 return
             v = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
+            chosen.append(v)
             extend(candidates & masks[v], size + 1)
+            chosen.pop()
 
     extend((1 << n) - 1, 0)
     return best
+
+
+def max_clique_size(g: Graph) -> int:
+    """Exact maximum clique size: the length of max_clique(g)."""
+    return len(max_clique(g))
+
+
+def is_clique(g: Graph, vertices: tuple[int, ...]) -> bool:
+    """Whether vertices are distinct vertices of g, pairwise adjacent on
+    the masks."""
+    members = 0
+    for v in vertices:
+        if not 0 <= v < g.vertex_count or members >> v & 1:
+            return False
+        members |= 1 << v
+    masks = g.masks
+    return all((masks[v] | 1 << v) & members == members for v in vertices)
 
 
 def find_clique_of_size(g: Graph, size: int) -> tuple[int, ...] | None:

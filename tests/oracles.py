@@ -21,9 +21,14 @@ Floyd-Warshall on the dense adjacency matrix (floyd_warshall_profile),
 isomorphism from every vertex permutation (permutation_isomorphic), and
 stereotype validation from edge-tuple sets (setwise_validate_stereotype),
 a stereotype graph's edges from its pattern bits one pair of pairs
-at a time (edge_list), and the CSI-targeted construction from the
+at a time (edge_list), the CSI-targeted construction from the
 paper's chain of expansion steps, each on the exact search's coloring
-(chained_build_with_csi).
+(chained_build_with_csi), and the exact coloring from a DSATUR search on
+per-vertex adjacency lists and per-vertex color counts, choosing each
+branching vertex by a max over the uncolored set, after two clique
+searches (list_dsatur_coloring). That one differs from the library in its
+data structures, not its branching order, so the two return the same
+coloring.
 Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
@@ -34,14 +39,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from stereograph import (
+    Coloring,
     chromatic_number,
     expand_incrementing,
     expand_preserving,
     from_pattern,
     gen_complete_bipartite,
+    greedy_coloring,
     optimal_coloring,
 )
-from stereograph.graphs import Edge, Graph, graph_isomorphic, normalize_edge
+from stereograph.graphs import (
+    Edge,
+    Graph,
+    find_clique_of_size,
+    graph_isomorphic,
+    iter_bits,
+    max_clique_size,
+    normalize_edge,
+)
 from stereograph.merge import MergeOutcome, MergeStep, StabilityVerdict
 from stereograph.model import (
     CheckResult,
@@ -100,6 +115,92 @@ def backtracking_chromatic_number(graph: Graph) -> int:
     while not place(0, 0, k):
         k += 1
     return k
+
+
+def list_dsatur_coloring(graph: Graph) -> Coloring:
+    """chi(graph) colors by DSATUR (Brelaz 1979) between the greedy and
+    clique bounds: the clique number from max_clique_size, the smallest
+    clique of that size from find_clique_of_size, then k-coloring
+    searches for k upward from it with that clique pre-colored.
+
+    Each search keeps per-vertex adjacency lists, per-vertex, per-color
+    counts of colored neighbours behind a bitmask of their colors, and
+    branches on the max over the uncolored set of (distinct neighbour
+    colors, uncolored neighbours, -id)."""
+    upper = greedy_coloring(graph)
+    lower = max_clique_size(graph)
+    if upper.colors_used == lower:
+        return upper
+    clique = find_clique_of_size(graph, lower)
+    for k in range(lower, upper.colors_used):
+        attempt = _list_k_coloring(graph, k, clique)
+        if attempt is not None:
+            return attempt
+    return upper
+
+
+def _list_k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | None:
+    n = graph.vertex_count
+    adjacent = [tuple(iter_bits(mask)) for mask in graph.masks]
+    palette = (1 << (k + 1)) - 2  # colors 1..k are bits 1..k
+    forbidden = [0] * n
+    counts = [[0] * (k + 1) for _ in range(n)]
+    open_degree = [len(ws) for ws in adjacent]
+    colors = [0] * n
+    uncolored = set(range(n))
+
+    def assign(v: int, c: int) -> bool:
+        """Color v with c; False if an uncolored neighbor has no color left."""
+        colors[v] = c
+        uncolored.discard(v)
+        bit = 1 << c
+        alive = True
+        for w in adjacent[v]:
+            open_degree[w] -= 1
+            row = counts[w]
+            row[c] += 1
+            if row[c] == 1:
+                forbidden[w] |= bit
+                if forbidden[w] == palette and not colors[w]:
+                    alive = False
+        return alive
+
+    def unassign(v: int) -> None:
+        c = colors[v]
+        colors[v] = 0
+        uncolored.add(v)
+        bit = 1 << c
+        for w in adjacent[v]:
+            open_degree[w] += 1
+            row = counts[w]
+            row[c] -= 1
+            if row[c] == 0:
+                forbidden[w] ^= bit
+
+    def search(used: int) -> bool:
+        if not uncolored:
+            return True
+        v = max(
+            uncolored,
+            key=lambda u: (forbidden[u].bit_count(), open_degree[u], -u),
+        )
+        limit = min(used + 1, k)
+        free = palette & ~forbidden[v] & ((2 << limit) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            c = bit.bit_length() - 1
+            if assign(v, c) and search(max(used, c)):
+                return True
+            unassign(v)
+        return False
+
+    for c, v in enumerate(clique, start=1):
+        if not assign(v, c):
+            return None
+    if not search(len(clique)):
+        return None
+    return Coloring(tuple(colors))
 
 
 def deletion_contraction_coefficients(graph: Graph) -> tuple[int, ...]:

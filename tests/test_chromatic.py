@@ -13,10 +13,12 @@ from oracles import (
     edge_bfs_girth,
     enumerate_coloring_count,
     first_fit_colors,
+    list_dsatur_coloring,
     subset_dp_partition_counts,
 )
 from stereograph import (
     DomainError,
+    InternalInvariant,
     SizeExceeded,
     StabilityComparison,
     StereotypeGraph,
@@ -39,7 +41,7 @@ from stereograph import (
     stability_report,
     two_coloring,
 )
-from stereograph import spectral
+from stereograph import chromatic, graphs, spectral
 from stereograph.chromatic import (
     Coloring,
     _compute_stability_report,
@@ -367,6 +369,75 @@ class TestSearchAgainstOracle:
         # Values confirmed once by the backtracking oracle, which takes
         # minutes at this size.
         assert csi(gen_random(18, seed)) == index
+
+
+class TestSearchAgainstListDsatur:
+    """The exact search on bitmasks and saturation buckets returns the
+    very coloring of the DSATUR search on adjacency lists and per-vertex
+    color counts: both branch in the same order."""
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_small_graph(self, n):
+        for g in enumerate_all(n):
+            assert optimal_coloring(g.graph) == list_dsatur_coloring(g.graph), g.bits
+
+    @pytest.mark.parametrize("n", range(6, 19))
+    def test_random_graphs(self, n):
+        for seed in range(4):
+            graph = gen_random(n, seed).graph
+            assert optimal_coloring(graph) == list_dsatur_coloring(graph), seed
+
+    @pytest.mark.parametrize("name", sorted(LOOSE_BOUND_GRAPHS))
+    def test_loose_clique_bound(self, name):
+        graph = LOOSE_BOUND_GRAPHS[name][0]
+        assert optimal_coloring(graph) == list_dsatur_coloring(graph)
+
+    @settings(max_examples=150, deadline=None)
+    @given(graph=general_graphs())
+    def test_general_graphs(self, graph):
+        assert optimal_coloring(graph) == list_dsatur_coloring(graph)
+
+    def test_one_clique_search_per_call(self, monkeypatch):
+        """optimal_coloring finds its lower bound and the clique it
+        pre-colors in one max_clique call, and reaches no other clique
+        search by any name."""
+        names = ("max_clique", "max_clique_size", "find_clique_of_size")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module in (graphs, chromatic):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        searched = [LOOSE_BOUND_GRAPHS[name][0] for name in sorted(LOOSE_BOUND_GRAPHS)]
+        for graph in searched + [gen_random(n, 0).graph for n in (8, 14, 18)]:
+            calls.update(dict.fromkeys(names, 0))
+            optimal_coloring(graph)
+            assert calls == {"max_clique": 1, "max_clique_size": 0, "find_clique_of_size": 0}
+
+    @pytest.mark.parametrize("clique", [(0, 2), (0, 0), (0, 5), (-1,)])
+    def test_wrong_lower_bound_clique_raises(self, monkeypatch, clique):
+        """A clique search that returns a non-clique (vertices not
+        adjacent, repeated or outside the graph) raises, before the
+        search relies on it."""
+        c5 = LOOSE_BOUND_GRAPHS["C5"][0]
+        monkeypatch.setattr(chromatic, "max_clique", lambda graph: clique)
+        with pytest.raises(InternalInvariant, match="not a clique"):
+            optimal_coloring(c5)
+
+    def test_clique_larger_than_the_palette_raises(self, monkeypatch):
+        """The lower bound is checked against the coloring found, too."""
+        c5 = LOOSE_BOUND_GRAPHS["C5"][0]
+        monkeypatch.setattr(chromatic, "max_clique", lambda graph: (0, 1, 2, 3))
+        monkeypatch.setattr(chromatic, "is_clique", lambda graph, vertices: True)
+        with pytest.raises(InternalInvariant, match="outgrew a 3-coloring"):
+            optimal_coloring(c5)
 
 
 class TestIsProper:

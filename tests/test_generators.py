@@ -357,7 +357,7 @@ class TestExpansion:
         search an expansion runs, including the one it grows."""
         samples = [g for n in (2, 3, 4) for g in enumerate_all(n)]
         colorings = [optimal_coloring(g.graph) for g in samples]
-        calls = {"find_clique_of_size": 0, "max_clique_size": 0}
+        calls = {"find_clique_of_size": 0, "max_clique_size": 0, "max_clique": 0}
 
         def counted(name):
             original = getattr(graphs, name)
@@ -369,15 +369,17 @@ class TestExpansion:
             return wrapper
 
         monkeypatch.setattr(generators, "find_clique_of_size", counted("find_clique_of_size"))
-        # generators no longer names max_clique_size; the exact search in
-        # chromatic does, and an expansion must not reach it by any name.
-        max_clique = counted("max_clique_size")
-        for module in (graphs, chromatic, generators):
-            monkeypatch.setattr(module, "max_clique_size", max_clique, raising=False)
+        # generators names neither max_clique_size nor max_clique; the
+        # exact search in chromatic names max_clique, and an expansion
+        # must not reach either by any name.
+        for name in ("max_clique_size", "max_clique"):
+            wrapper = counted(name)
+            for module in (graphs, chromatic, generators):
+                monkeypatch.setattr(module, name, wrapper, raising=False)
         for g, coloring in zip(samples, colorings):
-            calls.update(find_clique_of_size=0, max_clique_size=0)
+            calls.update(find_clique_of_size=0, max_clique_size=0, max_clique=0)
             expand(g, coloring)
-            assert calls == {"find_clique_of_size": 1, "max_clique_size": 0}, g.bits
+            assert calls == dict(find_clique_of_size=1, max_clique_size=0, max_clique=0), g.bits
 
 
 class TestBuildWithCsi:
@@ -422,6 +424,7 @@ class TestBuildWithCsi:
             "chromatic_number",
             "find_clique_of_size",
             "max_clique_size",
+            "max_clique",
             "_k_coloring",
         )
         calls = dict.fromkeys(names, 0)
@@ -442,6 +445,7 @@ class TestBuildWithCsi:
         # The counters are live: the exact search on the result reaches them.
         assert chromatic.chromatic_number(g.graph) == 5
         assert calls["chromatic_number"] == 1 and calls["_k_coloring"] >= 1
+        assert calls["max_clique"] == 1
 
     def test_certificate_holds_up_to_forty_pairs(self, monkeypatch):
         """Every build up to 40 pairs is a stereotype graph whose written

@@ -13,11 +13,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import floyd_warshall_profile, permutation_isomorphic, trace_triangle_count
-from stereograph import graphs
+from stereograph import enumerate_all, graphs
 from stereograph.errors import DomainError
-from stereograph.graphs import Graph, find_isomorphism, iter_bits, normalize_edge
+from stereograph.graphs import (
+    Graph,
+    find_clique_of_size,
+    find_isomorphism,
+    is_clique,
+    iter_bits,
+    max_clique,
+    max_clique_size,
+    normalize_edge,
+)
 from stereograph.spectral import adjacency_matrix
-from test_chromatic import GIRTH_GRAPHS, general_graphs, sparse_graphs
+from test_chromatic import GIRTH_GRAPHS, LOOSE_BOUND_GRAPHS, general_graphs, sparse_graphs
 
 any_graphs = st.one_of(sparse_graphs(), general_graphs(min_vertices=0, max_vertices=12))
 
@@ -174,3 +183,58 @@ class TestIsomorphism:
         for g1, g2 in itertools.combinations_with_replacement(graphs, 2):
             if len(g1.edges) == len(g2.edges):
                 assert (find_isomorphism(g1, g2) is not None) == permutation_isomorphic(g1, g2)
+
+
+class TestMaxClique:
+    """max_clique, one branch and bound, against the search for the
+    smallest clique of a given size and against every vertex subset."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=any_graphs)
+    def test_least_of_the_maximum_cliques_by_brute_force(self, graph):
+        n, edges = graph.vertex_count, graph.edges
+        cliques = [
+            subset
+            for size in range(n + 1)
+            for subset in itertools.combinations(range(n), size)
+            if all(e in edges for e in itertools.combinations(subset, 2))
+        ]
+        largest = max(map(len, cliques))
+        assert max_clique(graph) == min(c for c in cliques if len(c) == largest)
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=any_graphs)
+    def test_equals_the_smallest_clique_of_maximum_size(self, graph):
+        clique = max_clique(graph)
+        assert clique == find_clique_of_size(graph, max_clique_size(graph))
+        assert len(clique) == max_clique_size(graph) and is_clique(graph, clique)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_stereotype_graphs(self, n):
+        for g in enumerate_all(n):
+            clique = max_clique(g.graph)
+            assert clique == find_clique_of_size(g.graph, max_clique_size(g.graph)), g.bits
+
+    @pytest.mark.parametrize("name", sorted(LOOSE_BOUND_GRAPHS))
+    def test_loose_bound_graphs(self, name):
+        graph, _, omega, _ = LOOSE_BOUND_GRAPHS[name]
+        assert len(max_clique(graph)) == omega
+        assert max_clique(graph) == find_clique_of_size(graph, omega)
+
+    def test_no_vertices_and_no_edges(self):
+        assert max_clique(Graph(0, ())) == ()
+        assert max_clique_size(Graph(0, ())) == 0
+        assert max_clique(Graph.from_edges(5, [])) == (0,)
+        assert max_clique(Graph.from_edges(4, [(2, 3)])) == (2, 3)
+
+
+class TestIsClique:
+    def test_distinct_adjacent_vertices_in_range(self):
+        triangle_and_tail = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        assert is_clique(triangle_and_tail, ())
+        assert is_clique(triangle_and_tail, (3,))
+        assert is_clique(triangle_and_tail, (2, 0, 1))
+        assert not is_clique(triangle_and_tail, (0, 1, 3))
+        assert not is_clique(triangle_and_tail, (0, 0))
+        assert not is_clique(triangle_and_tail, (2, 4))
+        assert not is_clique(triangle_and_tail, (-1,))
