@@ -42,7 +42,7 @@ from .model import StereotypeGraph, validate_stereotype, vertex_name
 from .serialize import (
     census_to_csv,
     graph_from_dict,
-    graph_to_dict,
+    graph_to_json,
     merge_steps_to_jsonable,
     raw_graph_from_dict,
     to_dot,
@@ -76,6 +76,8 @@ def _write_text(path: str | None, text: str) -> None:
 def _load_document(path: str) -> object:
     try:
         return json.loads(_read_text(path))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
@@ -168,23 +170,21 @@ def _cmd_generate(args) -> int:
     else:
         g = gen_random(args.n, args.seed)
         meta = {"generator": "random", "n": args.n, "seed": args.seed, "prng": PRNG_NAME}
-    _write_text(args.output, json.dumps(graph_to_dict(g, meta)) + "\n")
+    _write_text(args.output, graph_to_json(g, meta) + "\n")
     return 0
 
 
 def _cmd_build(args) -> int:
     g = build_with_csi(args.n, args.csi)
     meta = {"generator": "build-with-csi", "n": args.n, "csi": args.csi}
-    _write_text(args.output, json.dumps(graph_to_dict(g, meta)) + "\n")
+    _write_text(args.output, graph_to_json(g, meta) + "\n")
     return 0
 
 
 def _cmd_enumerate(args) -> int:
     if args.census:
         return _cmd_census(args)
-    lines = [
-        json.dumps(graph_to_dict(g)) for g in enumerate_all(args.n, limit=_enumeration_limit())
-    ]
+    lines = [graph_to_json(g) for g in enumerate_all(args.n, limit=_enumeration_limit())]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 

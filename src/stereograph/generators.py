@@ -30,9 +30,9 @@ from .errors import (
 from .graphs import (
     Edge,
     Graph,
-    find_clique_of_size,
     graph_isomorphic,
     is_clique,
+    max_clique,
     normalize_edge,
 )
 from .model import (
@@ -215,7 +215,13 @@ def _switching_orbit(g: StereotypeGraph, permutations: list[tuple[int, ...]]) ->
 def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[int, ...] | None:
     """Check that coloring is proper and optimal with colors 1..colors_used;
     return the smallest clique certifying it, or None if only the exact
-    search could (the index exceeds the clique number)."""
+    search could (the index exceeds the clique number).
+
+    A proper coloring gives omega <= chi <= colors_used, so a clique as
+    large as the palette exists only when omega equals it, and then the
+    smallest such clique is max_clique's. One clique search certifies
+    the coloring whenever the palette equals omega; otherwise
+    chromatic_number runs the exact search, which adds its own."""
     colors = coloring.colors
     if len(colors) != g.vertex_count:
         raise InvalidColoring("coloring must assign every vertex exactly once")
@@ -223,9 +229,8 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
         raise InvalidColoring("coloring is not proper")
     if set(colors) != set(range(1, coloring.colors_used + 1)):
         raise InvalidColoring("colors must be exactly 1..colors_used")
-    # omega <= chi <= colors_used: a clique as large as the palette proves it optimal.
-    clique = find_clique_of_size(g.graph, coloring.colors_used)
-    if clique is not None:
+    clique = max_clique(g.graph)
+    if len(clique) == coloring.colors_used:
         return clique
     index = chromatic_number(g.graph)
     if coloring.colors_used != index:

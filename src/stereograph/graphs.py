@@ -315,30 +315,3 @@ def is_clique(g: Graph, vertices: tuple[int, ...]) -> bool:
         members |= 1 << v
     masks = g.masks
     return all((masks[v] | 1 << v) & members == members for v in vertices)
-
-
-def find_clique_of_size(g: Graph, size: int) -> tuple[int, ...] | None:
-    """Lexicographically smallest clique with exactly `size` vertices."""
-    if size == 0:
-        return ()
-    masks = g.masks
-    chosen: list[int] = []
-
-    def backtrack(candidates: int) -> bool:
-        if len(chosen) == size:
-            return True
-        while candidates:
-            v = (candidates & -candidates).bit_length() - 1
-            candidates &= candidates - 1
-            if len(chosen) + 1 + (candidates & masks[v]).bit_count() < size:
-                continue
-            chosen.append(v)
-            if backtrack(candidates & masks[v]):
-                return True
-            chosen.pop()
-        return False
-
-    if backtrack((1 << g.vertex_count) - 1):
-        return tuple(chosen)
-    return None
-

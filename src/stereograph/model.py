@@ -43,18 +43,21 @@ from .graphs import Edge, Graph, _checked_edge, iter_bits
 
 
 def vertex_id(pair: int, side: int) -> int:
-    """Dense id of u_side^pair (pair >= 1, side in {1, 2})."""
-    if side not in (1, 2):
-        raise DomainError(f"side must be 1 or 2, got {side}")
-    if pair < 1:
-        raise DomainError(f"pair index must be positive, got {pair}")
+    """Dense id of u_side^pair (pair an int >= 1, side the int 1 or 2)."""
+    # type() rather than isinstance(), as in _check_pair_count: 1.0 and
+    # True compare equal to 1, but vertex_id(1.0, 1) would be 0.0 and
+    # vertex_name(True) "u2.1".
+    if type(side) is not int or side not in (1, 2):
+        raise DomainError(f"side must be the int 1 or 2, got {side!r}")
+    if type(pair) is not int or pair < 1:
+        raise DomainError(f"pair index must be a positive int, got {pair!r}")
     return 2 * (pair - 1) + (side - 1)
 
 
 def vertex_pair_side(v: int) -> tuple[int, int]:
     """Inverse of vertex_id: (pair, side) of a dense vertex id."""
-    if v < 0:
-        raise DomainError(f"vertex id must be non-negative, got {v}")
+    if type(v) is not int or v < 0:
+        raise DomainError(f"vertex id must be a non-negative int, got {v!r}")
     return v // 2 + 1, v % 2 + 1
 
 
@@ -402,8 +405,8 @@ def triangle_pair_triples(g: StereotypeGraph) -> list[tuple[int, int, int]]:
 
 def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
     """Induced stereotype graph on the first m pairs."""
-    if not 1 <= m <= g.n:
-        raise DomainError(f"need 1 <= m <= {g.n}, got {m}")
+    if type(m) is not int or not 1 <= m <= g.n:
+        raise DomainError(f"need 1 <= m <= {g.n}, got {m!r}")
     return StereotypeGraph(m, tuple(row & (1 << m) - 1 for row in g.rows[:m]))
 
 

@@ -23,11 +23,15 @@ stereotype validation from edge-tuple sets (setwise_validate_stereotype),
 a stereotype graph's edges from its pattern bits one pair of pairs
 at a time (edge_list), the CSI-targeted construction from the
 paper's chain of expansion steps, each on the exact search's coloring
-(chained_build_with_csi), and the exact coloring from a DSATUR search on
-per-vertex adjacency lists and per-vertex color counts, choosing each
-branching vertex by a max over the uncolored set, after two clique
-searches (list_dsatur_coloring). That one differs from the library in its
-data structures, not its branching order, so the two return the same
+(chained_build_with_csi), the smallest clique of a given size from a
+backtracking search that stops at the first clique of exactly that size
+(find_clique_of_size, the fixed-size reference for graphs.max_clique,
+the library's one clique search, a branch and bound over all sizes),
+and the exact coloring from a DSATUR search on per-vertex adjacency
+lists and per-vertex color counts, choosing each branching vertex by a
+max over the uncolored set, after two clique searches
+(list_dsatur_coloring). That one differs from the library in its data
+structures, not its branching order, so the two return the same
 coloring.
 Keep it that way; the point is that a shared bug cannot hide."""
 
@@ -51,7 +55,6 @@ from stereograph import (
 from stereograph.graphs import (
     Edge,
     Graph,
-    find_clique_of_size,
     graph_isomorphic,
     iter_bits,
     max_clique_size,
@@ -115,6 +118,32 @@ def backtracking_chromatic_number(graph: Graph) -> int:
     while not place(0, 0, k):
         k += 1
     return k
+
+
+def find_clique_of_size(g: Graph, size: int) -> tuple[int, ...] | None:
+    """Lexicographically smallest clique with exactly `size` vertices."""
+    if size == 0:
+        return ()
+    masks = g.masks
+    chosen: list[int] = []
+
+    def backtrack(candidates: int) -> bool:
+        if len(chosen) == size:
+            return True
+        while candidates:
+            v = (candidates & -candidates).bit_length() - 1
+            candidates &= candidates - 1
+            if len(chosen) + 1 + (candidates & masks[v]).bit_count() < size:
+                continue
+            chosen.append(v)
+            if backtrack(candidates & masks[v]):
+                return True
+            chosen.pop()
+        return False
+
+    if backtrack((1 << g.vertex_count) - 1):
+        return tuple(chosen)
+    return None
 
 
 def list_dsatur_coloring(graph: Graph) -> Coloring:

@@ -108,6 +108,16 @@ class TestValidate:
         code, _, err = run(capsys, "validate", "/nonexistent/graph.json")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["validate", "report", "csi"])
+    def test_file_not_utf8_exits_one(self, capsys, tmp_path, command):
+        path = tmp_path / "z.json"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"stereograph: {path} is not valid UTF-8: ")
+        assert len(err.splitlines()) == 1
+
 
 class TestReport:
     def test_text_report(self, capsys, k33_file):
@@ -229,6 +239,21 @@ class TestGenerateAndBuild:
         assert doc["n"] == 5
         assert doc["meta"]["csi"] == 3
 
+    def test_written_files_pinned(self, capsys, tmp_path):
+        """generate and build write one JSON document and a newline."""
+        generated, built = tmp_path / "random.json", tmp_path / "built.json"
+        argv = ["generate", "--type", "random", "--n", "4", "--seed", "9", "-o", str(generated)]
+        assert run(capsys, *argv)[0] == 0
+        assert run(capsys, "build", "--n", "5", "--csi", "3", "-o", str(built))[0] == 0
+        assert generated.read_bytes() == (
+            b'{"format": "stereograph-v1", "n": 4, "pattern": [0, 0, 0, 0, 1, 0], '
+            b'"meta": {"generator": "random", "n": 4, "seed": 9, "prng": "splitmix64-v1"}}\n'
+        )
+        assert built.read_bytes() == (
+            b'{"format": "stereograph-v1", "n": 5, "pattern": [1, 1, 1, 0, 1, 1, 1, 1, 1, 1], '
+            b'"meta": {"generator": "build-with-csi", "n": 5, "csi": 3}}\n'
+        )
+
     def test_build_at_120_pairs(self, capsys):
         """build needs no bound: it writes its graph down without a search."""
         code, out, _ = run(capsys, "build", "--n", "120", "--csi", "60")
@@ -249,6 +274,10 @@ class TestEnumerateAndCensus:
         lines = out.strip().splitlines()
         assert len(lines) == 2
         assert json.loads(lines[0])["pattern"] == [0]
+        assert out == (
+            '{"format": "stereograph-v1", "n": 2, "pattern": [0]}\n'
+            '{"format": "stereograph-v1", "n": 2, "pattern": [1]}\n'
+        )
 
     def test_census_csv(self, capsys):
         code, out, _ = run(capsys, "enumerate", "--n", "3", "--census")

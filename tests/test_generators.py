@@ -38,7 +38,7 @@ from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
 from stereograph.model import pattern_length
 
-from oracles import chained_build_with_csi, pairwise_census
+from oracles import chained_build_with_csi, find_clique_of_size, pairwise_census
 
 # Reference outputs of splitmix64 for seed 0, from the published test
 # vectors of the original implementation.
@@ -354,10 +354,11 @@ class TestExpansion:
     @pytest.mark.parametrize("expand", [expand_preserving, expand_incrementing])
     def test_one_clique_search_per_step(self, monkeypatch, expand):
         """The clique that certifies the coloring is the only clique
-        search an expansion runs, including the one it grows."""
+        search an expansion runs, including the one it grows: one
+        max_clique call, and no other clique search by any name."""
         samples = [g for n in (2, 3, 4) for g in enumerate_all(n)]
         colorings = [optimal_coloring(g.graph) for g in samples]
-        calls = {"find_clique_of_size": 0, "max_clique_size": 0, "max_clique": 0}
+        calls = {"max_clique_size": 0, "max_clique": 0}
 
         def counted(name):
             original = getattr(graphs, name)
@@ -368,18 +369,18 @@ class TestExpansion:
 
             return wrapper
 
-        monkeypatch.setattr(generators, "find_clique_of_size", counted("find_clique_of_size"))
-        # generators names neither max_clique_size nor max_clique; the
-        # exact search in chromatic names max_clique, and an expansion
-        # must not reach either by any name.
-        for name in ("max_clique_size", "max_clique"):
+        for name in calls:
             wrapper = counted(name)
             for module in (graphs, chromatic, generators):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
         for g, coloring in zip(samples, colorings):
-            calls.update(find_clique_of_size=0, max_clique_size=0, max_clique=0)
+            calls.update(max_clique_size=0, max_clique=0)
             expand(g, coloring)
-            assert calls == dict(find_clique_of_size=1, max_clique_size=0, max_clique=0), g.bits
+            assert calls == dict(max_clique_size=0, max_clique=1), g.bits
+        # find_clique_of_size is a test oracle, out of the library's reach.
+        assert not any(
+            hasattr(module, "find_clique_of_size") for module in (graphs, chromatic, generators)
+        )
 
 
 class TestBuildWithCsi:
@@ -477,7 +478,7 @@ class TestBuildWithCsi:
         k-clique of a graph on n pairs; anything less raises."""
         g = build_with_csi(6, 4)
         coloring = optimal_coloring(g.graph)
-        clique = graphs.find_clique_of_size(g.graph, 4)
+        clique = find_clique_of_size(g.graph, 4)
         generators._check_certificate(g, 6, 4, coloring, clique)
         n, k = 6, 4
         if case == "pair-count":

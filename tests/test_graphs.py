@@ -12,12 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import floyd_warshall_profile, permutation_isomorphic, trace_triangle_count
+from oracles import (
+    find_clique_of_size,
+    floyd_warshall_profile,
+    permutation_isomorphic,
+    trace_triangle_count,
+)
 from stereograph import enumerate_all, graphs
 from stereograph.errors import DomainError
 from stereograph.graphs import (
     Graph,
-    find_clique_of_size,
     find_isomorphism,
     is_clique,
     iter_bits,

@@ -1,6 +1,7 @@
 """Core model: construction, validation, profiles, recognizers."""
 
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -66,6 +67,29 @@ class TestVertexEncoding:
             pair, side = vertex_pair_side(v)
             assert vertex_id(pair, side) == v
             assert parse_vertex_name(vertex_name(v)) == v
+
+    @pytest.mark.parametrize(
+        "pair, side, message",
+        [
+            (1.0, 1, "pair index must be a positive int, got 1.0"),
+            (True, 1, "pair index must be a positive int, got True"),
+            (0, 1, "pair index must be a positive int, got 0"),
+            (1, 1.0, "side must be the int 1 or 2, got 1.0"),
+            (1, True, "side must be the int 1 or 2, got True"),
+            (1, 3, "side must be the int 1 or 2, got 3"),
+        ],
+    )
+    def test_non_int_vertex_id_rejected(self, pair, side, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            vertex_id(pair, side)
+
+    @pytest.mark.parametrize("v", [1.5, 1.0, True, False, -1, "1", None])
+    def test_non_int_vertex_rejected(self, v):
+        message = f"vertex id must be a non-negative int, got {v!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            vertex_pair_side(v)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            vertex_name(v)
 
     @pytest.mark.parametrize(
         "bad",
@@ -513,3 +537,9 @@ class TestRestrictPairs:
     def test_bad_prefix_rejected(self, kl4):
         with pytest.raises(DomainError):
             restrict_pairs(kl4, 5)
+
+    @pytest.mark.parametrize("m", [2.0, True, 0, 5, "2", None])
+    def test_prefix_length_must_be_an_int_in_range(self, kl4, m):
+        message = f"need 1 <= m <= 4, got {m!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            restrict_pairs(kl4, m)
