@@ -100,6 +100,7 @@ from .spectral import (
     characteristic_criterion,
     characteristic_polynomial,
     coefficient_identities,
+    leading_characteristic_coefficients,
     matrix_criterion,
     minor_criterion,
     srg_check,

@@ -44,9 +44,9 @@ from .model import (
 from .polynomials import IntPolynomial
 from .spectral import (
     _require_at_least_two_pairs,
+    leading_characteristic_coefficients,
     matrix_criterion,
     minor_criterion,
-    stereotype_characteristic_polynomial,
 )
 
 CHROMATIC_POLY_VERTEX_BOUND = 14
@@ -447,8 +447,8 @@ def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
     one entry per switching class.
     """
     _require_at_least_two_pairs(g)
-    rep = switching_representative(g)
-    return _chromatically_bipartite(rep, stereotype_characteristic_polynomial(rep).coefficient(3))
+    c3 = leading_characteristic_coefficients(g)[3]
+    return _chromatically_bipartite(switching_representative(g), c3)
 
 
 def _chromatically_bipartite(rep: StereotypeGraph, c3: int) -> bool:
@@ -538,14 +538,12 @@ def _compute_stability_report(g: StereotypeGraph) -> StabilityReport:
     if g.n >= 2:
         girth = g.graph.girth() == 4
         matrix = matrix_criterion(g)
-        # Both polynomial criteria are switching invariants: build the
-        # representative once and look its characteristic polynomial up
-        # once, for the characteristic verdict and the c3 cross-check.
-        rep = switching_representative(g)
-        c3 = stereotype_characteristic_polynomial(rep).coefficient(3)
+        # One truncated pass gives c3 for the characteristic verdict and
+        # for the chromatically-bipartite cross-check.
+        c3 = leading_characteristic_coefficients(g)[3]
         characteristic = c3 == 0
         if g.vertex_count <= CHROMATIC_POLY_VERTEX_BOUND:
-            chrom_bipartite = _chromatically_bipartite(rep, c3)
+            chrom_bipartite = _chromatically_bipartite(switching_representative(g), c3)
     index = csi(g)
     executed = [
         v

@@ -60,7 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_text(path: str) -> str:
     if path == "-":
-        return sys.stdin.read()
+        # The raw bytes, decoded strictly as a file is: sys.stdin's own
+        # error handler can be surrogateescape, which would hand bad bytes
+        # on to the JSON parser.
+        return sys.stdin.buffer.read().decode("utf-8")
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()
 

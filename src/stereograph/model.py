@@ -82,8 +82,16 @@ def parse_vertex_name(name: str) -> int:
     raise DomainError(f"bad vertex name {name!r}")
 
 
+def _check_pair_indices(i: int, j: int) -> None:
+    # type() rather than isinstance(), as in vertex_id: pattern_slot(3,
+    # 1.0, 2.0) would be 0.0 and bit(True, 2) would read pair 1.
+    if type(i) is not int or type(j) is not int:
+        raise DomainError(f"pair indices must be ints, got ({i!r}, {j!r})")
+
+
 def pattern_slot(n: int, i: int, j: int) -> int:
     """Index of the bit for pair indices i < j in the lexicographic layout."""
+    _check_pair_indices(i, j)
     if not 1 <= i < j <= n:
         raise DomainError(f"need 1 <= i < j <= {n}, got ({i}, {j})")
     return (i - 1) * n - i * (i + 1) // 2 + (j - 1)
@@ -138,6 +146,7 @@ class StereotypeGraph:
 
     def bit(self, i: int, j: int) -> int:
         """Matching bit between pairs i and j (order-insensitive)."""
+        _check_pair_indices(i, j)  # before i and j are compared
         if i > j:
             i, j = j, i
         pattern_slot(self.n, i, j)  # raises DomainError unless 1 <= i < j <= n

@@ -3,12 +3,18 @@
 Everything here is arbitrary-precision integer arithmetic; the stability
 criteria in this module are exact equalities, so no floating point is
 allowed anywhere. The characteristic polynomial of a matrix comes from
-Berkowitz's division-free recurrence, one pass of integer matrix-vector
-products over the leading principal blocks. For a stereotype graph
-it is reduced to the n x n Seidel matrix of its pattern first, taken
-from the switching class's normalised pattern, so the cached matrix
-polynomial is computed once per switching class. The
-matrix and strongly-regular criteria check their identity
+Berkowitz's division-free recurrence, integer matrix-vector products
+over the leading principal blocks, in one routine that stops at any
+number of leading coefficients: the whole polynomial costs O(n^4), its
+first four coefficients c0..c3 O(n^3). For a stereotype graph either is
+reduced to the n x n Seidel matrix of its pattern first. The stability
+criteria need only c3, so the characteristic and chromatically-bipartite
+criteria, coefficient_identities and the stability report read c0..c3
+from one truncated pass on the graph's own rows, uncached.
+stereotype_characteristic_polynomial, the whole polynomial (CLI
+charpoly), takes the matrix from the switching class's normalised
+pattern, so the cached matrix polynomial is computed once per switching
+class. The matrix and strongly-regular criteria check their identity
 A^2 + aA = iI + jJ entry by entry on neighbour bitmasks, since
 (A^2)_uv = popcount(masks[u] & masks[v]); no dense product is formed.
 """
@@ -75,27 +81,8 @@ def characteristic_polynomial(matrix: IntMatrix) -> IntPolynomial:
 
 @lru_cache(maxsize=8192)
 def _characteristic_polynomial_cached(matrix: IntMatrix) -> IntPolynomial:
-    """Berkowitz's recurrence: with A the leading r x r block, R the row
-    matrix[r][:r] and C the column matrix[:r][r], the polynomial of the
-    leading (r+1) x (r+1) block is the lower-triangular Toeplitz matrix
-    with first column 1, -matrix[r][r], -RC, -RAC, ..., -RA^(r-1)C times
-    that of A. Only integer products and sums, no divisions."""
     dim = len(matrix)
-    if dim == 0:
-        return IntPolynomial((1,))
-    poly = [1, -matrix[0][0]]
-    for r in range(1, dim):
-        block = [line[:r] for line in matrix[:r]]
-        row = matrix[r][:r]
-        column = [line[r] for line in matrix[:r]]
-        toeplitz = [1, -matrix[r][r], -sum(map(mul, row, column))]
-        for _ in range(r - 1):
-            column = [sum(map(mul, line, column)) for line in block]
-            toeplitz.append(-sum(map(mul, row, column)))
-        # reverse[r + 1 - i:] pairs poly[j] with toeplitz[i - j], j <= i.
-        reverse = toeplitz[::-1]
-        poly = [sum(map(mul, poly, reverse[r + 1 - i :])) for i in range(r + 2)]
-    result = IntPolynomial(tuple(poly))
+    result = IntPolynomial(tuple(_berkowitz(matrix, dim + 1)))
     if result.degree != dim or result.coefficient(0) != 1:
         raise InternalInvariant("characteristic polynomial is not monic of full degree")
     return result
@@ -103,6 +90,54 @@ def _characteristic_polynomial_cached(matrix: IntMatrix) -> IntPolynomial:
 
 characteristic_polynomial.cache_info = _characteristic_polynomial_cached.cache_info
 characteristic_polynomial.cache_clear = _characteristic_polynomial_cached.cache_clear
+
+
+def _berkowitz(matrix: IntMatrix, terms: int) -> list[int]:
+    """The first `terms` coefficients of det(xI - matrix), degree-descending.
+
+    Berkowitz's recurrence: with A the leading r x r block, R the row
+    matrix[r][:r] and C the column matrix[:r][r], the polynomial of the
+    leading (r+1) x (r+1) block is the lower-triangular Toeplitz matrix
+    with first column 1, -matrix[r][r], -RC, -RAC, ..., -RA^(r-1)C times
+    that of A. Its first m coefficients need only the first m entries of
+    each Toeplitz column, so step r makes min(terms, r + 2) - 3
+    matrix-vector products: r - 1 for the whole polynomial, O(n^4) in
+    all, and one for c0..c3, O(n^3). Only integer products and sums, no
+    divisions. The column has length r, and map stops at the shorter
+    argument, so full rows of matrix stand in for the leading block.
+    """
+    dim = len(matrix)
+    if dim == 0:
+        return [1]
+    poly = [1, -matrix[0][0]][:terms]
+    for r in range(1, dim):
+        length = min(terms, r + 2)
+        row = matrix[r]
+        block = matrix[:r]
+        column = [line[r] for line in block]
+        toeplitz = [1, -row[r], -sum(map(mul, row, column))][:length]
+        for _ in range(length - 3):
+            column = [sum(map(mul, line, column)) for line in block]
+            toeplitz.append(-sum(map(mul, row, column)))
+        # reverse[length - 1 - i:] pairs poly[j] with toeplitz[i - j], j <= i.
+        reverse = toeplitz[::-1]
+        poly = [sum(map(mul, poly, reverse[length - 1 - i :])) for i in range(length)]
+    return poly
+
+
+def _shifted_seidel_matrix(rows: tuple[int, ...]) -> IntMatrix:
+    """S - I for pattern rows: S has 0 on the diagonal, +1 for parallel
+    and -1 for crossed pairs of pairs."""
+    n = len(rows)
+    return tuple(
+        tuple(-1 if i == j else 1 - 2 * (row >> j & 1) for j in range(n))
+        for i, row in enumerate(rows)
+    )
+
+
+def _times_x_minus_n(coefficients: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """Coefficients of (x - n) p(x) from those of p, degree-descending."""
+    return tuple(a - n * b for a, b in zip(coefficients + (0,), (0,) + coefficients))
 
 
 def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
@@ -118,14 +153,26 @@ def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
     switching_representative(g): every pattern of a switching class
     gives the same matrix and hits the cache of characteristic_polynomial.
     """
-    n = g.n
-    shifted = tuple(
-        tuple(-1 if i == j else 1 - 2 * (row >> j & 1) for j in range(n))
-        for i, row in enumerate(switching_representative(g).rows)
-    )
+    shifted = _shifted_seidel_matrix(switching_representative(g).rows)
     core = characteristic_polynomial(shifted).coefficients
-    times_x_minus_n = tuple(a - n * b for a, b in zip(core + (0,), (0,) + core))
-    return IntPolynomial(times_x_minus_n + (0,) * (n - 1))
+    return IntPolynomial(_times_x_minus_n(core, g.n) + (0,) * (g.n - 1))
+
+
+def leading_characteristic_coefficients(g: StereotypeGraph) -> tuple[int, int, int, int]:
+    """c0..c3 of det(xI - A), the coefficients of x^(2n)..x^(2n-3).
+
+    The same lift as stereotype_characteristic_polynomial, x^(n-1) (x - n)
+    charpoly(S - I), read on its first four coefficients: they need only
+    the first four of charpoly(S - I), one truncated Berkowitz pass of
+    O(n^3) instead of the whole polynomial's O(n^4). Those coefficients
+    are switching invariants, so g's own rows serve and nothing is
+    cached. For n = 1, where A has degree 2, c3 is 0.
+    """
+    core = tuple(_berkowitz(_shifted_seidel_matrix(g.rows), 4))
+    head = (_times_x_minus_n(core, g.n) + (0, 0, 0))[:4]
+    if head[0] != 1:
+        raise InternalInvariant("characteristic polynomial is not monic")
+    return head
 
 
 @dataclass(frozen=True)
@@ -178,14 +225,9 @@ class CoefficientIdentityReport:
 def coefficient_identities(g: StereotypeGraph) -> CoefficientIdentityReport:
     """Check the leading coefficient laws of the characteristic polynomial."""
     _require_at_least_two_pairs(g)
-    poly = stereotype_characteristic_polynomial(g)
+    c0, c1, c2, c3 = leading_characteristic_coefficients(g)
     return CoefficientIdentityReport(
-        n=g.n,
-        c0=poly.coefficient(0),
-        c1=poly.coefficient(1),
-        c2=poly.coefficient(2),
-        c3=poly.coefficient(3),
-        triangle_count=g.graph.triangle_count(),
+        n=g.n, c0=c0, c1=c1, c2=c2, c3=c3, triangle_count=g.graph.triangle_count()
     )
 
 
@@ -198,7 +240,7 @@ def matrix_criterion(g: StereotypeGraph) -> bool:
 def characteristic_criterion(g: StereotypeGraph) -> bool:
     """Stability via a vanishing third characteristic coefficient."""
     _require_at_least_two_pairs(g)
-    return stereotype_characteristic_polynomial(g).coefficient(3) == 0
+    return leading_characteristic_coefficients(g)[3] == 0
 
 
 def minor_criterion(g: StereotypeGraph) -> bool:
@@ -262,6 +304,7 @@ __all__ = [
     "characteristic_criterion",
     "characteristic_polynomial",
     "coefficient_identities",
+    "leading_characteristic_coefficients",
     "matrix_criterion",
     "minor_criterion",
     "srg_check",

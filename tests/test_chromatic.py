@@ -583,21 +583,26 @@ class TestStabilityReport:
         assert report.girth is None
         assert report.merge and report.coloring and report.bipartite and report.minor
 
-    def test_one_characteristic_polynomial_lookup(self, monkeypatch):
+    def test_one_leading_coefficients_pass(self, monkeypatch):
         # The characteristic and chromatically-bipartite criteria share
-        # one lookup per computed report; a graph past the chromatic
-        # bound still makes one.
-        calls = []
-        lookup = spectral.characteristic_polynomial
+        # one c0..c3 pass per computed report, and no report looks the
+        # full polynomial up; a graph past the chromatic bound still
+        # makes one pass.
+        lookups, passes = [], []
+        lookup, berkowitz = spectral.characteristic_polynomial, spectral._berkowitz
         monkeypatch.setattr(
-            spectral, "characteristic_polynomial", lambda m: calls.append(m) or lookup(m)
+            spectral, "characteristic_polynomial", lambda m: lookups.append(m) or lookup(m)
+        )
+        monkeypatch.setattr(
+            spectral, "_berkowitz", lambda m, terms: passes.append(terms) or berkowitz(m, terms)
         )
         graphs = [g for n in range(1, 5) for g in enumerate_all(n)] + [gen_random(9, 0)]
         for g in graphs:
-            calls.clear()
+            passes.clear()
             _stability_report_cached.cache_clear()
             stability_report(g)
-            assert len(calls) == (g.n >= 2)
+            assert passes == ([4] if g.n >= 2 else [])
+        assert lookups == []
 
     def test_cached_report_equals_the_report_computed_on_the_graph_itself(self):
         # The cache answers for the whole switching class from its

@@ -118,6 +118,32 @@ class TestValidate:
         assert err.startswith(f"stereograph: {path} is not valid UTF-8: ")
         assert len(err.splitlines()) == 1
 
+    def test_stdin_not_utf8_reported_as_a_file_is(self, tmp_path):
+        # Read through sys.stdin's text layer, whose error handler is
+        # surrogateescape under the C locale, the bytes reached the JSON
+        # parser and were reported as invalid JSON.
+        path = tmp_path / "z.json"
+        path.write_bytes(b"\xff")
+        env = dict(os.environ, LC_ALL="C")
+        env.pop("PYTHONIOENCODING", None)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(stereograph.__file__).parent.parent), env.get("PYTHONPATH")) if p
+        )
+        errors = []
+        for source in ("-", str(path)):
+            result = subprocess.run(
+                [sys.executable, "-m", "stereograph", "csi", source],
+                input=b"\xff",
+                env=env,
+                capture_output=True,
+                timeout=60,
+            )
+            assert (result.returncode, result.stdout) == (1, b"")
+            errors.append(result.stderr.decode().replace(source, "<input>", 1))
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("stereograph: <input> is not valid UTF-8: ")
+        assert len(errors[0].splitlines()) == 1
+
 
 class TestReport:
     def test_text_report(self, capsys, k33_file):
@@ -387,9 +413,10 @@ class TestArgumentHandling:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
         import io
 
+        # A text stream over bytes, as sys.stdin is: "-" reads its buffer.
         monkeypatch.setattr(
             "sys.stdin",
-            io.StringIO('{"format": "stereograph-v1", "n": 2, "pattern": [1]}'),
+            io.TextIOWrapper(io.BytesIO(b'{"format": "stereograph-v1", "n": 2, "pattern": [1]}')),
         )
         code, out, _ = run(capsys, "csi", "-")
         assert code == 0

@@ -35,6 +35,7 @@ from stereograph.graphs import Graph, normalize_edge
 from stereograph.model import (
     parse_vertex_name,
     pattern_length,
+    pattern_slot,
     restrict_pairs,
     vertex_id,
     vertex_name,
@@ -177,6 +178,18 @@ class TestFromPattern:
         # writer need the int.
         with pytest.raises(DomainError):
             from_pattern(n, bits)
+
+    @pytest.mark.parametrize(
+        "i, j", [(1.0, 2.0), (1.0, 2), (True, 2), (1, 2.0), (2, True), ("1", 2), (None, 2)]
+    )
+    def test_non_int_pair_indices_rejected(self, i, j):
+        # 1.0 and True compare equal to 1: pattern_slot(3, 1.0, 2.0) was
+        # 0.0 and bit(True, 2) read pair 1.
+        message = f"pair indices must be ints, got ({i!r}, {j!r})"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            pattern_slot(3, i, j)
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            gen_complete_ladder(3).bit(i, j)
 
 
 class TestFromEdgeList:

@@ -27,6 +27,7 @@ def test_package_has_no_assert_statements():
 OPTIMIZED_SCRIPT = """
 import sys
 from stereograph import from_edge_list, from_pattern, gen_complete_bipartite, reduce_to_k2
+from stereograph.model import pattern_slot
 
 def raised(fn, *args):
     try:
@@ -39,6 +40,8 @@ print(sys.flags.optimize)
 print(raised(from_pattern, 0, ()))
 print(raised(reduce_to_k2, gen_complete_bipartite(3), [(2, 2), (1, 3)]))
 print(raised(from_edge_list, 2, [(0, 4)]))
+print(raised(pattern_slot, 3, 1.0, 2.0))
+print(raised(gen_complete_bipartite(3).bit, 1.0, 2))
 """
 
 
@@ -60,4 +63,6 @@ def test_checks_survive_optimized_mode():
         "DomainError: pair count must be a positive int, got 0",
         "InvalidOrder: step 0: pair (2, 2) is not alive in (1, 2, 3)",
         "DomainError: edge (0, 4) references a vertex outside 0..3",
+        "DomainError: pair indices must be ints, got (1.0, 2.0)",
+        "DomainError: pair indices must be ints, got (1.0, 2)",
     ]

@@ -27,15 +27,23 @@ from stereograph import (
     enumerate_all,
     from_pattern,
     gen_random,
+    leading_characteristic_coefficients,
     matrix_criterion,
     minor_criterion,
     reduce_to_k2,
     srg_check,
     stereotype_characteristic_polynomial,
+    switching_representative,
+    triangle_pair_triples,
 )
 from stereograph.graphs import Graph
 from stereograph.polynomials import interpolate_integer_polynomial
-from stereograph.spectral import IntMatrix, _quadratic_identity_holds, bareiss_determinant
+from stereograph.spectral import (
+    IntMatrix,
+    _berkowitz,
+    _quadratic_identity_holds,
+    bareiss_determinant,
+)
 
 # Frozen from the independent determinant oracles below (eigenvalues
 # +-2 and 0,0 for the 4-cycle; +-3 and four 0s for the crossed 3-pair
@@ -166,6 +174,13 @@ class TestCharacteristicPolynomialOnIntMatrices:
         assert characteristic_polynomial(tuple(zip(*m))) == poly
         assert characteristic_polynomial(principal_submatrix(m, order)) == poly
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_truncated_pass_is_a_prefix(self, data):
+        m = data.draw(square_int_matrices(9))
+        terms = data.draw(st.integers(min_value=1, max_value=len(m) + 1))
+        assert _berkowitz(m, terms) == list(interpolated_characteristic_polynomial(m)[:terms])
+
     def test_pinned_random_adjacency_at_24_pairs(self):
         poly = characteristic_polynomial(adjacency_matrix(gen_random(24, 0)))
         assert poly.coefficients == CHARPOLY_RANDOM_24
@@ -226,6 +241,57 @@ class TestStereotypeCharacteristicPolynomial:
             assert stereotype_characteristic_polynomial(g) == characteristic_polynomial(
                 adjacency_matrix(g)
             )
+
+
+def first_four(coefficients: tuple[int, ...]) -> tuple[int, ...]:
+    """c0..c3 of a coefficient tuple, 0 past its degree."""
+    return (coefficients + (0, 0, 0))[:4]
+
+
+class TestLeadingCharacteristicCoefficients:
+    """c0..c3 from one truncated Berkowitz pass on g's own Seidel matrix,
+    against the full polynomial and the Bareiss-and-interpolation oracle
+    on the 2n x 2n adjacency matrix."""
+
+    def test_every_graph_with_up_to_six_pairs(self):
+        # The oracles run once per switching class, on the adjacency
+        # matrix of its normalised pattern, which is isomorphic to g.
+        expected = {}
+        for n in range(1, 7):
+            for g in enumerate_all(n):
+                rep = switching_representative(g)
+                if rep not in expected:
+                    a = adjacency_matrix(rep)
+                    full = first_four(characteristic_polynomial(a).coefficients)
+                    assert full == first_four(interpolated_characteristic_polynomial(a))
+                    expected[rep] = full
+                assert leading_characteristic_coefficients(g) == expected[rep], g.bits
+
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_random_graphs(self, n):
+        # The interpolation oracle takes about 12 s over n <= 24 on a
+        # 2-vCPU x86-64 host and 1.3 s over n <= 16; past 16 pairs the
+        # full polynomial stands in, and the 24-pair head is pinned to
+        # the oracle's recorded value in the next test.
+        for seed in range(3):
+            g = gen_random(n, seed)
+            a = adjacency_matrix(g)
+            head = leading_characteristic_coefficients(g)
+            assert head == first_four(characteristic_polynomial(a).coefficients)
+            if n <= 16:
+                assert head == first_four(interpolated_characteristic_polynomial(a))
+
+    def test_pinned_random_graph_at_24_pairs(self):
+        assert leading_characteristic_coefficients(gen_random(24, 0)) == CHARPOLY_RANDOM_24[:4]
+
+    def test_identities_at_96_pairs(self):
+        # Out of the full polynomial's reach here (seconds), in reach of
+        # c0..c3 (milliseconds): each XOR-0 pair triple holds two triangles.
+        g = gen_random(96, 0)
+        c0, c1, c2, c3 = leading_characteristic_coefficients(g)
+        assert (c0, c1, c2) == (1, 0, -96 * 96)
+        assert c3 == -4 * len(triangle_pair_triples(g))
+        assert c3 < 0
 
 
 class TestInterpolation:

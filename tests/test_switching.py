@@ -15,6 +15,7 @@ from stereograph import (
     chromatically_bipartite_criterion,
     enumerate_all,
     from_pattern,
+    leading_characteristic_coefficients,
     recognize_complete_bipartite,
     recognize_complete_ladder,
     stability_report,
@@ -73,8 +74,8 @@ def graph_and_moves(draw):
 
 
 @st.composite
-def graph_relabelling_and_switching(draw):
-    g = _patterns(draw, 2)
+def graph_relabelling_and_switching(draw, max_n=6):
+    g = _patterns(draw, 2, max_n)
     perm = draw(st.permutations(range(1, g.n + 1)))
     switched = draw(st.frozensets(st.integers(min_value=1, max_value=g.n)))
     return g, perm, switched
@@ -121,6 +122,16 @@ def test_index_and_chromatic_polynomial_constant_on_switching_orbits(case):
     moved = switch_pairs(permute_pairs(g, perm), switched)
     assert chromatic_number(moved.graph) == chromatic_number(g.graph)
     assert chromatic_polynomial(moved.graph) == chromatic_polynomial(g.graph)
+
+
+@settings(max_examples=100, deadline=None)
+@given(graph_relabelling_and_switching(max_n=24))
+def test_leading_characteristic_coefficients_constant_on_switching_orbits(case):
+    # c0..c3 are read from g's own rows, not from its normalised pattern.
+    g, perm, switched = case
+    head = leading_characteristic_coefficients(g)
+    assert leading_characteristic_coefficients(permute_pairs(g, perm)) == head
+    assert leading_characteristic_coefficients(switch_pairs(g, switched)) == head
 
 
 @settings(max_examples=200, deadline=None)
