@@ -26,6 +26,7 @@ from .chromatic import (
     count_proper_colorings,
     csi,
     greedy_coloring,
+    leading_chromatic_coefficients,
     optimal_coloring,
     stability_report,
     two_coloring,

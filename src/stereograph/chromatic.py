@@ -6,11 +6,15 @@ the vertex set into i nonempty independent sets, as the coefficients
 of its Newton form over the falling factorials, expanded by Horner's
 rule. Those counts come from a memoised DP over the vertex
 subsets reached from the full set by removing independent sets, with
-each subset's counts packed into one int. The chromatically-bipartite
-criterion asks for the polynomial of the switching class's normalised
-pattern, so the polynomial cache is hit by every pattern of a class.
-The stability report is likewise computed once per switching class, on
-the normalised pattern, and cached on that pattern: the 1024 graphs on
+each subset's counts packed into one int; it is exponential, so
+`chromatic_polynomial` is bounded at CHROMATIC_POLY_VERTEX_BOUND
+vertices. The chromatically-bipartite criterion needs only b0..b2,
+which depend on the three top partition counts alone (into V, V-1 and
+V-2 sets); `leading_chromatic_coefficients` counts those on the
+complement's neighbour masks in O(V^2) big-int operations, at any size,
+so no criterion of a report is skipped for size.
+The stability report is computed once per switching class, on the
+normalised pattern, and cached on that pattern: the 1024 graphs on
 5 pairs need 64 reports. Proper-coloring counts are,
 separately, plain backtracking over raw color assignments so the two
 routes stay independent of each other. The chromatic number is exact
@@ -182,6 +186,41 @@ def chromatic_polynomial(graph: Graph) -> IntPolynomial:
             f"got {graph.vertex_count}"
         )
     return _chromatic_polynomial_cached(graph)
+
+
+def leading_chromatic_coefficients(graph: Graph) -> tuple[int, int, int]:
+    """b0..b2 of the chromatic polynomial, the coefficients of
+    x^V..x^(V-2), at any vertex count V.
+
+    In the falling-factorial form sum_k a_k x(x-1)...(x-k+1), only
+    a_V = 1, a_(V-1) and a_(V-2) reach these powers. With N the
+    non-edges, a_(V-1) = N (one non-adjacent pair shares a set) and
+    a_(V-2) counts the independent 3-sets plus the pairs of disjoint
+    non-edges, C(N, 2) - sum_v C(d_v, 2) for the complement degrees d_v.
+    Expanding x(x-1)...(x-V+1) to its third coefficient, a Stirling
+    number of the first kind, gives
+    b1 = N - C(V, 2) and b2 = C(V, 3)(3V - 1)/4 - N C(V-1, 2) + a_(V-2).
+    Everything is counted on the complement's neighbour masks: the
+    independent 3-sets are the common non-neighbours above v of each
+    non-edge uv, one AND and one popcount per non-edge.
+    """
+    count = graph.vertex_count
+    if count < 2:
+        return (1, 0, 0)
+    full = (1 << count) - 1
+    apart = [full ^ mask ^ 1 << v for v, mask in enumerate(graph.masks)]
+    degrees = [mask.bit_count() for mask in apart]
+    non_edges = sum(degrees) // 2
+    independent_triples = 0
+    for u, row in enumerate(apart):
+        for v in iter_bits(row >> (u + 1) << (u + 1)):
+            independent_triples += ((row & apart[v]) >> (v + 1)).bit_count()
+    two_below = (
+        independent_triples + comb(non_edges, 2) - sum(comb(d, 2) for d in degrees)
+    )
+    b1 = non_edges - comb(count, 2)
+    b2 = comb(count, 3) * (3 * count - 1) // 4 - non_edges * comb(count - 1, 2) + two_below
+    return (1, b1, b2)
 
 
 @dataclass(frozen=True)
@@ -442,22 +481,21 @@ def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
     b1 = -n^2, b2 <= C(n^2, 2), and b2 - C(n^2, 2) = c3/2 against the
     characteristic polynomial); any violation is an internal bug.
 
-    The chromatic polynomial is taken on switching_representative(g),
-    which is isomorphic to g, so the cache of chromatic_polynomial holds
-    one entry per switching class.
+    b0..b2 come from leading_chromatic_coefficients, three partition
+    counts on g's own graph, so the criterion works at any size and
+    never builds the whole chromatic polynomial.
     """
     _require_at_least_two_pairs(g)
     c3 = leading_characteristic_coefficients(g)[3]
-    return _chromatically_bipartite(switching_representative(g), c3)
+    return _chromatically_bipartite(g, c3)
 
 
-def _chromatically_bipartite(rep: StereotypeGraph, c3: int) -> bool:
-    """The chromatically-bipartite verdict on a switching representative,
-    cross-checked against c3 of its characteristic polynomial."""
-    chrom = chromatic_polynomial(rep.graph)
-    b0, b1, b2 = chrom.coefficient(0), chrom.coefficient(1), chrom.coefficient(2)
-    edge_pairs = comb(rep.n * rep.n, 2)
-    if b0 != 1 or b1 != -rep.n * rep.n:
+def _chromatically_bipartite(g: StereotypeGraph, c3: int) -> bool:
+    """The chromatically-bipartite verdict on g, cross-checked against c3
+    of its characteristic polynomial."""
+    b0, b1, b2 = leading_chromatic_coefficients(g.graph)
+    edge_pairs = comb(g.n * g.n, 2)
+    if b0 != 1 or b1 != -g.n * g.n:
         raise InternalInvariant(f"unexpected leading chromatic coefficients ({b0}, {b1})")
     if b2 > edge_pairs or 2 * (b2 - edge_pairs) != c3:
         raise InternalInvariant(
@@ -470,10 +508,11 @@ def _chromatically_bipartite(rep: StereotypeGraph, c3: int) -> bool:
 class StabilityReport:
     """Verdicts of every stability criterion on one graph.
 
-    A criterion that does not apply (single pair) or was skipped for
-    size is None; `agreement` covers the executed criteria plus the
-    index test csi == 2. Every field is a graph invariant, hence an
-    invariant of the pattern's switching class.
+    A criterion that does not apply is None, which happens only for a
+    single pair (girth, matrix, characteristic, chromatically-bipartite);
+    no criterion is skipped for size. `agreement` covers the executed
+    criteria plus the index test csi == 2. Every field is a graph
+    invariant, hence an invariant of the pattern's switching class.
     """
 
     merge: bool
@@ -542,8 +581,7 @@ def _compute_stability_report(g: StereotypeGraph) -> StabilityReport:
         # for the chromatically-bipartite cross-check.
         c3 = leading_characteristic_coefficients(g)[3]
         characteristic = c3 == 0
-        if g.vertex_count <= CHROMATIC_POLY_VERTEX_BOUND:
-            chrom_bipartite = _chromatically_bipartite(switching_representative(g), c3)
+        chrom_bipartite = _chromatically_bipartite(g, c3)
     index = csi(g)
     executed = [
         v
@@ -589,6 +627,7 @@ __all__ = [
     "csi",
     "greedy_coloring",
     "independent_partition_counts",
+    "leading_chromatic_coefficients",
     "optimal_coloring",
     "stability_report",
     "two_coloring",

@@ -184,6 +184,16 @@ class Graph:
     def triangle_count(self) -> int:
         return len(self.triangles())
 
+    def has_triangle(self) -> bool:
+        """Whether any triangle exists: the edge loop of `triangles`,
+        returning at the first edge uv with a common neighbour above v."""
+        masks = self.masks
+        for u, row in enumerate(masks):
+            for v in iter_bits(row >> (u + 1) << (u + 1)):
+                if (row & masks[v]) >> (v + 1):
+                    return True
+        return False
+
     def delete_edges(self, removed: Iterable[Edge]) -> "Graph":
         """The graph without the listed edges; an absent edge or a vertex
         outside the graph is ignored, a self-loop raises."""

@@ -245,8 +245,9 @@ def characteristic_criterion(g: StereotypeGraph) -> bool:
 
 def minor_criterion(g: StereotypeGraph) -> bool:
     """Stability via the absence of the 3x3 all-off-diagonal-ones principal
-    submatrix, i.e. the absence of a triangle."""
-    return g.graph.triangle_count() == 0
+    submatrix, i.e. the absence of a triangle; the search stops at the
+    first triangle."""
+    return not g.graph.has_triangle()
 
 
 def srg_check(g: StereotypeGraph) -> tuple[int, int, int, int] | None:

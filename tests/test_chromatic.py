@@ -22,6 +22,7 @@ from stereograph import (
     SizeExceeded,
     StabilityComparison,
     StereotypeGraph,
+    characteristic_criterion,
     chromatic_number,
     chromatic_polynomial,
     chromatically_bipartite_criterion,
@@ -35,6 +36,7 @@ from stereograph import (
     gen_complete_bipartite,
     gen_complete_ladder,
     gen_random,
+    leading_characteristic_coefficients,
     optimal_coloring,
     reduce_to_k2,
     splitmix64_stream,
@@ -48,6 +50,7 @@ from stereograph.chromatic import (
     _stability_report_cached,
     greedy_coloring,
     independent_partition_counts,
+    leading_chromatic_coefficients,
 )
 from stereograph.graphs import Graph, max_clique_size
 from stereograph.model import pattern_length
@@ -526,6 +529,53 @@ class TestChromaticallyBipartiteCriterion:
             b2 = chromatic_polynomial(g.graph).coefficient(2)
             assert chromatically_bipartite_criterion(g) == (b2 == edge_pairs)
 
+    @pytest.mark.parametrize("n", [8, 24, 96])
+    def test_named_families_beyond_the_polynomial_bound(self, n):
+        for g in (gen_complete_bipartite(n), gen_complete_ladder(n)):
+            verdict = chromatically_bipartite_criterion(g)
+            assert verdict == characteristic_criterion(g) == reduce_to_k2(g).stable
+            assert verdict == (g == gen_complete_bipartite(n))
+
+
+def _head(poly):
+    return tuple(poly.coefficient(i) for i in range(3))
+
+
+class TestLeadingChromaticCoefficients:
+    """b0..b2 from three partition counts against the whole polynomial,
+    and against c3 of the characteristic polynomial where the whole
+    chromatic polynomial is out of reach."""
+
+    def test_every_graph_up_to_five_pairs_and_every_seventh_on_six(self):
+        graphs = [g for n in range(1, 6) for g in enumerate_all(n)]
+        graphs += itertools.islice(enumerate_all(6), 0, None, 7)
+        for g in graphs:
+            head = _head(chromatic_polynomial(g.graph))
+            assert leading_chromatic_coefficients(g.graph) == head, (g.n, g.rows)
+
+    def test_seeded_general_graphs(self):
+        stream = splitmix64_stream(21)
+        for _ in range(400):
+            count = 1 + next(stream) % 12
+            density = next(stream) % 101
+            graph = Graph.from_edges(
+                count,
+                [e for e in itertools.combinations(range(count), 2) if next(stream) % 100 < density],
+            )
+            assert leading_chromatic_coefficients(graph) == _head(chromatic_polynomial(graph))
+
+    def test_no_vertices(self):
+        assert leading_chromatic_coefficients(Graph.from_edges(0, ())) == (1, 0, 0)
+
+    @pytest.mark.parametrize("n", [24, 96, 200])
+    def test_second_coefficient_matches_c3_beyond_the_bound(self, n):
+        for s in range(3):
+            g = gen_random(n, s)
+            b0, b1, b2 = leading_chromatic_coefficients(g.graph)
+            c3 = leading_characteristic_coefficients(g)[3]
+            assert (b0, b1) == (1, -n * n)
+            assert 2 * (b2 - comb(n * n, 2)) == c3
+
 
 class TestConstructiveColoring:
     def test_ladder_uses_exactly_three(self, kl3):
@@ -624,9 +674,12 @@ class TestStabilityReport:
             from_pattern(3, [0, 0, 0])
         )
 
-    def test_oversized_marks_polynomial_skipped(self):
-        g = gen_complete_ladder(8)
-        report = stability_report(g)
-        assert report.chromatically_bipartite is None
+    def test_no_criterion_skipped_past_the_polynomial_bound(self):
+        report = stability_report(gen_complete_ladder(8))
+        assert report.chromatically_bipartite is False
         assert report.agreement
         assert report.csi == 8
+        report = stability_report(gen_complete_bipartite(24))
+        assert all(v is True for v in report.criteria().values())
+        assert report.agreement
+        assert report.csi == 2

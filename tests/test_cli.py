@@ -160,6 +160,34 @@ class TestReport:
         assert doc["criteria"]["merge"] is False
         assert doc["agreement"] is True
 
+    def test_nine_pairs_report_every_criterion(self, capsys, tmp_path):
+        # Past the chromatic polynomial's 14-vertex bound the
+        # chromatically-bipartite criterion still gives a verdict.
+        path = tmp_path / "kl9.json"
+        path.write_text(json.dumps({"format": "stereograph-v1", "n": 9, "pattern": [0] * 36}))
+        code, out, _ = run(capsys, "report", str(path))
+        assert code == 0
+        assert "chromatically-bipartite: unstable" in out
+        assert "skipped" not in out
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 16])
+    def test_json_report_has_no_skipped_criterion(self, capsys, tmp_path, n):
+        path = tmp_path / "g.json"
+        pattern = [1] * (n * (n - 1) // 2)
+        path.write_text(json.dumps({"format": "stereograph-v1", "n": n, "pattern": pattern}))
+        code, out, _ = run(capsys, "report", str(path), "--json")
+        doc = json.loads(out)
+        assert code == 0
+        assert all(v is True for v in doc["criteria"].values())
+
+    def test_single_pair_skips_the_two_pair_criteria(self, capsys, tmp_path):
+        path = tmp_path / "k2.json"
+        path.write_text('{"format": "stereograph-v1", "n": 1, "pattern": []}')
+        code, out, _ = run(capsys, "report", str(path))
+        assert code == 0
+        skipped = {line.split(":")[0] for line in out.splitlines() if line.endswith(": skipped")}
+        assert skipped == {"girth", "matrix", "characteristic", "chromatically-bipartite"}
+
     def test_disagreement_exits_two(self, capsys, kl3_file, monkeypatch):
         fake = StabilityReport(
             merge=True,

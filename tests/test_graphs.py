@@ -18,7 +18,7 @@ from oracles import (
     permutation_isomorphic,
     trace_triangle_count,
 )
-from stereograph import enumerate_all, graphs
+from stereograph import enumerate_all, gen_random, graphs
 from stereograph.errors import DomainError
 from stereograph.graphs import (
     Graph,
@@ -111,6 +111,19 @@ class TestTriangles:
             if all(e in graph.edges for e in itertools.combinations(t, 2))
         ]
         assert graph.triangles() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=any_graphs)
+    def test_has_triangle_on_drawn_graphs(self, graph):
+        assert graph.has_triangle() == (graph.triangle_count() > 0)
+
+    def test_has_triangle_on_stereotype_graphs(self):
+        # Every graph with 1..5 pairs and the report benchmark's random
+        # pool, gen_random(8..12, 0..7).
+        pool = [g for n in range(1, 6) for g in enumerate_all(n)]
+        pool += [gen_random(n, s) for n in range(8, 13) for s in range(8)]
+        for g in pool:
+            assert g.graph.has_triangle() == (g.graph.triangle_count() > 0), (g.n, g.rows)
 
 
 class TestDistances:

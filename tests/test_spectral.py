@@ -483,6 +483,19 @@ class TestMinorCriterion:
         for g in all_st4:
             assert minor_criterion(g) == (g.graph.girth() == 4)
 
+    def test_stops_at_the_first_triangle(self, monkeypatch):
+        # The criterion asks only whether a triangle exists; it never
+        # lists them all.
+        listings = []
+        triangles = Graph.triangles
+        monkeypatch.setattr(
+            Graph, "triangles", lambda graph: listings.append(graph) or triangles(graph)
+        )
+        graphs = [g for n in range(1, 5) for g in enumerate_all(n)] + [gen_random(12, 0)]
+        for g in graphs:
+            assert minor_criterion(g) == (g.graph.girth() != 3)
+        assert listings == []
+
     def test_matches_principal_submatrix_extraction(self, all_st3):
         # The criterion is implemented as a triangle search; confirm the
         # minor reading by extracting every 3x3 principal submatrix.
