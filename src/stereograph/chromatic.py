@@ -41,8 +41,8 @@ from .graphs import Graph, is_clique, iter_bits, max_clique
 from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
+    _normalised_rows,
     recognize_complete_bipartite,
-    switching_representative,
     vertex_id,
 )
 from .polynomials import IntPolynomial
@@ -551,9 +551,10 @@ def stability_report(g: StereotypeGraph) -> StabilityReport:
 
     The report is computed once per switching class, on the normalised
     pattern switching_representative(g), which is isomorphic to g, and
-    cached on that pattern: the 1024 graphs on 5 pairs need 64 reports.
+    cached on that pattern's rows: the 1024 graphs on 5 pairs need 64
+    reports. A cache hit builds no graph.
     """
-    return _stability_report_cached(switching_representative(g).rows)
+    return _stability_report_cached(tuple(_normalised_rows(g)))
 
 
 # Keyed on the representative's rows, which fix n as their length, rather

@@ -170,29 +170,25 @@ class Graph:
                 return 3
         return best
 
-    def triangles(self) -> list[tuple[int, int, int]]:
-        """All triangles as sorted vertex triples, in lexicographic order:
-        for each edge uv with u < v, the common neighbours above v."""
+    def _common_neighbours(self) -> Iterator[tuple[int, int, int]]:
+        """(u, v, mask of the common neighbours above v) for each edge uv
+        with u < v, in lexicographic order: the one triangle walk."""
         masks = self.masks
-        found = []
         for u, row in enumerate(masks):
             for v in iter_bits(row >> (u + 1) << (u + 1)):
-                for w in iter_bits((row & masks[v]) >> (v + 1) << (v + 1)):
-                    found.append((u, v, w))
-        return found
+                yield u, v, (row & masks[v]) >> (v + 1) << (v + 1)
+
+    def triangles(self) -> list[tuple[int, int, int]]:
+        """All triangles as sorted vertex triples, in lexicographic order."""
+        return [(u, v, w) for u, v, common in self._common_neighbours() for w in iter_bits(common)]
 
     def triangle_count(self) -> int:
-        return len(self.triangles())
+        """The number of triangles: the popcounts of the walk's masks."""
+        return sum(common.bit_count() for _, _, common in self._common_neighbours())
 
     def has_triangle(self) -> bool:
-        """Whether any triangle exists: the edge loop of `triangles`,
-        returning at the first edge uv with a common neighbour above v."""
-        masks = self.masks
-        for u, row in enumerate(masks):
-            for v in iter_bits(row >> (u + 1) << (u + 1)):
-                if (row & masks[v]) >> (v + 1):
-                    return True
-        return False
+        """Whether any triangle exists; the walk stops at the first."""
+        return any(common for _, _, common in self._common_neighbours())
 
     def delete_edges(self, removed: Iterable[Edge]) -> "Graph":
         """The graph without the listed edges; an absent edge or a vertex
@@ -209,22 +205,24 @@ class Graph:
 def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
     """One edge-preserving bijection from g1 onto g2, or None.
 
-    Backtracking pruned by vertex invariants (degree and sorted neighbor
-    degrees). A returned mapping is always re-verified, mask by mask,
-    before being handed back.
+    Backtracking pruned by one vertex invariant, refined once (McKay,
+    "Practical graph isomorphism", 1981): local[v] is v's degree and twice
+    the number of triangles through v, and v maps only onto vertices with
+    the same local[] and the same sorted local[] of their neighbours. A
+    returned mapping is always re-verified, mask by mask.
     """
     n = g1.vertex_count
     if n != g2.vertex_count:
         return None
-    deg1, deg2 = g1.degrees(), g2.degrees()
-    if sorted(deg1) != sorted(deg2):
-        return None
-    if g1.triangle_count() != g2.triangle_count():
-        return None
-
     m1, m2 = g1.masks, g2.masks
-    sig1 = [(deg1[v], tuple(sorted(deg1[w] for w in iter_bits(m1[v])))) for v in range(n)]
-    sig2 = [(deg2[v], tuple(sorted(deg2[w] for w in iter_bits(m2[v])))) for v in range(n)]
+    local1, local2 = (
+        [(row.bit_count(), sum((row & m[w]).bit_count() for w in iter_bits(row))) for row in m]
+        for m in (m1, m2)
+    )
+    if sorted(local1) != sorted(local2):
+        return None
+    sig1 = [(local1[v], tuple(sorted(local1[w] for w in iter_bits(m1[v])))) for v in range(n)]
+    sig2 = [(local2[v], tuple(sorted(local2[w] for w in iter_bits(m2[v])))) for v in range(n)]
     if sorted(sig1) != sorted(sig2):
         return None
 

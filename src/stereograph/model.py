@@ -17,9 +17,10 @@ Swapping the two sides of pair i (Seidel switching) flips every bit
 (i, j) and maps the graph to an isomorphic one, so every graph invariant
 is an invariant of the pattern's switching class. Each class has one
 normalised pattern, with pair 1 parallel to every other pair;
-switching_representative computes it row by row, stability_report and
-the polynomial criteria key their caches on it, and the two recognizers
-compare g's switched rows with it: the complete bipartite class
+_normalised_rows computes its rows one at a time. switching_representative
+builds it from them, stability_report and the characteristic polynomial
+key their caches on them without building a graph, and the two
+recognizers compare them with the extremes: the complete bipartite class
 normalises to 1 on every bit outside pair 1's row, the complete ladder
 class to all 0.
 
@@ -258,8 +259,13 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
         if e in edge_set:
             raise DomainError(f"duplicate edge {e}")
         edge_set.add(e)
+    return _from_masks(n, Graph.from_edges(2 * n, edge_set).masks)
 
-    masks = Graph.from_edges(2 * n, edge_set).masks
+
+def _from_masks(n: int, masks: tuple[int, ...]) -> StereotypeGraph:
+    """The stereotype graph whose neighbour masks on 2n vertices are
+    masks, or NotAStereotypeGraph for the first defining clause that
+    fails: from_edge_list after its edge checks."""
     missing, bad_pairpair = _defining_clauses(masks)
     if missing is not None:
         raise NotAStereotypeGraph(

@@ -16,7 +16,7 @@ from .graphs import Graph
 from .merge import MergeStep
 from .model import (
     StereotypeGraph,
-    from_edge_list,
+    _from_masks,
     from_pattern,
     parse_vertex_name,
     vertex_name,
@@ -97,7 +97,7 @@ def graph_from_dict(doc: object) -> StereotypeGraph:
     NotAStereotypeGraph with the violated clause.
     """
     n, g = _parse(doc)
-    return g if isinstance(g, StereotypeGraph) else from_edge_list(n, g.edges)
+    return g if isinstance(g, StereotypeGraph) else _from_masks(n, g.masks)
 
 
 def graph_from_json(text: str) -> StereotypeGraph:

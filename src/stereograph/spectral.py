@@ -28,7 +28,7 @@ from operator import mul
 
 from .errors import DomainError, InternalInvariant
 from .graphs import Graph
-from .model import StereotypeGraph, switching_representative
+from .model import StereotypeGraph, _normalised_rows
 from .polynomials import IntPolynomial
 
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -150,10 +150,11 @@ def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
 
     Switching pairs conjugates S by a diagonal sign matrix D, and DSD has
     the same characteristic polynomial, so S is read from the rows of
-    switching_representative(g): every pattern of a switching class
-    gives the same matrix and hits the cache of characteristic_polynomial.
+    switching_representative(g), without building that graph: every
+    pattern of a switching class gives the same matrix and hits the cache
+    of characteristic_polynomial.
     """
-    shifted = _shifted_seidel_matrix(switching_representative(g).rows)
+    shifted = _shifted_seidel_matrix(tuple(_normalised_rows(g)))
     core = characteristic_polynomial(shifted).coefficients
     return IntPolynomial(_times_x_minus_n(core, g.n) + (0,) * (g.n - 1))
 

@@ -95,6 +95,15 @@ BUILT_PATTERNS = {
 # census(6) as (k, labeled, isomorphism classes); the labeled counts agree
 # with the index of each of the 32768 labeled graphs computed one by one.
 SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32, 1)]
+# census(7, force=True) in the same form.
+SEVEN_PAIR_CENSUS = [
+    (2, 64, 1),
+    (3, 19264, 4),
+    (4, 1566848, 30),
+    (5, 498368, 15),
+    (6, 12544, 3),
+    (7, 64, 1),
+]
 
 
 @pytest.mark.parametrize("n", [0, 2.0, True, -1, "2", None])
@@ -261,6 +270,13 @@ class TestCensus:
         # The two-graph count on 6 points (OEIS A002854): graph isomorphism
         # merges no two switching classes through n = 6.
         assert sum(classes for _, _, classes in rows) == 16
+
+    def test_seven_pairs_exhaustive(self):
+        rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(7, force=True)]
+        assert rows == SEVEN_PAIR_CENSUS
+        assert sum(labeled for _, labeled, _ in rows) == 1 << 21
+        # A002854 on 7 points.
+        assert sum(classes for _, _, classes in rows) == 54
 
     def test_bound_and_force(self):
         with pytest.raises(TooLarge):

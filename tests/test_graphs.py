@@ -7,6 +7,7 @@ against dense-matrix and brute-force oracles.
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -111,6 +112,7 @@ class TestTriangles:
             if all(e in graph.edges for e in itertools.combinations(t, 2))
         ]
         assert graph.triangles() == expected
+        assert graph.triangle_count() == len(expected)
 
     @settings(max_examples=200, deadline=None)
     @given(graph=any_graphs)
@@ -189,6 +191,35 @@ class TestIsomorphism:
         path = PATHS["P3"]
         assert graphs._mapping_preserves_edges(path, path, {0: 2, 1: 1, 2: 0})
         assert not graphs._mapping_preserves_edges(path, path, {0: 1, 1: 0, 2: 2})
+
+    def test_strongly_regular_twins(self):
+        """The Shrikhande graph and the 4x4 rook's graph are both
+        srg(16, 6, 2, 2): every vertex has the same degree and the same
+        triangles, so only the search can tell them apart. Both are
+        Cayley graphs on Z4 x Z4, cell (a, b) being vertex 4a + b."""
+        cells = list(itertools.product(range(4), repeat=2))
+
+        def cayley(steps):
+            return Graph.from_edges(
+                16,
+                [
+                    (4 * a + b, 4 * c + d)
+                    for (a, b), (c, d) in itertools.combinations(cells, 2)
+                    if ((c - a) % 4, (d - b) % 4) in steps
+                ],
+            )
+
+        shrikhande = cayley({(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+        rook = cayley({(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, 0)})
+        for graph in (shrikhande, rook):
+            assert graph.degrees() == (6,) * 16 and graph.triangle_count() == 32
+        assert find_isomorphism(shrikhande, rook) is None
+        assert find_isomorphism(rook, shrikhande) is None
+        for seed, graph in enumerate((shrikhande, rook)):
+            perm = list(range(16))
+            random.Random(seed).shuffle(perm)
+            image = relabelled(graph, perm)
+            assert_is_isomorphism(find_isomorphism(graph, image), graph, image)
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
     def test_exhaustive_small_graphs(self, n):

@@ -1,4 +1,5 @@
-"""Every module-level function of the package has a reader.
+"""Every module-level function and private method of the package has a
+reader.
 
 When a new path replaces an old one, the old one must go, or move into
 tests/oracles.py as a reference. This scan fails on a module-level
@@ -6,7 +7,9 @@ function in src/stereograph that nothing reaches: it must be referenced
 outside its own definition somewhere in the package (a name or an
 attribute, not an import and not an ``__all__`` entry), be exported from
 ``stereograph``, or be named by (module, attribute) in
-perfbench/spans.py, which traces it. perfbench/ is only read.
+perfbench/spans.py, which traces it. perfbench/ is only read. A private
+method of a class (``_name``, not a dunder) must be read on some line of
+the package outside its own definition.
 """
 
 import ast
@@ -49,6 +52,14 @@ def references(trees: dict[str, ast.Module]) -> list[tuple[str, int, str]]:
     return found
 
 
+def read_elsewhere(
+    refs: list[tuple[str, int, str]], module: str, node: ast.FunctionDef
+) -> bool:
+    """Whether node's name is read outside node's own lines."""
+    own = range(node.lineno, node.end_lineno + 1)
+    return any(n == node.name and not (m == module and line in own) for m, line, n in refs)
+
+
 def unread_functions(
     trees: dict[str, ast.Module], exported: set[str], traced: set[tuple[str, str]]
 ) -> list[str]:
@@ -61,11 +72,29 @@ def unread_functions(
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             name = node.name
-            own = range(node.lineno, node.end_lineno + 1)
-            if any(n == name and not (m == module and line in own) for m, line, n in refs):
+            if read_elsewhere(refs, module, node):
                 continue
             if name not in exported and (module, name) not in traced:
                 unread.append(f"{module}.{name}")
+    return unread
+
+
+def unread_private_methods(trees: dict[str, ast.Module]) -> list[str]:
+    """module.Class.name of each private method of a module-level class
+    that no line of the package outside its own definition reads."""
+    refs = references(trees)
+    unread = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    continue
+                name = node.name
+                dunder = name.startswith("__") and name.endswith("__")
+                if name.startswith("_") and not dunder and not read_elsewhere(refs, module, node):
+                    unread.append(f"{module}.{cls.name}.{name}")
     return unread
 
 
@@ -108,3 +137,32 @@ x = used()
     trees = {"stereograph.m": ast.parse(source)}
     traced = {("stereograph.m", "traced")}
     assert unread_functions(trees, {"exported"}, traced) == ["stereograph.m.dead"]
+
+
+def test_every_private_method_has_a_reader():
+    unread = unread_private_methods(parsed_modules())
+    assert unread == [], "nothing in the package reads " + ", ".join(unread)
+
+
+def test_scan_flags_an_unread_private_method():
+    """Recursion does not count as a reader, and public and dunder
+    methods are not scanned."""
+    source = """
+class Walker:
+    def __init__(self):
+        self.steps = 0
+
+    def walk(self):
+        return self._used()
+
+    def _used(self):
+        return 1
+
+    def _dead(self):
+        return self._dead()
+
+    def public(self):
+        return 2
+"""
+    trees = {"stereograph.m": ast.parse(source)}
+    assert unread_private_methods(trees) == ["stereograph.m.Walker._dead"]
