@@ -44,7 +44,6 @@ from .errors import (
     RangeError,
     SizeExceeded,
     StereographError,
-    TooLarge,
 )
 from .generators import (
     CensusRow,

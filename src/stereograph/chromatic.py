@@ -83,8 +83,8 @@ def count_proper_colorings(graph: Graph, x: int) -> int:
     """Number of proper colorings from a palette of x colors, counted by
     exhaustive backtracking over assignments (not all colors need occur);
     the last vertex adds the number of colors its neighbors leave free."""
-    if x < 0:
-        raise DomainError(f"palette size must be non-negative, got {x}")
+    if type(x) is not int or x < 0:
+        raise DomainError(f"palette size must be a non-negative int, got {x!r}")
     n = graph.vertex_count
     if n == 0:
         return 1

@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 bad input (parse errors, definition violations,
 size bounds), 2 internal invariant violation (always a bug, never a
 property of the input). "-" means standard input or output for any path
-argument. STEREOGRAPH_MAX_N overrides the enumeration bound.
+argument. STEREOGRAPH_MAX_N sets the limit on n of enumerate and census
+(default 6); past it they exit 1.
 """
 
 from __future__ import annotations
@@ -90,9 +91,7 @@ def _load_graph(path: str) -> StereotypeGraph:
 
 
 def _enumeration_limit() -> int:
-    raw = os.environ.get("STEREOGRAPH_MAX_N")
-    if raw is None:
-        return DEFAULT_ENUMERATION_BOUND
+    raw = os.environ.get("STEREOGRAPH_MAX_N", str(DEFAULT_ENUMERATION_BOUND))
     try:
         return int(raw)
     except ValueError as exc:
@@ -185,8 +184,6 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    if args.census:
-        return _cmd_census(args)
     lines = [graph_to_json(g) for g in enumerate_all(args.n, limit=_enumeration_limit())]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
@@ -283,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="list every graph on n pairs")
     p.add_argument("--n", required=True, type=int)
-    p.add_argument("--census", action="store_true", help="emit a CSV census instead")
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(handler=_cmd_enumerate)
 

@@ -35,15 +35,12 @@ class PairAbsent(StereographError, KeyError):
 
 
 class InvalidOrder(StereographError, ValueError):
-    """An explicit merge order referenced a pair not alive at its step."""
-
-
-class TooLarge(StereographError, ValueError):
-    """An exhaustive operation was asked to exceed its configured bound."""
+    """An explicit merge order has a step that is not two alive labels."""
 
 
 class SizeExceeded(StereographError, ValueError):
-    """A polynomial computation was asked to exceed its vertex bound."""
+    """A computation was asked to exceed its size bound: a polynomial's
+    vertex bound or an exhaustive walk's limit."""
 
 
 class InvalidColoring(StereographError, ValueError):

@@ -9,7 +9,8 @@ preserving the chromatic stability index or incrementing it by building
 a clique through the new pair, which together reach every index in
 [2, n]. build_with_csi writes down the graph their chain reaches, with a
 proper coloring and a clique of equal size, so the index of what it
-builds is certified in O(n^2) without a search.
+builds is certified in O(n^2) without a search. enumerate_all and
+census are exhaustive, so each raises SizeExceeded past its limit on n.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .errors import (
     InternalInvariant,
     InvalidColoring,
     RangeError,
-    TooLarge,
 )
 from .graphs import (
     Edge,
@@ -37,6 +37,7 @@ from .graphs import (
 )
 from .model import (
     StereotypeGraph,
+    _check_limit,
     _check_pair_count,
     _all_rows,
     _value_rows,
@@ -96,19 +97,12 @@ def gen_random(n: int, seed: int) -> StereotypeGraph:
     return from_pattern(n, bits)
 
 
-def enumerate_all(
-    n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND, force: bool = False
-) -> Iterator[StereotypeGraph]:
-    """All 2^C(n,2) stereotype graphs on n pairs in lexicographic bit order."""
+def enumerate_all(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> Iterator[StereotypeGraph]:
+    """All 2^C(n,2) stereotype graphs on n pairs in lexicographic bit order;
+    limit=None lifts the bound. Both arguments are checked at the call."""
     _check_pair_count(n)
-    _check_bound("enumeration", n, limit, force)
-    for rows in _all_rows(n):
-        yield StereotypeGraph(n, rows)
-
-
-def _check_bound(what: str, n: int, limit: int | None, force: bool) -> None:
-    if limit is not None and n > limit and not force:
-        raise TooLarge(f"{what} bounded at n <= {limit}, got n={n}")
+    _check_limit("enumeration", n, limit)
+    return (StereotypeGraph(n, rows) for rows in _all_rows(n))
 
 
 @dataclass(frozen=True)
@@ -119,9 +113,7 @@ class CensusRow:
     iso_class_count: int
 
 
-def census(
-    n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND, force: bool = False
-) -> list[CensusRow]:
+def census(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> list[CensusRow]:
     """Labeled and isomorphism-class counts of the graphs on n pairs,
     grouped by chromatic stability index.
 
@@ -142,7 +134,7 @@ def census(
     [2, n] must be populated, with the two extremes a single class.
     """
     _check_pair_count(n)
-    _check_bound("census", n, limit, force)
+    _check_limit("census", n, limit)
     labeled: dict[int, int] = {}
     representatives: dict[int, list[StereotypeGraph]] = {}
     # Normalised patterns are the values below 2^C(n-1,2): their first

@@ -17,7 +17,8 @@ neighbours and the original vertices its class holds, both 0 once the
 vertex has been merged away. The triangle test reads six bits of the
 four vertices involved, and a merge rewrites each vertex's neighbour
 mask with a few int operations, so one merge costs O(V) int operations
-and no edge set is ever rebuilt.
+and no edge set is ever rebuilt. check_order_invariance walks every
+merge order, so it raises SizeExceeded past its limit on n.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-from .errors import InvalidOrder, PairAbsent, TooLarge
+from .errors import InvalidOrder, PairAbsent
 from .graphs import Edge, iter_bits, normalize_edge
-from .model import StereotypeGraph, vertex_id
+from .model import StereotypeGraph, _check_limit, vertex_id
 
 Triangle = tuple[int, int, int]
 ClassPartition = frozenset[frozenset[int]]
@@ -194,7 +195,11 @@ def reduce_to_k2(
     step_index = 0
     pairs = pg.pairs
     while len(pairs) > 1:
-        i, j = pairs[:2] if order is None else order[step_index]
+        step = pairs[:2] if order is None else order[step_index]
+        try:
+            i, j = step
+        except (TypeError, ValueError):
+            raise InvalidOrder(f"step {step_index}: {step!r} is not a pair of labels") from None
         try:
             outcome = merge_pairs(pg, i, j)
         except PairAbsent:
@@ -222,11 +227,11 @@ def reduce_to_k2(
     return StabilityVerdict(stable=True, final_graph=pg, steps=tuple(steps))
 
 
-def check_order_invariance(g: StereotypeGraph, bound: int = ORDER_ENUMERATION_BOUND) -> bool:
+def check_order_invariance(g: StereotypeGraph, limit: int | None = ORDER_ENUMERATION_BOUND) -> bool:
     """True iff every complete merge order yields the same verdict and,
-    for stable graphs, the same final class partition."""
-    if g.n > bound:
-        raise TooLarge(f"order enumeration bounded at n <= {bound}, got n={g.n}")
+    for stable graphs, the same final class partition. g.n past limit
+    raises SizeExceeded, and limit=None lifts the bound."""
+    _check_limit("order enumeration", g.n, limit)
 
     verdicts: set[bool] = set()
     partitions: set[ClassPartition] = set()

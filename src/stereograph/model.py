@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
-from .errors import DomainError, LengthMismatch, NotAStereotypeGraph
+from .errors import DomainError, LengthMismatch, NotAStereotypeGraph, SizeExceeded
 from .graphs import Edge, Graph, _checked_edge, iter_bits
 
 
@@ -112,6 +112,15 @@ def _check_pair_count(n: int) -> None:
     # pattern_length(2.0) is not a length.
     if type(n) is not int or n < 1:
         raise DomainError(f"pair count must be a positive int, got {n!r}")
+
+
+def _check_limit(what: str, n: int, limit: int | None) -> None:
+    # The bound of every exhaustive walk: None (no bound) or an int >= 1.
+    if limit is not None:
+        if type(limit) is not int or limit < 1:
+            raise DomainError(f"limit must be None or a positive int, got {limit!r}")
+        if n > limit:
+            raise SizeExceeded(f"{what} bounded at n <= {limit}, got n={n}")
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from .graphs import Graph
 from .merge import MergeStep
 from .model import (
     StereotypeGraph,
+    _check_pair_count,
     _from_masks,
     from_pattern,
     parse_vertex_name,
@@ -44,19 +45,17 @@ def _parse(doc: object) -> tuple[int, StereotypeGraph | Graph]:
     edge-form one). Malformed documents raise ParseError."""
     if not isinstance(doc, dict):
         raise ParseError("graph document must be a JSON object")
-    n = doc.get("n")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ParseError(f"'n' must be a positive integer, got {n!r}")
-    fmt = doc.get("format")
-    if fmt == FORMAT_BITS:
-        pattern = doc.get("pattern")
-        if not isinstance(pattern, list):
-            raise ParseError("'pattern' must be a list of 0/1 bits")
-        try:
+    n, fmt = doc.get("n"), doc.get("format")
+    try:
+        _check_pair_count(n)
+        if fmt == FORMAT_BITS:
+            pattern = doc.get("pattern")
+            if not isinstance(pattern, list):
+                raise ParseError("'pattern' must be a list of 0/1 bits")
             # Bits that are not the plain ints 0/1 (true, 1.0) fail here.
             return n, from_pattern(n, pattern)
-        except (LengthMismatch, DomainError) as exc:
-            raise ParseError(str(exc)) from exc
+    except (LengthMismatch, DomainError) as exc:
+        raise ParseError(str(exc)) from exc
     if fmt == FORMAT_EDGES:
         return n, _edge_graph(doc, n)
     raise ParseError(f"unknown format {fmt!r}")

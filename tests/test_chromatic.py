@@ -1,6 +1,7 @@
 """Coloring machinery: counts, polynomials, index, criteria, reports."""
 
 import itertools
+import re
 from math import comb
 
 import pytest
@@ -88,6 +89,13 @@ class TestCountProperColorings:
         assert count_proper_colorings(kl3.graph, 3) == 12
         assert count_proper_colorings(k22.graph, 0) == 0
         assert count_proper_colorings(from_pattern(1, []).graph, 1) == 0
+
+    @pytest.mark.parametrize("x", [-1, True, 2.0, "2"])
+    def test_palette_must_be_a_non_negative_int(self, k22, x):
+        # True and 2.0 compare equal to ints but are not palette sizes.
+        message = f"palette size must be a non-negative int, got {x!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            count_proper_colorings(k22.graph, x)
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_matches_assignment_enumeration_oracle(self, n):

@@ -207,6 +207,15 @@ class TestReport:
 
 
 class TestCsiAndPolynomials:
+    @pytest.mark.parametrize("n", ["0", "-1", "true", "2.0", '"2"'])
+    def test_bad_pair_count_exits_one(self, capsys, tmp_path, n):
+        path = tmp_path / "bad_n.json"
+        path.write_text(f'{{"format": "stereograph-v1", "n": {n}, "pattern": [0]}}')
+        code, out, err = run(capsys, "csi", str(path))
+        assert code == 1
+        assert out == ""
+        assert "pair count must be a positive int" in err
+
     def test_csi_plain(self, capsys, kl3_file):
         code, out, _ = run(capsys, "csi", kl3_file)
         assert code == 0
@@ -334,15 +343,17 @@ class TestEnumerateAndCensus:
         )
 
     def test_census_csv(self, capsys):
-        code, out, _ = run(capsys, "enumerate", "--n", "3", "--census")
+        code, out, _ = run(capsys, "census", "--n", "3")
         assert code == 0
         assert out == "n,k,labeled_count,iso_class_count\n3,2,4,1\n3,3,4,1\n"
 
-    def test_census_subcommand_matches_flag(self, capsys):
-        _, via_flag, _ = run(capsys, "enumerate", "--n", "3", "--census")
-        code, direct, _ = run(capsys, "census", "--n", "3")
-        assert code == 0
-        assert direct == via_flag
+    def test_enumerate_has_no_census_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["enumerate", "--n", "3", "--census"])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --census" in captured.err
 
     def test_env_bound_lowering(self, capsys, monkeypatch):
         monkeypatch.setenv("STEREOGRAPH_MAX_N", "2")

@@ -11,10 +11,11 @@ from stereograph import (
     InternalInvariant,
     InvalidColoring,
     RangeError,
+    SizeExceeded,
     StereotypeGraph,
-    TooLarge,
     build_with_csi,
     census,
+    check_order_invariance,
     chromatic_number,
     delete_edges,
     enumerate_all,
@@ -95,7 +96,7 @@ BUILT_PATTERNS = {
 # census(6) as (k, labeled, isomorphism classes); the labeled counts agree
 # with the index of each of the 32768 labeled graphs computed one by one.
 SIX_PAIR_CENSUS = [(2, 32, 1), (3, 2880, 3), (4, 27424, 9), (5, 2400, 2), (6, 32, 1)]
-# census(7, force=True) in the same form.
+# census(7, limit=None) in the same form.
 SEVEN_PAIR_CENSUS = [
     (2, 64, 1),
     (3, 19264, 4),
@@ -231,10 +232,18 @@ class TestEnumeration:
         assert all(g.bits[0] ^ g.bits[1] ^ g.bits[2] == 1 for g in stable)
 
     def test_bound_and_force(self):
-        with pytest.raises(TooLarge):
+        # limit=None lifts the bound.
+        with pytest.raises(SizeExceeded, match=r"^enumeration bounded at n <= 6, got n=7$"):
             list(enumerate_all(7))
-        forced = itertools.islice(enumerate_all(7, force=True), 3)
-        assert [g.n for g in forced] == [7, 7, 7]
+        lifted = itertools.islice(enumerate_all(7, limit=None), 3)
+        assert [g.n for g in lifted] == [7, 7, 7]
+
+    def test_arguments_checked_at_call(self):
+        # Both raise before any graph is asked for.
+        with pytest.raises(DomainError, match="pair count must be a positive int, got 2.0"):
+            enumerate_all(2.0)
+        with pytest.raises(SizeExceeded, match=r"^enumeration bounded at n <= 6, got n=9$"):
+            enumerate_all(9)
 
 
 class TestCensus:
@@ -272,16 +281,17 @@ class TestCensus:
         assert sum(classes for _, _, classes in rows) == 16
 
     def test_seven_pairs_exhaustive(self):
-        rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(7, force=True)]
+        rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(7, limit=None)]
         assert rows == SEVEN_PAIR_CENSUS
         assert sum(labeled for _, labeled, _ in rows) == 1 << 21
         # A002854 on 7 points.
         assert sum(classes for _, _, classes in rows) == 54
 
     def test_bound_and_force(self):
-        with pytest.raises(TooLarge):
+        # limit=None lifts the bound.
+        with pytest.raises(SizeExceeded, match=r"^census bounded at n <= 2, got n=3$"):
             census(3, limit=2)
-        rows = census(3, limit=2, force=True)
+        rows = census(3, limit=None)
         assert [(r.k, r.labeled_count, r.iso_class_count) for r in rows] == [
             (2, 4, 1),
             (3, 4, 1),
@@ -291,6 +301,35 @@ class TestCensus:
     def test_bad_pair_count(self, n):
         with pytest.raises(DomainError):
             census(n)
+
+
+# The exhaustive walks as (call with n and limit, the name their bound
+# message gives); all three check limit with the one rule.
+EXHAUSTIVE_WALKS = {
+    "enumerate_all": (lambda n, limit: list(enumerate_all(n, limit)), "enumeration"),
+    "census": (census, "census"),
+    "check_order_invariance": (
+        lambda n, limit: check_order_invariance(gen_random(n, 0), limit),
+        "order enumeration",
+    ),
+}
+
+
+class TestLimit:
+    @pytest.mark.parametrize("limit", ["6", 2.5, True, 0, -1])
+    @pytest.mark.parametrize("walk", EXHAUSTIVE_WALKS)
+    def test_bad_limit(self, walk, limit):
+        call, _ = EXHAUSTIVE_WALKS[walk]
+        message = f"limit must be None or a positive int, got {limit!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(3, limit)
+
+    @pytest.mark.parametrize("walk", EXHAUSTIVE_WALKS)
+    def test_bound_and_lift(self, walk):
+        call, what = EXHAUSTIVE_WALKS[walk]
+        with pytest.raises(SizeExceeded, match=f"^{what} bounded at n <= 2, got n=3$"):
+            call(3, 2)
+        assert call(3, None) == call(3, 3) == call(3, 4)
 
 
 class TestExpansion:

@@ -16,7 +16,7 @@ from oracles import (
 from stereograph import (
     InvalidOrder,
     PairAbsent,
-    TooLarge,
+    SizeExceeded,
     check_order_invariance,
     enumerate_all,
     from_pattern,
@@ -135,6 +135,19 @@ class TestReduceToK2:
         with pytest.raises(InvalidOrder, match=f"^{re.escape(message)}$"):
             reduce_to_k2(k33, order=order)
 
+    @pytest.mark.parametrize(
+        "order, message",
+        [
+            ([(1, 2, 3), (1, 3)], "step 0: (1, 2, 3) is not a pair of labels"),
+            ([5, 6], "step 0: 5 is not a pair of labels"),
+            ([(1, 2), None], "step 1: None is not a pair of labels"),
+        ],
+        ids=["three-labels", "bare-label", "none"],
+    )
+    def test_order_with_malformed_step(self, order, message):
+        with pytest.raises(InvalidOrder, match=f"^{re.escape(message)}$"):
+            reduce_to_k2(gen_random(3, 0), order)
+
     @pytest.mark.parametrize("label", [1.0, True, "1"])
     def test_order_with_non_int_label(self, k33, label):
         with pytest.raises(InvalidOrder):
@@ -201,8 +214,11 @@ class TestOrderInvariance:
             assert check_order_invariance(g)
 
     def test_bound_enforced(self):
-        with pytest.raises(TooLarge):
-            check_order_invariance(from_pattern(6, [0] * 15))
+        ladder = from_pattern(6, [0] * 15)
+        message = "order enumeration bounded at n <= 5, got n=6"
+        with pytest.raises(SizeExceeded, match=f"^{re.escape(message)}$"):
+            check_order_invariance(ladder)
+        assert check_order_invariance(ladder, limit=None)
 
     def test_verdict_matches_two_colorability(self, all_st4):
         for g in all_st4:

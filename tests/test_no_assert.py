@@ -26,7 +26,7 @@ def test_package_has_no_assert_statements():
 # Under -O, one bad input per consolidated check; each prints its error.
 OPTIMIZED_SCRIPT = """
 import sys
-from stereograph import from_edge_list, from_pattern, gen_complete_bipartite, reduce_to_k2
+from stereograph import census, from_edge_list, from_pattern, gen_complete_bipartite, reduce_to_k2
 from stereograph.model import pattern_slot
 
 def raised(fn, *args):
@@ -42,6 +42,7 @@ print(raised(reduce_to_k2, gen_complete_bipartite(3), [(2, 2), (1, 3)]))
 print(raised(from_edge_list, 2, [(0, 4)]))
 print(raised(pattern_slot, 3, 1.0, 2.0))
 print(raised(gen_complete_bipartite(3).bit, 1.0, 2))
+print(raised(census, 3, "6"))
 """
 
 
@@ -65,4 +66,5 @@ def test_checks_survive_optimized_mode():
         "DomainError: edge (0, 4) references a vertex outside 0..3",
         "DomainError: pair indices must be ints, got (1.0, 2.0)",
         "DomainError: pair indices must be ints, got (1.0, 2)",
+        "DomainError: limit must be None or a positive int, got '6'",
     ]

@@ -166,3 +166,47 @@ class Walker:
 """
     trees = {"stereograph.m": ast.parse(source)}
     assert unread_private_methods(trees) == ["stereograph.m.Walker._dead"]
+
+
+def unraised_errors(errors_tree: ast.Module, package_lines: list[str]) -> list[str]:
+    """Each StereographError subclass defined in errors_tree, the base
+    excluded, that no line of package_lines raises as ``raise Name(``."""
+    return [
+        node.name
+        for node in errors_tree.body
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "StereographError" for b in node.bases)
+        and not any(f"raise {node.name}(" in line for line in package_lines)
+    ]
+
+
+def test_every_error_type_is_raised():
+    errors_path = PACKAGE_DIR / "errors.py"
+    lines = [
+        line
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path != errors_path
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
+    errors_tree = ast.parse(errors_path.read_text(encoding="utf-8"))
+    unraised = unraised_errors(errors_tree, lines)
+    assert unraised == [], "nothing in the package raises " + ", ".join(unraised)
+
+
+def test_scan_flags_an_unraised_error():
+    """Naming or catching a type is not raising it, and the base is not
+    scanned."""
+    source = """
+class StereographError(Exception):
+    pass
+
+
+class Raised(StereographError, ValueError):
+    pass
+
+
+class Caught(StereographError, ValueError):
+    pass
+"""
+    lines = ["raise Raised(f'bad {x}')", "except Caught:", "    raise Caught", "Caught('x')"]
+    assert unraised_errors(ast.parse(source), lines) == ["Caught"]

@@ -128,6 +128,17 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             graph_from_dict({"format": "stereograph-v1", "n": True, "pattern": []})
 
+    @pytest.mark.parametrize("n", [0, -1, True, 2.0, "2", "missing"])
+    @pytest.mark.parametrize("fmt", ["stereograph-v1", "stereograph-edges-v1"])
+    def test_pair_count_rule(self, fmt, n):
+        # The rule and message of model._check_pair_count, as ParseError.
+        doc = {"format": fmt, "pattern": [0], "edges": []}
+        if n != "missing":
+            doc["n"] = n
+        for parse in (graph_from_dict, raw_graph_from_dict):
+            with pytest.raises(ParseError, match="pair count must be a positive int"):
+                parse(doc)
+
     def test_not_an_object(self):
         with pytest.raises(ParseError):
             graph_from_dict([1, 2, 3])
