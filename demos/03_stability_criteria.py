@@ -2,10 +2,11 @@
 
 Eight different routes decide whether a stereotype graph is bipartitely
 stable: merge reduction, 2-colorability, completeness of the bipartition,
-girth 4, absence of the triangle principal minor, the matrix identity
+girth above 3, absence of the triangle principal minor, the matrix identity
 A^2 + nA = nJ, a vanishing third characteristic coefficient, and the
 second chromatic coefficient reaching C(n^2, 2). The chromatic stability
-index ties them together: stable means index 2.
+index ties them together: stable means index 2. Every criterion answers
+on every graph, a single pair (K2, stable with index 2) included.
 """
 
 from stereograph import enumerate_all, from_pattern, stability_report
@@ -20,7 +21,7 @@ for bits in [(1, 1, 1), (0, 0, 0), (0, 1, 1, 0, 1, 0)]:
     print(f"  agreement: {report.agreement}\n")
 
 print("exhaustive agreement check over all graphs with up to 4 pairs:")
-for n in (2, 3, 4):
+for n in (1, 2, 3, 4):
     reports = [stability_report(g) for g in enumerate_all(n)]
     stable = sum(1 for r in reports if r.csi == 2)
     assert all(r.agreement for r in reports)

@@ -13,11 +13,12 @@ which depend on the three top partition counts alone (into V, V-1 and
 V-2 sets); `leading_chromatic_coefficients` counts those on the
 complement's neighbour masks in O(V^2) big-int operations, at any size,
 so no criterion of a report is skipped for size.
-The stability report is computed once per switching class, on the
-normalised pattern, and cached on that pattern: the 1024 graphs on
-5 pairs need 64 reports. Proper-coloring counts are,
-separately, plain backtracking over raw color assignments so the two
-routes stay independent of each other. The chromatic number is exact
+The stability report runs all eight criteria on every graph, one pair
+included, and derives their agreement from the verdicts. It is computed
+once per switching class, on the normalised pattern, and cached on that
+pattern: the 1024 graphs on 5 pairs need 64 reports.
+Proper-coloring counts are, separately, plain backtracking over raw
+color assignments so the two routes stay independent of each other. The chromatic number is exact
 branch and bound: greedy upper bound, then one clique search for the
 smallest maximum clique, which is both the lower bound and the clique
 pre-colored by the DSATUR k-coloring searches run when the bounds
@@ -47,7 +48,6 @@ from .model import (
 )
 from .polynomials import IntPolynomial
 from .spectral import (
-    _require_at_least_two_pairs,
     leading_characteristic_coefficients,
     matrix_criterion,
     minor_criterion,
@@ -483,9 +483,9 @@ def chromatically_bipartite_criterion(g: StereotypeGraph) -> bool:
 
     b0..b2 come from leading_chromatic_coefficients, three partition
     counts on g's own graph, so the criterion works at any size and
-    never builds the whole chromatic polynomial.
+    never builds the whole chromatic polynomial. For one pair
+    b2 = C(1, 2) = 0, so K2 reads stable.
     """
-    _require_at_least_two_pairs(g)
     c3 = leading_characteristic_coefficients(g)[3]
     return _chromatically_bipartite(g, c3)
 
@@ -508,25 +508,24 @@ def _chromatically_bipartite(g: StereotypeGraph, c3: int) -> bool:
 class StabilityReport:
     """Verdicts of every stability criterion on one graph.
 
-    A criterion that does not apply is None, which happens only for a
-    single pair (girth, matrix, characteristic, chromatically-bipartite);
-    no criterion is skipped for size. `agreement` covers the executed
-    criteria plus the index test csi == 2. Every field is a graph
-    invariant, hence an invariant of the pattern's switching class.
+    Every criterion gives a verdict on every graph, one pair included,
+    and none is skipped for size. `agreement` is derived: all eight
+    verdicts are equal, and equal to the index test csi == 2. Every field
+    is a graph invariant, hence an invariant of the pattern's switching
+    class.
     """
 
     merge: bool
     coloring: bool
     bipartite: bool
-    girth: bool | None
+    girth: bool
     minor: bool
-    matrix: bool | None
-    characteristic: bool | None
-    chromatically_bipartite: bool | None
+    matrix: bool
+    characteristic: bool
+    chromatically_bipartite: bool
     csi: int
-    agreement: bool
 
-    def criteria(self) -> dict[str, bool | None]:
+    def criteria(self) -> dict[str, bool]:
         return {
             "merge": self.merge,
             "coloring": self.coloring,
@@ -542,12 +541,17 @@ class StabilityReport:
     def stable(self) -> bool:
         return self.csi == 2
 
+    @property
+    def agreement(self) -> bool:
+        return set(self.criteria().values()) == {self.stable}
+
 
 def stability_report(g: StereotypeGraph) -> StabilityReport:
     """Run every stability predicate plus the chromatic stability index.
 
-    Disagreement between executed criteria is reported via the agreement
-    flag, never resolved silently.
+    Every criterion runs, on any number of pairs; a disagreement between
+    them is reported by the derived agreement flag, never resolved
+    silently.
 
     The report is computed once per switching class, on the normalised
     pattern switching_representative(g), which is isomorphic to g, and
@@ -567,49 +571,20 @@ def _stability_report_cached(rows: tuple[int, ...]) -> StabilityReport:
 
 def _compute_stability_report(g: StereotypeGraph) -> StabilityReport:
     """Every criterion and the index run on g itself, without the cache."""
-    merge = reduce_to_k2(g).stable
-    coloring = two_coloring(g.graph).coloring is not None
-    bipartite = recognize_complete_bipartite(g)
-    minor = minor_criterion(g)
-    girth: bool | None = None
-    matrix: bool | None = None
-    characteristic: bool | None = None
-    chrom_bipartite: bool | None = None
-    if g.n >= 2:
-        girth = g.graph.girth() == 4
-        matrix = matrix_criterion(g)
-        # One truncated pass gives c3 for the characteristic verdict and
-        # for the chromatically-bipartite cross-check.
-        c3 = leading_characteristic_coefficients(g)[3]
-        characteristic = c3 == 0
-        chrom_bipartite = _chromatically_bipartite(g, c3)
-    index = csi(g)
-    executed = [
-        v
-        for v in (
-            merge,
-            coloring,
-            bipartite,
-            girth,
-            minor,
-            matrix,
-            characteristic,
-            chrom_bipartite,
-        )
-        if v is not None
-    ]
-    agreement = len(set(executed)) == 1 and (index == 2) == executed[0]
+    # One truncated pass gives c3 for the characteristic verdict and
+    # for the chromatically-bipartite cross-check.
+    c3 = leading_characteristic_coefficients(g)[3]
     return StabilityReport(
-        merge=merge,
-        coloring=coloring,
-        bipartite=bipartite,
-        girth=girth,
-        minor=minor,
-        matrix=matrix,
-        characteristic=characteristic,
-        chromatically_bipartite=chrom_bipartite,
-        csi=index,
-        agreement=agreement,
+        merge=reduce_to_k2(g).stable,
+        coloring=two_coloring(g.graph).coloring is not None,
+        bipartite=recognize_complete_bipartite(g),
+        # From two pairs on the girth is 3 or 4; K2 has no cycle.
+        girth=g.graph.girth() != 3,
+        minor=minor_criterion(g),
+        matrix=matrix_criterion(g),
+        characteristic=c3 == 0,
+        chromatically_bipartite=_chromatically_bipartite(g, c3),
+        csi=csi(g),
     )
 
 

@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 bad input (parse errors, definition violations,
 size bounds), 2 internal invariant violation (always a bug, never a
 property of the input). "-" means standard input or output for any path
 argument. STEREOGRAPH_MAX_N sets the limit on n of enumerate and census
-(default 6); past it they exit 1.
+(default 6); past it, or when it is not a positive integer, they exit 1.
 """
 
 from __future__ import annotations
@@ -93,9 +93,12 @@ def _load_graph(path: str) -> StereotypeGraph:
 def _enumeration_limit() -> int:
     raw = os.environ.get("STEREOGRAPH_MAX_N", str(DEFAULT_ENUMERATION_BOUND))
     try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"STEREOGRAPH_MAX_N must be an integer, got {raw!r}") from exc
+        limit = int(raw)
+        if limit >= 1:
+            return limit
+    except ValueError:
+        pass
+    raise ParseError(f"STEREOGRAPH_MAX_N must be a positive integer, got {raw!r}")
 
 
 def _cmd_validate(args) -> int:
@@ -110,6 +113,9 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    """Print all eight verdicts, the index and their agreement; a graph
+    on one pair gets a verdict on every criterion too. Exit 2 when the
+    verdicts disagree."""
     g = _load_graph(args.file)
     report = stability_report(g)
     profile_girth = g.graph.girth()
@@ -124,8 +130,7 @@ def _cmd_report(args) -> int:
         print(json.dumps(doc))
     else:
         for name, verdict in report.criteria().items():
-            shown = "skipped" if verdict is None else ("stable" if verdict else "unstable")
-            print(f"{name}: {shown}")
+            print(f"{name}: {'stable' if verdict else 'unstable'}")
         print(f"csi: {report.csi}")
         print(f"triangles: {g.graph.triangle_count()}")
         print(f"girth: {'acyclic' if profile_girth is None else profile_girth}")

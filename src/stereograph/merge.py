@@ -186,11 +186,12 @@ def reduce_to_k2(
     steps: list[MergeStep] = []
 
     if order is not None:
-        order = list(order)
-        if len(order) != max(g.n - 1, 0):
-            raise InvalidOrder(
-                f"expected {max(g.n - 1, 0)} merges for n={g.n}, got {len(order)}"
-            )
+        try:
+            order = list(order)
+        except TypeError:
+            raise InvalidOrder(f"order must be an iterable of merges, got {order!r}") from None
+        if len(order) != g.n - 1:
+            raise InvalidOrder(f"expected {g.n - 1} merges for n={g.n}, got {len(order)}")
 
     step_index = 0
     pairs = pg.pairs

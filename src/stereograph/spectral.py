@@ -17,6 +17,8 @@ pattern, so the cached matrix polynomial is computed once per switching
 class. The matrix and strongly-regular criteria check their identity
 A^2 + aA = iI + jJ entry by entry on neighbour bitmasks, since
 (A^2)_uv = popcount(masks[u] & masks[v]); no dense product is formed.
+Every criterion answers from one pair on: K2 satisfies A^2 + A = J and
+has c3 = 0, so it reads stable.
 """
 
 from __future__ import annotations
@@ -224,8 +226,8 @@ class CoefficientIdentityReport:
 
 
 def coefficient_identities(g: StereotypeGraph) -> CoefficientIdentityReport:
-    """Check the leading coefficient laws of the characteristic polynomial."""
-    _require_at_least_two_pairs(g)
+    """Check the leading coefficient laws of the characteristic polynomial,
+    on any number of pairs; for one pair c0..c3 = (1, 0, -1, 0)."""
     c0, c1, c2, c3 = leading_characteristic_coefficients(g)
     return CoefficientIdentityReport(
         n=g.n, c0=c0, c1=c1, c2=c2, c3=c3, triangle_count=g.graph.triangle_count()
@@ -233,14 +235,14 @@ def coefficient_identities(g: StereotypeGraph) -> CoefficientIdentityReport:
 
 
 def matrix_criterion(g: StereotypeGraph) -> bool:
-    """Stability via the identity A^2 + nA = nJ, checked entrywise."""
-    _require_at_least_two_pairs(g)
+    """Stability via the identity A^2 + nA = nJ, checked entrywise; K2
+    satisfies it as A^2 + A = J."""
     return _quadratic_identity_holds(g.graph, g.n, 0, g.n)
 
 
 def characteristic_criterion(g: StereotypeGraph) -> bool:
-    """Stability via a vanishing third characteristic coefficient."""
-    _require_at_least_two_pairs(g)
+    """Stability via a vanishing third characteristic coefficient c3, which
+    is 0 for K2."""
     return leading_characteristic_coefficients(g)[3] == 0
 
 
@@ -291,11 +293,6 @@ def _quadratic_identity_holds(graph: Graph, a: int, i: int, j: int) -> bool:
 def _require_int_entries(matrix: IntMatrix) -> None:
     if any(type(x) is not int for row in matrix for x in row):
         raise DomainError("matrix entries must be of type int")
-
-
-def _require_at_least_two_pairs(g: StereotypeGraph) -> None:
-    if g.n < 2:
-        raise DomainError("criterion requires at least two pairs")
 
 
 __all__ = [

@@ -1,5 +1,6 @@
 """Coloring machinery: counts, polynomials, index, criteria, reports."""
 
+import dataclasses
 import itertools
 import re
 from math import comb
@@ -27,6 +28,7 @@ from stereograph import (
     chromatic_number,
     chromatic_polynomial,
     chromatically_bipartite_criterion,
+    coefficient_identities,
     compare_stability,
     constructive_pair_coloring,
     count_proper_colorings,
@@ -38,6 +40,8 @@ from stereograph import (
     gen_complete_ladder,
     gen_random,
     leading_characteristic_coefficients,
+    matrix_criterion,
+    minor_criterion,
     optimal_coloring,
     reduce_to_k2,
     splitmix64_stream,
@@ -632,14 +636,33 @@ class TestStabilityReport:
         assert all(v is False for v in report.criteria().values())
 
     def test_single_pair_skips_polynomial_criteria(self):
+        # No criterion is skipped at one pair: K2 is stable on all eight.
         report = stability_report(from_pattern(1, []))
-        assert report.agreement
+        assert list(report.criteria().values()) == [True] * 8
         assert report.csi == 2
-        assert report.matrix is None
-        assert report.characteristic is None
-        assert report.chromatically_bipartite is None
-        assert report.girth is None
-        assert report.merge and report.coloring and report.bipartite and report.minor
+        assert report.agreement
+
+    def test_public_criteria_match_the_report(self):
+        # Every public criterion answers on every graph, one pair included,
+        # and gives the report's verdict.
+        for n in range(1, 6):
+            for g in enumerate_all(n):
+                report = stability_report(g)
+                assert matrix_criterion(g) == report.matrix, (n, g.bits)
+                assert characteristic_criterion(g) == report.characteristic, (n, g.bits)
+                assert (
+                    chromatically_bipartite_criterion(g) == report.chromatically_bipartite
+                ), (n, g.bits)
+                assert minor_criterion(g) == report.minor, (n, g.bits)
+                assert coefficient_identities(g).all_hold == report.agreement, (n, g.bits)
+
+    def test_agreement_is_derived_from_the_verdicts(self, k33):
+        report = stability_report(k33)
+        assert report.agreement
+        assert not dataclasses.replace(report, csi=3).agreement
+        assert not dataclasses.replace(report, girth=False).agreement
+        with pytest.raises(TypeError):
+            dataclasses.replace(report, agreement=True)
 
     def test_one_leading_coefficients_pass(self, monkeypatch):
         # The characteristic and chromatically-bipartite criteria share
@@ -659,7 +682,7 @@ class TestStabilityReport:
             passes.clear()
             _stability_report_cached.cache_clear()
             stability_report(g)
-            assert passes == ([4] if g.n >= 2 else [])
+            assert passes == [4]
         assert lookups == []
 
     def test_cached_report_equals_the_report_computed_on_the_graph_itself(self):

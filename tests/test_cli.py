@@ -181,12 +181,18 @@ class TestReport:
         assert all(v is True for v in doc["criteria"].values())
 
     def test_single_pair_skips_the_two_pair_criteria(self, capsys, tmp_path):
+        # Nothing is skipped at one pair: all eight criteria read stable.
         path = tmp_path / "k2.json"
         path.write_text('{"format": "stereograph-v1", "n": 1, "pattern": []}')
         code, out, _ = run(capsys, "report", str(path))
         assert code == 0
-        skipped = {line.split(":")[0] for line in out.splitlines() if line.endswith(": skipped")}
-        assert skipped == {"girth", "matrix", "characteristic", "chromatically-bipartite"}
+        assert "skipped" not in out
+        verdicts = [line.split(": ")[1] for line in out.splitlines()[:8]]
+        assert verdicts == ["stable"] * 8
+        assert "agreement: yes" in out
+        code, out, _ = run(capsys, "report", str(path), "--json")
+        assert code == 0
+        assert list(json.loads(out)["criteria"].values()) == [True] * 8
 
     def test_disagreement_exits_two(self, capsys, kl3_file, monkeypatch):
         fake = StabilityReport(
@@ -199,8 +205,8 @@ class TestReport:
             characteristic=True,
             chromatically_bipartite=True,
             csi=2,
-            agreement=False,
         )
+        assert not fake.agreement
         monkeypatch.setattr(cli, "stability_report", lambda g: fake)
         code, out, _ = run(capsys, "report", kl3_file)
         assert code == 2
@@ -367,10 +373,14 @@ class TestEnumerateAndCensus:
         assert code == 1
         assert "bounded" in err
 
-    def test_env_bound_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("STEREOGRAPH_MAX_N", "many")
-        code, _, err = run(capsys, "enumerate", "--n", "3")
-        assert code == 1
+    @pytest.mark.parametrize("raw", ["0", "-1", "x", "2.5"])
+    def test_env_bound_must_be_integer(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("STEREOGRAPH_MAX_N", raw)
+        for command in ("enumerate", "census"):
+            code, out, err = run(capsys, command, "--n", "1")
+            assert (code, out) == (1, "")
+            message = f"STEREOGRAPH_MAX_N must be a positive integer, got {raw!r}"
+            assert err == f"stereograph: {message}\n"
 
 
 class TestMerge:

@@ -141,8 +141,9 @@ class TestReduceToK2:
             ([(1, 2, 3), (1, 3)], "step 0: (1, 2, 3) is not a pair of labels"),
             ([5, 6], "step 0: 5 is not a pair of labels"),
             ([(1, 2), None], "step 1: None is not a pair of labels"),
+            (5, "order must be an iterable of merges, got 5"),
         ],
-        ids=["three-labels", "bare-label", "none"],
+        ids=["three-labels", "bare-label", "none", "not-iterable"],
     )
     def test_order_with_malformed_step(self, order, message):
         with pytest.raises(InvalidOrder, match=f"^{re.escape(message)}$"):

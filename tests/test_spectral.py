@@ -352,8 +352,11 @@ class TestCoefficientIdentities:
             assert coefficient_identities(g).all_hold
 
     def test_single_pair_rejected(self):
-        with pytest.raises(DomainError):
-            coefficient_identities(from_pattern(1, []))
+        # Not rejected: K2 has c0..c3 = (1, 0, -1, 0) and no triangle.
+        report = coefficient_identities(from_pattern(1, []))
+        assert (report.c0, report.c1, report.c2, report.c3) == (1, 0, -1, 0)
+        assert report.triangle_count == 0
+        assert report.all_hold
 
 
 class TestMatrixCriterion:

@@ -76,7 +76,7 @@ def graph_and_moves(draw):
 
 @st.composite
 def graph_relabelling_and_switching(draw, max_n=6):
-    g = _patterns(draw, 2, max_n)
+    g = _patterns(draw, 1, max_n)
     perm = draw(st.permutations(range(1, g.n + 1)))
     switched = draw(st.frozensets(st.integers(min_value=1, max_value=g.n)))
     return g, perm, switched
