@@ -3,8 +3,9 @@
 Exit codes: 0 success, 1 bad input (parse errors, definition violations,
 size bounds), 2 internal invariant violation (always a bug, never a
 property of the input). "-" means standard input or output for any path
-argument. STEREOGRAPH_MAX_N sets the limit on n of enumerate and census
-(default 6); past it, or when it is not a positive integer, they exit 1.
+argument. STEREOGRAPH_MAX_N sets the limit on n of enumerate (default 6)
+and census (default 7); past it, or when it is not a positive integer,
+they exit 1.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import (
     StereographError,
 )
 from .generators import (
+    DEFAULT_CENSUS_BOUND,
     DEFAULT_ENUMERATION_BOUND,
     PRNG_NAME,
     build_with_csi,
@@ -90,8 +92,9 @@ def _load_graph(path: str) -> StereotypeGraph:
     return graph_from_dict(_load_document(path))
 
 
-def _enumeration_limit() -> int:
-    raw = os.environ.get("STEREOGRAPH_MAX_N", str(DEFAULT_ENUMERATION_BOUND))
+def _limit(default: int) -> int:
+    """The limit on n from STEREOGRAPH_MAX_N, or default when it is unset."""
+    raw = os.environ.get("STEREOGRAPH_MAX_N", str(default))
     try:
         limit = int(raw)
         if limit >= 1:
@@ -189,13 +192,14 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    lines = [graph_to_json(g) for g in enumerate_all(args.n, limit=_enumeration_limit())]
+    graphs = enumerate_all(args.n, limit=_limit(DEFAULT_ENUMERATION_BOUND))
+    lines = [graph_to_json(g) for g in graphs]
     _write_text(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def _cmd_census(args) -> int:
-    rows = census(args.n, limit=_enumeration_limit())
+    rows = census(args.n, limit=_limit(DEFAULT_CENSUS_BOUND))
     _write_text(args.output, census_to_csv(rows))
     return 0
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import getitem
 from typing import Callable, Iterator
 
 from .chromatic import Coloring, chromatic_number
@@ -50,6 +51,7 @@ from .model import (
 )
 
 DEFAULT_ENUMERATION_BOUND = 6
+DEFAULT_CENSUS_BOUND = 7
 
 PRNG_NAME = "splitmix64-v1"
 _MASK64 = (1 << 64) - 1
@@ -113,7 +115,7 @@ class CensusRow:
     iso_class_count: int
 
 
-def census(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> list[CensusRow]:
+def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
     """Labeled and isomorphism-class counts of the graphs on n pairs,
     grouped by chromatic stability index.
 
@@ -122,11 +124,13 @@ def census(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> list[Census
     isomorphic one, so they keep the index. Each labeled switching class
     holds 2^(n-1) patterns, exactly one of them with pair 1 parallel to
     every other pair (a normalised pattern). The census walks the
-    normalised patterns, expands each unseen one to its orbit under pair
-    permutations, takes one chromatic_number per orbit and counts
-    |orbit| * 2^(n-1) labeled graphs for it. Orbit representatives of
-    equal index are then merged by graph isomorphism, so the class count
-    never assumes that graph isomorphism respects the pairs.
+    normalised patterns and expands each unseen one to its orbit under
+    pair relabellings: the closure of its value under the two generators
+    tau and rho of _OrbitWalk, two table steps per orbit member. It
+    takes one chromatic_number per orbit and counts |orbit| * 2^(n-1)
+    labeled graphs for it. Orbit representatives of equal index are then
+    merged by graph isomorphism, so the class count never assumes that
+    graph isomorphism respects the pairs.
 
     Verifies the structural extremes while counting: the labeled counts
     must sum to 2^C(n,2), every index-2 representative must be complete
@@ -139,16 +143,12 @@ def census(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> list[Census
     representatives: dict[int, list[StereotypeGraph]] = {}
     # Normalised patterns are the values below 2^C(n-1,2): their first
     # n-1 bits, pair 1's row, are the leading zeros.
-    normalised = 1 << pattern_length(n - 1)
-    seen = bytearray(normalised)
-    permutations = list(itertools.permutations(range(n)))
-    for value in range(normalised):
-        if seen[value]:
-            continue
+    seen = bytearray(1 << pattern_length(n - 1))
+    walk = _OrbitWalk(n)
+    value = 0
+    while value >= 0:
         g = StereotypeGraph(n, _value_rows(n, value))
-        orbit = _switching_orbit(g, permutations)
-        for member in orbit:
-            seen[member] = 1
+        orbit = walk.orbit(value, seen)
         k = chromatic_number(g.graph)
         labeled[k] = labeled.get(k, 0) + (len(orbit) << (n - 1))
         reps = representatives.setdefault(k, [])
@@ -158,6 +158,7 @@ def census(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> list[Census
             raise InternalInvariant(f"index-2 graph {g.bits} is not complete bipartite")
         if k == n and n >= 2 and not recognize_complete_ladder(g):
             raise InternalInvariant(f"index-{n} graph {g.bits} is not a complete ladder")
+        value = seen.find(0, value + 1)
 
     total = sum(labeled.values())
     if total != 1 << pattern_length(n):
@@ -182,26 +183,67 @@ def census(n: int, limit: int | None = DEFAULT_ENUMERATION_BOUND) -> list[Census
     ]
 
 
-def _switching_orbit(g: StereotypeGraph, permutations: list[tuple[int, ...]]) -> set[int]:
-    """Normalised patterns of every relabelling of g's switching class.
+class _OrbitWalk:
+    """The relabelling orbits of the normalised patterns on n pairs, walked
+    by two generators of the pair relabellings that act on a normalised
+    value's bits. Pairs are 1-based here; the value holds the bits (i, j)
+    with 2 <= i < j in lexicographic order, bit(2, 3) most significant.
 
-    Pairs are 0-based here. Relabelling pair i as p[i] gives the bits
-    b(p[i], p[j]); switching the pairs crossed to pair 0 then clears row
-    0, which XORs each remaining bit with b(p[0], p[i]) ^ b(p[0], p[j]).
+    - tau swaps pairs 1 and 2. Pair 1's new row is pair 2's old one, so
+      normalising switches the pairs crossed to pair 2: every bit(2, j)
+      stays, and each bit(i, j) with 3 <= i < j is XORed with
+      bit(2, i) ^ bit(2, j). Pair 2's n-2 bits are the value's top bits,
+      so tau(v) = v ^ cut[v >> C(n-2, 2)].
+    - rho cycles pairs 2 -> 3 -> ... -> n -> 2. It fixes pair 1, so it
+      only moves bits: spread[k][b] holds the bits b of the value's byte
+      k where rho sends them, and rho(v) sums that over v's bytes.
+
+    They generate every relabelling, since (1 k) = rho^(k-2) tau
+    rho^-(k-2), so the closure of one value under them is its orbit.
+    cut has 2^(n-2) entries and each spread table at most 256.
     """
-    n = g.n
-    # The loop indexes a plain 0/1 table; shifting the rows in it is slower.
-    m = [[row >> j & 1 for j in range(n)] for row in g.rows]
-    inner = list(itertools.combinations(range(1, n), 2))
-    orbit = set()
-    for p in permutations:
-        row = m[p[0]]
-        key = 0
-        for i, j in inner:
-            a, b = p[i], p[j]
-            key = (key << 1) | (m[a][b] ^ row[a] ^ row[b])
-        orbit.add(key)
-    return orbit
+
+    def __init__(self, n: int) -> None:
+        inner = list(itertools.combinations(range(2, n + 1), 2))
+        position = {pair: len(inner) - 1 - index for index, pair in enumerate(inner)}
+
+        def slot(i: int, j: int) -> int:
+            return position[min(i, j), max(i, j)]
+
+        self.shift = len(inner) - max(n - 2, 0)
+        # Pair j's bit in pair 2's row r is bit n - j of r; cut[r] flips
+        # each bit (i, j) below pair 2's row whose ends differ in r.
+        self.cut = [0]
+        for j in range(n, 2, -1):
+            flip = sum(1 << slot(i, j) for i in range(3, n + 1) if i != j)
+            self.cut += [c ^ flip for c in self.cut]
+        successor = {i: i + 1 for i in range(2, n)} | {n: 2}
+        moved = {slot(i, j): slot(successor[i], successor[j]) for i, j in inner}
+        self.spread = []
+        for low in range(0, len(inner), 8):
+            table = [0]
+            for p in range(low, min(low + 8, len(inner))):
+                table += [t | 1 << moved[p] for t in table]
+            self.spread.append(table)
+
+    def orbit(self, value: int, seen: bytearray) -> list[int]:
+        """The orbit of a normalised value, in walk order; each member is
+        marked in seen, which holds one byte per normalised value and must
+        not yet mark any of them."""
+        cut, shift, spread = self.cut, self.shift, self.spread
+        width = len(spread)
+        seen[value] = 1
+        orbit = [value]
+        for v in orbit:
+            w = v ^ cut[v >> shift]
+            if not seen[w]:
+                seen[w] = 1
+                orbit.append(w)
+            w = sum(map(getitem, spread, v.to_bytes(width, "little")))
+            if not seen[w]:
+                seen[w] = 1
+                orbit.append(w)
+        return orbit
 
 
 def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[int, ...] | None:
@@ -399,6 +441,7 @@ def delete_edges(g: StereotypeGraph, removed: list[Edge]) -> Graph:
 
 __all__ = [
     "CensusRow",
+    "DEFAULT_CENSUS_BOUND",
     "DEFAULT_ENUMERATION_BOUND",
     "PRNG_NAME",
     "build_with_csi",

@@ -83,6 +83,16 @@ class Graph:
             (u, v) for u, row in enumerate(self.masks) for v in iter_bits(row >> u + 1 << u + 1)
         )
 
+    @cached_property
+    def _local_invariants(self) -> tuple[tuple[int, int], ...]:
+        """Each vertex's degree and twice the number of triangles through
+        it: find_isomorphism's invariant, computed once per graph."""
+        masks = self.masks
+        return tuple(
+            (row.bit_count(), sum((row & masks[w]).bit_count() for w in iter_bits(row)))
+            for row in masks
+        )
+
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.masks) // 2
 
@@ -207,18 +217,16 @@ def find_isomorphism(g1: Graph, g2: Graph) -> dict[int, int] | None:
 
     Backtracking pruned by one vertex invariant, refined once (McKay,
     "Practical graph isomorphism", 1981): local[v] is v's degree and twice
-    the number of triangles through v, and v maps only onto vertices with
-    the same local[] and the same sorted local[] of their neighbours. A
-    returned mapping is always re-verified, mask by mask.
+    the number of triangles through v (Graph._local_invariants, cached on
+    each graph), and v maps only onto vertices with the same local[] and
+    the same sorted local[] of their neighbours. A returned mapping is
+    always re-verified, mask by mask.
     """
     n = g1.vertex_count
     if n != g2.vertex_count:
         return None
     m1, m2 = g1.masks, g2.masks
-    local1, local2 = (
-        [(row.bit_count(), sum((row & m[w]).bit_count() for w in iter_bits(row))) for row in m]
-        for m in (m1, m2)
-    )
+    local1, local2 = g1._local_invariants, g2._local_invariants
     if sorted(local1) != sorted(local2):
         return None
     sig1 = [(local1[v], tuple(sorted(local1[w] for w in iter_bits(m1[v])))) for v in range(n)]

@@ -13,7 +13,9 @@ determinants at x = 0..dim and exact interpolation, triangles from
 the cube of the adjacency matrix, the quadratic matrix identities
 A^2 + aA = iI + jJ from dense products
 of the adjacency matrix, the census from every labeled graph with
-pairwise isomorphism tests, pair merges from frozensets of edge tuples
+pairwise isomorphism tests, a switching class's relabelling orbit
+from every pair permutation (_switching_orbit, the reference for the
+census's two-generator walk), pair merges from frozensets of edge tuples
 rebuilt on every merge (setwise_merge_pairs, setwise_reduce_to_k2,
 setwise_order_invariance), the girth from one BFS per edge with that
 edge removed (edge_bfs_girth), distances, degrees and connectivity from
@@ -450,6 +452,28 @@ def pairwise_census(n: int) -> list[tuple[int, int, int, int]]:
         if not any(graph_isomorphic(graph, known) for known in reps):
             reps.append(graph)
     return [(n, k, labeled[k], len(representatives[k])) for k in sorted(labeled)]
+
+
+def _switching_orbit(g: StereotypeGraph, permutations: list[tuple[int, ...]]) -> set[int]:
+    """Normalised pattern values of every relabelling of g's switching
+    class, one per permutation of the pairs (all n! of them).
+
+    Pairs are 0-based here. Relabelling pair i as p[i] gives the bits
+    b(p[i], p[j]); switching the pairs crossed to pair 0 then clears row
+    0, which XORs each remaining bit with b(p[0], p[i]) ^ b(p[0], p[j]).
+    """
+    n = g.n
+    m = [[row >> j & 1 for j in range(n)] for row in g.rows]
+    inner = list(itertools.combinations(range(1, n), 2))
+    orbit = set()
+    for p in permutations:
+        row = m[p[0]]
+        key = 0
+        for i, j in inner:
+            a, b = p[i], p[j]
+            key = (key << 1) | (m[a][b] ^ row[a] ^ row[b])
+        orbit.add(key)
+    return orbit
 
 
 def chained_build_with_csi(n: int, k: int) -> StereotypeGraph:

@@ -373,6 +373,25 @@ class TestEnumerateAndCensus:
         assert code == 1
         assert "bounded" in err
 
+    def test_default_bounds(self, capsys, monkeypatch):
+        # Unset, the variable leaves enumerate at n <= 6 and census at n <= 7.
+        monkeypatch.delenv("STEREOGRAPH_MAX_N", raising=False)
+        code, _, err = run(capsys, "enumerate", "--n", "7")
+        assert (code, err) == (1, "stereograph: enumeration bounded at n <= 6, got n=7\n")
+        code, out, _ = run(capsys, "census", "--n", "7")
+        assert code == 0
+        assert out.splitlines()[1:] == [
+            "7,2,64,1",
+            "7,3,19264,4",
+            "7,4,1566848,30",
+            "7,5,498368,15",
+            "7,6,12544,3",
+            "7,7,64,1",
+        ]
+        code, out, err = run(capsys, "census", "--n", "8")
+        assert (code, out) == (1, "")
+        assert err == "stereograph: census bounded at n <= 7, got n=8\n"
+
     @pytest.mark.parametrize("raw", ["0", "-1", "x", "2.5"])
     def test_env_bound_must_be_integer(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("STEREOGRAPH_MAX_N", raw)

@@ -37,9 +37,14 @@ from stereograph import (
 from stereograph import chromatic, generators, graphs
 from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
-from stereograph.model import pattern_length
+from stereograph.model import _value_rows, pattern_length
 
-from oracles import chained_build_with_csi, find_clique_of_size, pairwise_census
+from oracles import (
+    _switching_orbit,
+    chained_build_with_csi,
+    find_clique_of_size,
+    pairwise_census,
+)
 
 # Reference outputs of splitmix64 for seed 0, from the published test
 # vectors of the original implementation.
@@ -104,6 +109,16 @@ SEVEN_PAIR_CENSUS = [
     (5, 498368, 15),
     (6, 12544, 3),
     (7, 64, 1),
+]
+# census(8, limit=None) in the same form.
+EIGHT_PAIR_CENSUS = [
+    (2, 128, 1),
+    (3, 123648, 5),
+    (4, 117729024, 107),
+    (5, 141217536, 100),
+    (6, 9304064, 26),
+    (7, 60928, 3),
+    (8, 128, 1),
 ]
 
 
@@ -286,6 +301,37 @@ class TestCensus:
         assert sum(labeled for _, labeled, _ in rows) == 1 << 21
         # A002854 on 7 points.
         assert sum(classes for _, _, classes in rows) == 54
+
+    def test_eight_pairs_exhaustive(self):
+        rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(8, limit=None)]
+        assert rows == EIGHT_PAIR_CENSUS
+        assert sum(labeled for _, labeled, _ in rows) == 1 << 28
+        # A002854 on 8 points.
+        assert sum(classes for _, _, classes in rows) == 243
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_orbit_walk_matches_every_relabelling(self, n):
+        # The walk's orbit of each class's first normalised value is the
+        # set of normalised values of its n! relabellings, and the walk
+        # visits each member once.
+        walk = generators._OrbitWalk(n)
+        seen = bytearray(1 << pattern_length(n - 1))
+        permutations = list(itertools.permutations(range(n)))
+        value = 0
+        while value >= 0:
+            orbit = walk.orbit(value, seen)
+            assert orbit[0] == value
+            assert len(set(orbit)) == len(orbit)
+            g = StereotypeGraph(n, _value_rows(n, value))
+            assert set(orbit) == _switching_orbit(g, permutations)
+            value = seen.find(0, value + 1)
+
+    def test_default_bound(self):
+        assert census.__defaults__ == (generators.DEFAULT_CENSUS_BOUND,) == (7,)
+        rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(7)]
+        assert rows == SEVEN_PAIR_CENSUS
+        with pytest.raises(SizeExceeded, match=r"^census bounded at n <= 7, got n=8$"):
+            census(8)
 
     def test_bound_and_force(self):
         # limit=None lifts the bound.
