@@ -121,12 +121,15 @@ def _cmd_report(args) -> int:
     verdicts disagree."""
     g = _load_graph(args.file)
     report = stability_report(g)
-    profile_girth = g.graph.girth()
+    triangles = g.graph.triangle_count()
+    # Any two pairs span a 4-cycle, so the girth is 3 with a triangle,
+    # else 4 from two pairs on; K2 has no cycle.
+    profile_girth = 3 if triangles else 4 if g.n >= 2 else None
     if args.json:
         doc = {
             "criteria": report.criteria(),
             "csi": report.csi,
-            "triangles": g.graph.triangle_count(),
+            "triangles": triangles,
             "girth": profile_girth,
             "agreement": report.agreement,
         }
@@ -135,7 +138,7 @@ def _cmd_report(args) -> int:
         for name, verdict in report.criteria().items():
             print(f"{name}: {'stable' if verdict else 'unstable'}")
         print(f"csi: {report.csi}")
-        print(f"triangles: {g.graph.triangle_count()}")
+        print(f"triangles: {triangles}")
         print(f"girth: {'acyclic' if profile_girth is None else profile_girth}")
         print(f"agreement: {'yes' if report.agreement else 'NO'}")
     return 0 if report.agreement else 2

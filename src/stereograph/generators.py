@@ -31,7 +31,6 @@ from .errors import (
 from .graphs import (
     Edge,
     Graph,
-    graph_isomorphic,
     is_clique,
     max_clique,
     normalize_edge,
@@ -128,19 +127,27 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
     pair relabellings: the closure of its value under the two generators
     tau and rho of _OrbitWalk, two table steps per orbit member. It
     takes one chromatic_number per orbit and counts |orbit| * 2^(n-1)
-    labeled graphs for it. Orbit representatives of equal index are then
-    merged by graph isomorphism, so the class count never assumes that
-    graph isomorphism respects the pairs.
+    labeled graphs for it.
 
-    Verifies the structural extremes while counting: the labeled counts
-    must sum to 2^C(n,2), every index-2 representative must be complete
-    bipartite, every index-n one a complete ladder, and each index in
-    [2, n] must be populated, with the two extremes a single class.
+    Each orbit is one isomorphism class, by the pairing lemma: every
+    perfect matching of a stereotype graph in which every two edges
+    induce a 4-cycle is the image of its pairing under an automorphism.
+    (If xy is such an edge, N(y) is the complement of N(x), so y is a
+    twin of x's partner; permuting twins maps the pairing onto it.) So
+    an isomorphism can be taken to map pairs onto pairs, and two
+    stereotype graphs are isomorphic exactly when their patterns differ
+    by a relabelling and a switching.
+
+    Verifies the rows while counting: the labeled counts must sum to
+    2^C(n,2), every index-2 orbit must be complete bipartite, every
+    index-n one a complete ladder, and each index in [2, n] must be
+    populated, with the two extremes a single class; _check_index_three
+    holds the index-3 row to its closed forms.
     """
     _check_pair_count(n)
     _check_limit("census", n, limit)
     labeled: dict[int, int] = {}
-    representatives: dict[int, list[StereotypeGraph]] = {}
+    classes: dict[int, int] = {}
     # Normalised patterns are the values below 2^C(n-1,2): their first
     # n-1 bits, pair 1's row, are the leading zeros.
     seen = bytearray(1 << pattern_length(n - 1))
@@ -151,9 +158,7 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
         orbit = walk.orbit(value, seen)
         k = chromatic_number(g.graph)
         labeled[k] = labeled.get(k, 0) + (len(orbit) << (n - 1))
-        reps = representatives.setdefault(k, [])
-        if not any(graph_isomorphic(g.graph, known.graph) for known in reps):
-            reps.append(g)
+        classes[k] = classes.get(k, 0) + 1
         if k == 2 and not recognize_complete_bipartite(g):
             raise InternalInvariant(f"index-2 graph {g.bits} is not complete bipartite")
         if k == n and n >= 2 and not recognize_complete_ladder(g):
@@ -171,16 +176,43 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
             if labeled.get(k, 0) < 1:
                 raise InternalInvariant(f"no graph on {n} pairs has index {k}")
         for k in (2, n):
-            if n >= 3 and len(representatives[k]) != 1:
+            if classes[k] != 1:
                 raise InternalInvariant(
-                    f"index {k} on {n} pairs split into "
-                    f"{len(representatives[k])} isomorphism classes"
+                    f"index {k} on {n} pairs split into {classes[k]} isomorphism classes"
                 )
+    if n >= 3:
+        _check_index_three(n, labeled[3], classes[3])
 
     return [
-        CensusRow(n=n, k=k, labeled_count=labeled[k], iso_class_count=len(representatives[k]))
+        CensusRow(n=n, k=k, labeled_count=labeled[k], iso_class_count=classes[k])
         for k in sorted(labeled)
     ]
+
+
+def _check_index_three(n: int, labeled: int, classes: int) -> None:
+    """Raise InternalInvariant unless the index-3 row on n >= 3 pairs has
+    2^(n-1) * S(n, 3) labeled graphs and round(n^2 / 12) classes.
+
+    With pair 1 parallel to every other pair, let H be the graph on
+    pairs 2..n whose edges are the parallel pairs. The index is at most
+    3 iff H is a complete bipartite graph plus isolated vertices: in a
+    3-colouring with pair 1 coloured (1, 2), every other pair is
+    coloured (2, 1), (2, 3) or (3, 1), and two pairs are parallel iff
+    one is (2, 3) and the other (3, 1); conversely such an H has that
+    colouring. The index is exactly 3 iff both sides are non-empty, so
+    the index-3 switching classes are the partitions of the n pairs into
+    three blocks (pair 1 with the isolated ones, and the two sides),
+    S(n, 3) = (3^(n-1) - 2^n + 1) / 2 of them. A triple of pairs has an
+    even number of crossed bits iff its pairs lie in three different
+    blocks, so the blocks play symmetric roles and the isomorphism
+    classes are the partitions of n into three parts.
+    """
+    stirling = (3 ** (n - 1) - (1 << n) + 1) // 2
+    if labeled != stirling << (n - 1) or classes != (n * n + 6) // 12:
+        raise InternalInvariant(
+            f"index 3 on {n} pairs has {labeled} labeled graphs in {classes} classes, "
+            f"not {stirling << (n - 1)} in {(n * n + 6) // 12}"
+        )
 
 
 class _OrbitWalk:

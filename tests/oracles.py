@@ -15,7 +15,10 @@ A^2 + aA = iI + jJ from dense products
 of the adjacency matrix, the census from every labeled graph with
 pairwise isomorphism tests, a switching class's relabelling orbit
 from every pair permutation (_switching_orbit, the reference for the
-census's two-generator walk), pair merges from frozensets of edge tuples
+census's two-generator walk), the pairing lemma's matchings from a
+backtracking search over every perfect matching in which every two edges
+induce a 4-cycle (four_cycle_matchings, each read back as a pattern by
+matching_pattern; the census never looks for them), pair merges from frozensets of edge tuples
 rebuilt on every merge (setwise_merge_pairs, setwise_reduce_to_k2,
 setwise_order_invariance), the girth from one BFS per edge with that
 edge removed (edge_bfs_girth), distances, degrees and connectivity from
@@ -474,6 +477,43 @@ def _switching_orbit(g: StereotypeGraph, permutations: list[tuple[int, ...]]) ->
             key = (key << 1) | (m[a][b] ^ row[a] ^ row[b])
         orbit.add(key)
     return orbit
+
+
+def four_cycle_matchings(graph: Graph) -> list[tuple[Edge, ...]]:
+    """Every perfect matching of graph in which every two edges induce a
+    4-cycle. Each edge is (x, y) with x < y, listed by increasing x: the
+    search always matches the lowest free vertex next."""
+    has = graph.has_edge
+    found = []
+
+    def four_cycle(e: Edge, f: Edge) -> bool:
+        # xy and ab induce a 4-cycle iff x meets exactly one of a, b and
+        # y meets exactly the other.
+        (x, y), (a, b) = e, f
+        return has(x, a) != has(x, b) and has(y, a) == has(x, b) and has(y, b) == has(x, a)
+
+    def extend(chosen: list[Edge], free: frozenset[int]) -> None:
+        if not free:
+            found.append(tuple(chosen))
+            return
+        x = min(free)
+        for y in sorted(free - {x}):
+            if has(x, y) and all(four_cycle((x, y), f) for f in chosen):
+                extend(chosen + [(x, y)], free - {x, y})
+
+    extend([], frozenset(range(graph.vertex_count)))
+    return found
+
+
+def matching_pattern(graph: Graph, matching: tuple[Edge, ...]) -> StereotypeGraph:
+    """The pattern that reads edge i of the matching, (x, y), as pair i+1
+    with x on side 1: two pairs are crossed when the side-1 vertex of the
+    first meets the side-2 vertex of the second."""
+    bits = [
+        int(graph.has_edge(matching[i][0], matching[j][1]))
+        for i, j in itertools.combinations(range(len(matching)), 2)
+    ]
+    return from_pattern(len(matching), bits)
 
 
 def chained_build_with_csi(n: int, k: int) -> StereotypeGraph:

@@ -10,7 +10,9 @@ import pytest
 
 import stereograph
 import stereograph.cli as cli
-from stereograph.chromatic import StabilityReport
+from stereograph import enumerate_all, from_pattern, graph_to_json
+from stereograph.chromatic import StabilityReport, stability_report
+from stereograph.graphs import Graph
 
 
 def run(capsys, *argv):
@@ -210,6 +212,31 @@ class TestReport:
         monkeypatch.setattr(cli, "stability_report", lambda g: fake)
         code, out, _ = run(capsys, "report", kl3_file)
         assert code == 2
+
+    def test_profile_girth_runs_no_girth_search(self, capsys, kl3_file, monkeypatch):
+        # The girth line is read off the triangle count, so Graph.girth
+        # runs only inside stability_report, here replaced by its result.
+        fixed = stability_report(from_pattern(3, [0, 0, 0]))
+        monkeypatch.setattr(cli, "stability_report", lambda g: fixed)
+        calls = []
+        girth = Graph.girth
+        monkeypatch.setattr(Graph, "girth", lambda graph: calls.append(graph) or girth(graph))
+        _, text, _ = run(capsys, "report", kl3_file)
+        _, doc, _ = run(capsys, "report", kl3_file, "--json")
+        assert "girth: 3" in text
+        assert json.loads(doc)["girth"] == 3
+        assert calls == []
+
+    def test_profile_girth_matches_girth_search(self, capsys, tmp_path):
+        path = tmp_path / "g.json"
+        for n in range(1, 5):
+            for g in enumerate_all(n):
+                path.write_text(graph_to_json(g))
+                girth = g.graph.girth()
+                _, text, _ = run(capsys, "report", str(path))
+                _, doc, _ = run(capsys, "report", str(path), "--json")
+                assert f"girth: {'acyclic' if girth is None else girth}" in text.splitlines()
+                assert json.loads(doc)["girth"] == girth
 
 
 class TestCsiAndPolynomials:

@@ -37,12 +37,14 @@ from stereograph import (
 from stereograph import chromatic, generators, graphs
 from stereograph.chromatic import Coloring
 from stereograph.graphs import max_clique_size
-from stereograph.model import _value_rows, pattern_length
+from stereograph.model import _value_rows, pattern_length, vertex_id
 
 from oracles import (
     _switching_orbit,
     chained_build_with_csi,
     find_clique_of_size,
+    four_cycle_matchings,
+    matching_pattern,
     pairwise_census,
 )
 
@@ -246,7 +248,7 @@ class TestEnumeration:
         # Exactly the patterns whose bit triple XORs to one.
         assert all(g.bits[0] ^ g.bits[1] ^ g.bits[2] == 1 for g in stable)
 
-    def test_bound_and_force(self):
+    def test_bound_and_none(self):
         # limit=None lifts the bound.
         with pytest.raises(SizeExceeded, match=r"^enumeration bounded at n <= 6, got n=7$"):
             list(enumerate_all(7))
@@ -291,8 +293,9 @@ class TestCensus:
     def test_six_pairs_exhaustive(self):
         rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(6)]
         assert rows == SIX_PAIR_CENSUS
-        # The two-graph count on 6 points (OEIS A002854): graph isomorphism
-        # merges no two switching classes through n = 6.
+        # The two-graph count on 6 points (OEIS A002854): each switching
+        # orbit is one isomorphism class by the pairing lemma (census
+        # docstring; test_pairing_lemma checks it through 7 pairs).
         assert sum(classes for _, _, classes in rows) == 16
 
     def test_seven_pairs_exhaustive(self):
@@ -326,6 +329,41 @@ class TestCensus:
             assert set(orbit) == _switching_orbit(g, permutations)
             value = seen.find(0, value + 1)
 
+    @pytest.mark.parametrize(
+        "n, rows", [(6, SIX_PAIR_CENSUS), (7, SEVEN_PAIR_CENSUS), (8, EIGHT_PAIR_CENSUS)]
+    )
+    def test_index_three_closed_forms(self, n, rows):
+        # 2^(n-1) * S(n, 3) labeled graphs, S(n, 3) = (3^(n-1) - 2^n + 1) / 2,
+        # in round(n^2 / 12) classes.
+        (labeled, classes), = [(lab, cls) for k, lab, cls in rows if k == 3]
+        assert labeled == 2 ** (n - 1) * (3 ** (n - 1) - 2**n + 1) // 2
+        assert classes == round(n * n / 12)
+        generators._check_index_three(n, labeled, classes)
+
+    @pytest.mark.parametrize("labeled, classes", [(2880, 4), (2881, 3), (2848, 3)])
+    def test_index_three_check_rejects_a_wrong_row(self, labeled, classes):
+        with pytest.raises(InternalInvariant, match="^index 3 on 6 pairs"):
+            generators._check_index_three(6, labeled, classes)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_pairing_lemma(self, n):
+        # Every perfect matching whose every two edges induce a 4-cycle
+        # reads as a pattern in the class's own orbit, so no isomorphism
+        # joins two orbits and the census counts orbits as classes.
+        walk = generators._OrbitWalk(n)
+        seen = bytearray(1 << pattern_length(n - 1))
+        identity = [tuple(range(n))]
+        pairing = tuple((vertex_id(i, 1), vertex_id(i, 2)) for i in range(1, n + 1))
+        value = 0
+        while value >= 0:
+            orbit = set(walk.orbit(value, seen))
+            graph = StereotypeGraph(n, _value_rows(n, value)).graph
+            matchings = four_cycle_matchings(graph)
+            assert pairing in matchings
+            for matching in matchings:
+                assert _switching_orbit(matching_pattern(graph, matching), identity) <= orbit
+            value = seen.find(0, value + 1)
+
     def test_default_bound(self):
         assert census.__defaults__ == (generators.DEFAULT_CENSUS_BOUND,) == (7,)
         rows = [(r.k, r.labeled_count, r.iso_class_count) for r in census(7)]
@@ -333,7 +371,7 @@ class TestCensus:
         with pytest.raises(SizeExceeded, match=r"^census bounded at n <= 7, got n=8$"):
             census(8)
 
-    def test_bound_and_force(self):
+    def test_bound_and_none(self):
         # limit=None lifts the bound.
         with pytest.raises(SizeExceeded, match=r"^census bounded at n <= 2, got n=3$"):
             census(3, limit=2)

@@ -1,10 +1,13 @@
 """Metamorphic properties: relabelling pairs and Seidel switching (swapping
 the two sides of a pair) are graph isomorphisms, so every verdict,
 index and polynomial must come out unchanged. The census counts a
-whole switching orbit by one representative on exactly this premise."""
+whole switching orbit by one representative on exactly this premise.
+Complementing every bit of the pattern swaps the independent sets with
+the cliques."""
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +18,7 @@ from stereograph import (
     chromatically_bipartite_criterion,
     enumerate_all,
     from_pattern,
+    gen_random,
     leading_characteristic_coefficients,
     leading_chromatic_coefficients,
     recognize_complete_bipartite,
@@ -28,7 +32,7 @@ from stereograph.chromatic import (
     _compute_stability_report,
     _stability_report_cached,
 )
-from stereograph.graphs import normalize_edge
+from stereograph.graphs import Graph, max_clique, normalize_edge
 from stereograph.model import pattern_length, pattern_slot
 from stereograph.spectral import characteristic_polynomial
 
@@ -188,3 +192,32 @@ def test_polynomial_caches_hold_one_entry_per_switching_class():
         stability_report(g)
     report_cache = _stability_report_cached.cache_info()
     assert (report_cache.misses, report_cache.hits) == (64, 960)
+
+
+def complement(graph):
+    full = (1 << graph.vertex_count) - 1
+    return Graph(
+        graph.vertex_count, tuple(full ^ mask ^ 1 << v for v, mask in enumerate(graph.masks))
+    )
+
+
+@pytest.mark.parametrize(
+    "graphs",
+    [
+        *(pytest.param(n, id=f"all-{n}-pairs") for n in range(2, 6)),
+        pytest.param("random", id="random-6-to-24-pairs"),
+    ],
+)
+def test_independence_number_is_clique_number_of_the_flipped_pattern(graphs):
+    # An independent set holds at most one vertex per pair, and two
+    # vertices of different pairs are non-adjacent exactly when they
+    # would be adjacent with the pairs' bit flipped. A clique of three or
+    # more vertices holds one vertex per pair too, so alpha(G(s)) equals
+    # omega(G(flipped s)) from two pairs on; K2 has alpha 1 and omega 2.
+    if graphs == "random":
+        pool = [gen_random(n, seed) for n in range(6, 25) for seed in range(3)]
+    else:
+        pool = list(enumerate_all(graphs))
+    for g in pool:
+        flipped = from_pattern(g.n, [1 - bit for bit in g.bits])
+        assert len(max_clique(complement(g.graph))) == len(max_clique(flipped.graph)), g.bits
