@@ -3,9 +3,18 @@
 Vertices are dense integers ``0..vertex_count-1``. A graph is stored as
 ``Graph.masks``, one neighbour bitmask per vertex; it is the only
 neighbour index, every algorithm here reads it, and the edge set is
-derived from it on demand. Everything operates on graphs small enough (at
-most a few dozen vertices) that straightforward exact algorithms are the
-right tool; nothing in this module approximates.
+derived from it on demand. Every algorithm here is exact; nothing in
+this module approximates.
+
+Distances come from one multi-root BFS kernel, Graph._max_eccentricity,
+which both is_connected (one root) and diameter (every root) read. It
+packs the BFS levels of a block of roots into one int, one row of
+vertex_count bits per root, and advances every row by one level per
+vertex of their union: the row bits where that vertex lies, times its
+neighbour mask, lay the mask into exactly those rows, and since the rows
+never overlap the product has no carries. Each row therefore follows
+its root's BFS exactly, and the block runs until every row is full,
+which takes as many steps as the greatest eccentricity of its roots.
 """
 
 from __future__ import annotations
@@ -114,36 +123,71 @@ class Graph:
         return sorted(self.edges)
 
     def is_connected(self) -> bool:
-        return self.vertex_count == 0 or self._eccentricity(0) is not None
+        return self.vertex_count == 0 or self._max_eccentricity(1) is not None
 
     def diameter(self) -> int | None:
-        """Greatest pairwise distance, or None when disconnected."""
+        """Greatest pairwise distance, or None when disconnected: the
+        greatest eccentricity over every root, from the multi-root BFS
+        of _max_eccentricity. It is exact because each root's row in a
+        block takes exactly the BFS steps of that root alone, and the
+        block stops only when every row holds every vertex."""
         if self.vertex_count == 0:
             return None
-        best = 0
-        for v in range(self.vertex_count):
-            eccentricity = self._eccentricity(v)
-            if eccentricity is None:
-                return None
-            best = max(best, eccentricity)
-        return best
+        return self._max_eccentricity(self.vertex_count)
 
-    def _eccentricity(self, root: int) -> int | None:
-        """Greatest distance from root, or None when a vertex is out of
-        reach: a BFS over level bitmasks, one OR per vertex."""
-        masks = self.masks
-        level = seen = 1 << root
-        d = 0
-        while True:
-            reached = 0
-            for v in iter_bits(level):
-                reached |= masks[v]
-            level = reached & ~seen
-            if not level:
-                break
-            seen |= level
-            d += 1
-        return d if seen == (1 << self.vertex_count) - 1 else None
+    def _max_eccentricity(self, root_count: int) -> int | None:
+        """Greatest distance from a root, one of the vertices
+        0..root_count-1, to any vertex, or None when some vertex is out
+        of a root's reach: a BFS over level bitmasks that advances a
+        block of roots at once (Then et al., "The More the Merrier:
+        Efficient Multi-Source Graph Traversal", PVLDB 2014).
+
+        With n vertices, a block of max(1, 1024 // n) roots keeps its
+        levels in one int of about 1024 bits, the block's r-th root on
+        row r, bits r*n .. r*n+n-1. For each vertex w in the union of
+        the rows, the product of (level >> w & ones), which has bit r*n
+        set iff w lies in row r's level, with masks[w] < 2^n copies
+        masks[w] into exactly those rows; the rows never overlap, so
+        nothing carries and the product is an OR. One step of the block
+        is thus one BFS step of each of its roots. The block stops when
+        every row is full, after max-eccentricity steps, so it never
+        expands the last level; an empty level while some row is
+        unfilled means a vertex out of reach.
+        """
+        n, masks = self.vertex_count, self.masks
+        block = max(1, 1024 // n)
+        row = (1 << n) - 1
+        best = 0
+        for start in range(0, root_count, block):
+            k = min(block, root_count - start)
+            width = k * n
+            # ones: the low bit of each of the k rows; level: root
+            # start + r on row r, which is every (n + 1)-th bit from bit
+            # start on.
+            full = (1 << width) - 1
+            ones = full // row
+            level = seen = ((1 << k * (n + 1)) - 1) // ((1 << n + 1) - 1) << start
+            d = 0
+            while seen != full:
+                # Fold the rows in halves: afterwards the low row of
+                # union holds every row's level.
+                union, shift = level, n
+                while shift < width:
+                    union |= union >> shift
+                    shift <<= 1
+                union &= row
+                reached = 0
+                while union:
+                    w = (union & -union).bit_length() - 1
+                    reached |= (level >> w & ones) * masks[w]
+                    union &= union - 1
+                level = reached & ~seen
+                if not level:
+                    return None
+                seen |= level
+                d += 1
+            best = max(best, d)
+        return best
 
     def girth(self) -> int | None:
         """Length of a shortest cycle, or None for a forest.
@@ -154,12 +198,17 @@ class Graph:
         L_(d+1) with two neighbours in L_d an even one of length at most
         2d+2; from a root on a shortest cycle the first of these tests to
         fire gives its length exactly, so the girth is the minimum over
-        the roots. A triangle ends the search, since no simple graph has
-        a shorter cycle.
+        the roots. A root with fewer than two neighbours lies on no
+        cycle, so it is skipped; that leaves the minimum as it is, and
+        on a graph with no edges costs one popcount per vertex. A
+        triangle ends the search, since no simple graph has a shorter
+        cycle.
         """
         masks = self.masks
         best: int | None = None
         for root in range(self.vertex_count):
+            if masks[root].bit_count() < 2:
+                continue
             level, seen, d = 1 << root, 1 << root, 0
             while level and (best is None or 2 * d + 1 < best):
                 neighbourhoods = [masks[v] for v in iter_bits(level)]

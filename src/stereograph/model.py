@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, LengthMismatch, NotAStereotypeGraph, SizeExceeded
-from .graphs import Edge, Graph, _checked_edge, iter_bits
+from .graphs import Edge, Graph, _checked_edge
 
 
 def vertex_id(pair: int, side: int) -> int:
@@ -330,14 +330,44 @@ def _defining_clauses(masks: Sequence[int]) -> tuple[int | None, tuple[int, int]
     vertices do not induce a 4-cycle; None where the clause holds.
 
     Two pairs induce a 4-cycle iff each of their four vertices has
-    exactly two neighbours among the four (the six bits of the quad).
+    exactly two neighbours among the four. A vertex v has own = 1
+    neighbour in its own pair if the pair has its in-pair edge and 0 if
+    not (the masks have no self-loops), so the clause for pairs i and j
+    holds iff every vertex of each has exactly 2 - own neighbours in the
+    other. The pairs are taken in order, and pair i is checked against
+    every later pair j at once with a few big-int operations:
+
+    - each vertex of pair i toward every j: with x its mask cut to the
+      later pairs and E their side-1 bits, a = x & E and b = x >> 1 & E
+      mark the neighbours on each side, so one neighbour per pair is
+      a ^ b == E and two are a & b == E;
+    - each vertex w of a later pair toward pair i: since the masks are
+      symmetric, w's neighbours in pair i are bit w of pair i's two
+      masks p and q, so one is p ^ q and two are p & q.
+
+    A failing vertex of either side marks its pair j; the first pair i
+    with a mark, and its lowest marked j, is the lexicographically first
+    failing (i, j), and the search stops there.
     """
     n = len(masks) // 2
-    missing = next((i + 1 for i in range(n) if not masks[2 * i] >> 2 * i + 1 & 1), None)
-    for i, j in itertools.combinations(range(n), 2):
-        quad = 3 << 2 * i | 3 << 2 * j
-        if any((masks[v] & quad).bit_count() != 2 for v in iter_bits(quad)):
-            return missing, (i + 1, j + 1)
+    partnered = [masks[2 * i] >> 2 * i + 1 & 1 for i in range(n)]
+    missing = next((i + 1 for i, edge in enumerate(partnered) if not edge), None)
+    # own: both vertices of each pair with its in-pair edge; even: the
+    # side-1 vertex of every pair.
+    own = int("".join("11" if edge else "00" for edge in reversed(partnered)), 2)
+    even = int("01" * n, 2)
+    for i, edge in enumerate(partnered):
+        cut = 2 * i + 2
+        later, wanted = even >> cut, own >> cut
+        p, q = masks[2 * i] >> cut, masks[2 * i + 1] >> cut
+        bad = 0
+        for x in (p, q):
+            a, b = x & later, x >> 1 & later
+            bad |= (a ^ b if edge else a & b) ^ later
+        wrong = (wanted & (p ^ q) | p & q & ~wanted) ^ (later | later << 1)
+        bad |= (wrong | wrong >> 1) & later
+        if bad:
+            return missing, (i + 1, i + 2 + ((bad & -bad).bit_length() - 1 >> 1))
     return missing, None
 
 

@@ -13,12 +13,23 @@ import stereograph.cli as cli
 from stereograph import enumerate_all, from_pattern, graph_to_json
 from stereograph.chromatic import StabilityReport, stability_report
 from stereograph.graphs import Graph
+from stereograph.model import vertex_name
 
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env():
+    """os.environ with the package's parent directory first on
+    PYTHONPATH, for running python -m stereograph in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(stereograph.__file__).parent.parent), env.get("PYTHONPATH")) if p
+    )
+    return env
 
 
 @pytest.fixture()
@@ -91,6 +102,56 @@ class TestValidate:
                 f"stereograph: bad edge entry {[name, 'u2.1']!r}: bad vertex name {shown}\n"
             )
 
+    def test_huge_edgeless_file_checked_in_linear_time(self, tmp_path):
+        # 2 * 10^5 vertices and no edges. The clause search stops at the
+        # first pair of pairs, the distance BFS at the first empty level,
+        # and the girth search skips every root with fewer than two
+        # neighbours, so the whole command stays far inside the timeout.
+        path = tmp_path / "edgeless.json"
+        path.write_text('{"format": "stereograph-edges-v1", "n": 100000, "edges": []}')
+        result = subprocess.run(
+            [sys.executable, "-m", "stereograph", "validate", str(path)],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            timeout=2,
+        )
+        assert result.returncode == 1
+        assert result.stdout.splitlines() == [
+            "pass  pair-structure",
+            "FAIL  in-pair-edges  (witness: 1)",
+            "FAIL  pair-pair-four-cycles  (witness: (1, 2))",
+            "FAIL  edge-count  (witness: 0)",
+            "FAIL  n-regular  (witness: 0)",
+            "FAIL  connected",
+            "FAIL  diameter",
+            "FAIL  girth",
+            "valid: no",
+        ]
+
+    def test_edge_form_prints_what_the_bit_form_prints(self, capsys, tmp_path):
+        """validate and csi --witness on every file that build --csi and
+        generate --type random write for 12..14 pairs, each rewritten as
+        an edge list, print byte for byte what they print on the file."""
+        for n in (12, 13, 14):
+            writes = [["build", "--n", str(n), "--csi", str(k)] for k in range(2, n + 1)]
+            writes += [
+                ["generate", "--type", "random", "--n", str(n), "--seed", str(s)] for s in range(4)
+            ]
+            for argv in writes:
+                bits_path = tmp_path / "bits.json"
+                assert run(capsys, *argv, "-o", str(bits_path))[0] == 0
+                g = stereograph.graph_from_json(bits_path.read_text())
+                edges = [[vertex_name(u), vertex_name(v)] for u, v in g.graph.sorted_edges()]
+                edges_path = tmp_path / "edges.json"
+                edges_path.write_text(
+                    json.dumps({"format": "stereograph-edges-v1", "n": n, "edges": edges})
+                )
+                for command in (["validate"], ["csi", "--witness"]):
+                    expected = run(capsys, command[0], str(bits_path), *command[1:])
+                    assert expected[0] == 0, (argv, command)
+                    assert run(capsys, command[0], str(edges_path), *command[1:]) == expected
+
     def test_wrong_pattern_length(self, capsys, tmp_path):
         path = tmp_path / "short.json"
         path.write_text('{"format": "stereograph-v1", "n": 3, "pattern": [0, 1]}')
@@ -126,11 +187,9 @@ class TestValidate:
         # parser and were reported as invalid JSON.
         path = tmp_path / "z.json"
         path.write_bytes(b"\xff")
-        env = dict(os.environ, LC_ALL="C")
+        env = package_env()
+        env["LC_ALL"] = "C"
         env.pop("PYTHONIOENCODING", None)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(stereograph.__file__).parent.parent), env.get("PYTHONPATH")) if p
-        )
         errors = []
         for source in ("-", str(path)):
             result = subprocess.run(
@@ -257,13 +316,9 @@ class TestCsiAndPolynomials:
     def test_python_dash_m_runs_the_cli(self, capsys, kl3_file):
         # python -m stereograph prints what the stereograph entry point,
         # cli.main, prints for the same arguments.
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (str(Path(stereograph.__file__).parent.parent), env.get("PYTHONPATH")) if p
-        )
         result = subprocess.run(
             [sys.executable, "-m", "stereograph", "csi", kl3_file],
-            env=env,
+            env=package_env(),
             capture_output=True,
             text=True,
             timeout=60,

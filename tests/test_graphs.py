@@ -146,6 +146,53 @@ class TestDistances:
         assert graph.diameter() == profile.diameter
 
 
+def cycle(n):
+    return [(i, (i + 1) % n) for i in range(n)]
+
+
+def disjoint_union(vertex_count, *edge_lists):
+    """Edge lists on 0..k-1 placed side by side on vertex_count vertices."""
+    edges, offset = [], 0
+    for part in edge_lists:
+        edges += [(offset + u, offset + v) for u, v in part]
+        offset += 1 + max(max(e) for e in part)
+    return Graph.from_edges(vertex_count, edges)
+
+
+def random_graph(vertex_count, seed):
+    rng = random.Random(seed)
+    p = rng.choice([0.04, 0.08, 0.2, 0.5])
+    pairs = itertools.combinations(range(vertex_count), 2)
+    return Graph.from_edges(vertex_count, [e for e in pairs if rng.random() < p])
+
+
+# Graphs on 33..80 vertices: past 32 vertices the multi-root BFS of
+# Graph.diameter splits its roots into more than one block.
+BLOCK_GRAPHS = {
+    **{f"P{n}": Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in (33, 47, 80)},
+    **{f"C{n}": Graph.from_edges(n, cycle(n)) for n in (33, 64, 80)},
+    # A path with its ends at the highest ids, so only the last block
+    # holds a root of greatest eccentricity.
+    "P80 from the middle": Graph.from_edges(
+        80, itertools.pairwise([*range(79, 0, -2), *range(0, 80, 2)])
+    ),
+    "C20+C20": disjoint_union(40, cycle(20), cycle(20)),
+    "P33+isolated": Graph.from_edges(34, [(i, i + 1) for i in range(32)]),
+    "C40+P30": disjoint_union(70, cycle(40), [(i, i + 1) for i in range(29)]),
+    **{f"random{s}": random_graph(33 + 6 * s, s) for s in range(8)},
+}
+
+
+class TestDistancesAcrossBlocks:
+    @pytest.mark.parametrize("name", sorted(BLOCK_GRAPHS))
+    def test_match_floyd_warshall(self, name):
+        graph = BLOCK_GRAPHS[name]
+        assert graph.vertex_count ** 2 > 1024
+        profile = floyd_warshall_profile(graph)
+        assert graph.is_connected() == profile.connected
+        assert graph.diameter() == profile.diameter
+
+
 def assert_is_isomorphism(mapping, g1, g2):
     assert mapping is not None
     assert sorted(mapping) == sorted(mapping.values()) == list(range(g1.vertex_count))

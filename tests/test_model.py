@@ -441,6 +441,35 @@ class TestValidation:
         assert report.checks[0].name == "pair-structure"
         assert not report.checks[0].passed
 
+    @pytest.mark.parametrize(
+        "removed, added, witness, cross",
+        [
+            # Both vertices of pair 2 pass toward pair 5, but u1.5 has
+            # three quad neighbours; pair (3, 4) also fails, later.
+            ([(3, 9), (4, 6)], [(3, 8)], (2, 5), [(2, 8), (3, 8)]),
+            # u1.4 meets both vertices of pair 2, so pair 4's side fails
+            # toward pair 2; u1.2 meets both of pair 5, so pair 2's side
+            # fails toward pair 5.
+            ([(3, 7), (3, 9)], [(3, 6), (2, 9)], (2, 4), [(2, 6), (3, 6)]),
+            # The same two failures with the sides swapped.
+            ([(3, 7), (3, 9)], [(2, 7), (3, 8)], (2, 4), [(2, 6), (2, 7)]),
+        ],
+    )
+    def test_first_failing_pair_seen_from_either_side(self, removed, added, witness, cross):
+        """The lexicographically first failing pair of pairs, whether a
+        vertex of the first pair or of the second breaks the 4-cycle."""
+        edges = gen_complete_ladder(5).graph.edges - set(removed) | set(added)
+        graph = Graph.from_edges(10, edges)
+        report = validate_stereotype(graph)
+        assert report == setwise_validate_stereotype(graph)
+        checks = {c.name: c for c in report.checks}
+        assert checks["in-pair-edges"].passed
+        assert checks["pair-pair-four-cycles"].witness == witness
+        with pytest.raises(NotAStereotypeGraph) as err:
+            from_edge_list(5, sorted(edges))
+        assert err.value.clause == "pair-pair-four-cycle"
+        assert err.value.witness == (*witness, cross)
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_derived_properties_exhaustive(self, n):
         for g in enumerate_all(n):
