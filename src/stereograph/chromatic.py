@@ -571,8 +571,8 @@ def _stability_report_cached(rows: tuple[int, ...]) -> StabilityReport:
 
 def _compute_stability_report(g: StereotypeGraph) -> StabilityReport:
     """Every criterion and the index run on g itself, without the cache."""
-    # One truncated pass gives c3 for the characteristic verdict and
-    # for the chromatically-bipartite cross-check.
+    # One c0..c3 pass gives c3 for the characteristic verdict and for
+    # the chromatically-bipartite cross-check.
     c3 = leading_characteristic_coefficients(g)[3]
     return StabilityReport(
         merge=reduce_to_k2(g).stable,

@@ -141,8 +141,9 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
     Verifies the rows while counting: the labeled counts must sum to
     2^C(n,2), every index-2 orbit must be complete bipartite, every
     index-n one a complete ladder, and each index in [2, n] must be
-    populated, with the two extremes a single class; _check_index_three
-    holds the index-3 row to its closed forms.
+    populated; _check_extreme_rows holds the two extremes to one class
+    of 2^(n-1) labeled graphs each, and _check_index_three the index-3
+    row to its closed forms.
     """
     _check_pair_count(n)
     _check_limit("census", n, limit)
@@ -175,11 +176,7 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
         for k in range(2, n + 1):
             if labeled.get(k, 0) < 1:
                 raise InternalInvariant(f"no graph on {n} pairs has index {k}")
-        for k in (2, n):
-            if classes[k] != 1:
-                raise InternalInvariant(
-                    f"index {k} on {n} pairs split into {classes[k]} isomorphism classes"
-                )
+        _check_extreme_rows(n, labeled, classes)
     if n >= 3:
         _check_index_three(n, labeled[3], classes[3])
 
@@ -187,6 +184,25 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
         CensusRow(n=n, k=k, labeled_count=labeled[k], iso_class_count=classes[k])
         for k in sorted(labeled)
     ]
+
+
+def _check_extreme_rows(n: int, labeled: dict[int, int], classes: dict[int, int]) -> None:
+    """Raise InternalInvariant unless the index-2 and index-n rows on
+    n >= 2 pairs each hold one class of 2^(n-1) labeled graphs.
+
+    A triple of pairs has an odd number of crossed bits in every
+    complete bipartite pattern and an even number in every complete
+    ladder. Switching keeps each triple's parity and the parities fix
+    the switching class, so each of the two is the one class with its
+    parities, which every relabelling keeps: one orbit of size 1,
+    holding 2^(n-1) patterns. For n = 2 the two rows are one.
+    """
+    for k in (2, n):
+        if labeled[k] != 1 << (n - 1) or classes[k] != 1:
+            raise InternalInvariant(
+                f"index {k} on {n} pairs has {labeled[k]} labeled graphs in "
+                f"{classes[k]} classes, not {1 << (n - 1)} in 1"
+            )
 
 
 def _check_index_three(n: int, labeled: int, classes: int) -> None:

@@ -200,9 +200,12 @@ class Graph:
         fire gives its length exactly, so the girth is the minimum over
         the roots. A root with fewer than two neighbours lies on no
         cycle, so it is skipped; that leaves the minimum as it is, and
-        on a graph with no edges costs one popcount per vertex. A
-        triangle ends the search, since no simple graph has a shorter
-        cycle.
+        on a graph with no edges costs one popcount per vertex. Once the
+        odd test at level d has failed, no later test from that root can
+        find less than 2d+2, so the root is left there when that is no
+        shorter than the best cycle so far; on a triangle-free graph of
+        girth 4, every root after the first stops at level 1. A triangle
+        ends the search, since no simple graph has a shorter cycle.
         """
         masks = self.masks
         best: int | None = None
@@ -214,6 +217,8 @@ class Graph:
                 neighbourhoods = [masks[v] for v in iter_bits(level)]
                 if any(mask & level for mask in neighbourhoods):
                     best = 2 * d + 1
+                    break
+                if best is not None and 2 * d + 2 >= best:
                     break
                 reached = twice = 0
                 for mask in neighbourhoods:

@@ -4,13 +4,15 @@ Everything here is arbitrary-precision integer arithmetic; the stability
 criteria in this module are exact equalities, so no floating point is
 allowed anywhere. The characteristic polynomial of a matrix comes from
 Berkowitz's division-free recurrence, integer matrix-vector products
-over the leading principal blocks, in one routine that stops at any
-number of leading coefficients: the whole polynomial costs O(n^4), its
-first four coefficients c0..c3 O(n^3). For a stereotype graph either is
-reduced to the n x n Seidel matrix of its pattern first. The stability
-criteria need only c3, so the characteristic and chromatically-bipartite
-criteria, coefficient_identities and the stability report read c0..c3
-from one truncated pass on the graph's own rows, uncached.
+over the leading principal blocks, O(n^4) for the whole polynomial. For
+a stereotype graph it is reduced to the n x n Seidel matrix of its
+pattern first. The stability criteria need only c3, so the
+characteristic and chromatically-bipartite criteria,
+coefficient_identities and the stability report read c0..c3 from
+_leading_shifted_seidel_coefficients: the same recurrence on the first
+four coefficients, where every entry of S - I is -1 or +1, so each step
+reduces to popcounts of the graph's own pattern rows, O(n^2) word
+operations in all, uncached.
 stereotype_characteristic_polynomial, the whole polynomial (CLI
 charpoly), takes the matrix from the switching class's normalised
 pattern, so the cached matrix polynomial is computed once per switching
@@ -84,7 +86,7 @@ def characteristic_polynomial(matrix: IntMatrix) -> IntPolynomial:
 @lru_cache(maxsize=8192)
 def _characteristic_polynomial_cached(matrix: IntMatrix) -> IntPolynomial:
     dim = len(matrix)
-    result = IntPolynomial(tuple(_berkowitz(matrix, dim + 1)))
+    result = IntPolynomial(tuple(_berkowitz(matrix)))
     if result.degree != dim or result.coefficient(0) != 1:
         raise InternalInvariant("characteristic polynomial is not monic of full degree")
     return result
@@ -94,37 +96,63 @@ characteristic_polynomial.cache_info = _characteristic_polynomial_cached.cache_i
 characteristic_polynomial.cache_clear = _characteristic_polynomial_cached.cache_clear
 
 
-def _berkowitz(matrix: IntMatrix, terms: int) -> list[int]:
-    """The first `terms` coefficients of det(xI - matrix), degree-descending.
+def _berkowitz(matrix: IntMatrix) -> list[int]:
+    """The coefficients of det(xI - matrix), degree-descending.
 
     Berkowitz's recurrence: with A the leading r x r block, R the row
     matrix[r][:r] and C the column matrix[:r][r], the polynomial of the
     leading (r+1) x (r+1) block is the lower-triangular Toeplitz matrix
     with first column 1, -matrix[r][r], -RC, -RAC, ..., -RA^(r-1)C times
-    that of A. Its first m coefficients need only the first m entries of
-    each Toeplitz column, so step r makes min(terms, r + 2) - 3
-    matrix-vector products: r - 1 for the whole polynomial, O(n^4) in
-    all, and one for c0..c3, O(n^3). Only integer products and sums, no
-    divisions. The column has length r, and map stops at the shorter
-    argument, so full rows of matrix stand in for the leading block.
+    that of A. Step r makes r - 1 matrix-vector products, O(n^4) in
+    all, with only integer products and sums, no divisions. The column
+    has length r, and map stops at the shorter argument, so full rows of
+    matrix stand in for the leading block.
     """
     dim = len(matrix)
     if dim == 0:
         return [1]
-    poly = [1, -matrix[0][0]][:terms]
+    poly = [1, -matrix[0][0]]
     for r in range(1, dim):
-        length = min(terms, r + 2)
         row = matrix[r]
         block = matrix[:r]
         column = [line[r] for line in block]
-        toeplitz = [1, -row[r], -sum(map(mul, row, column))][:length]
-        for _ in range(length - 3):
+        toeplitz = [1, -row[r], -sum(map(mul, row, column))]
+        for _ in range(r - 1):
             column = [sum(map(mul, line, column)) for line in block]
             toeplitz.append(-sum(map(mul, row, column)))
-        # reverse[length - 1 - i:] pairs poly[j] with toeplitz[i - j], j <= i.
+        # reverse[r + 1 - i:] pairs poly[j] with toeplitz[i - j], j <= i.
         reverse = toeplitz[::-1]
-        poly = [sum(map(mul, poly, reverse[length - 1 - i :])) for i in range(length)]
+        poly = [sum(map(mul, poly, reverse[r + 1 - i :])) for i in range(r + 2)]
     return poly
+
+
+def _leading_shifted_seidel_coefficients(rows: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """The first four coefficients of det(xI - (S - I)) for pattern rows,
+    0 past the degree, from popcounts of the rows.
+
+    Berkowitz's recurrence read on four coefficients: step r multiplies
+    them by the Toeplitz column 1, -m_rr, -RC, -RAC of the leading
+    (r+1) x (r+1) block (see _berkowitz). In M = S - I every diagonal
+    entry is -1 and every other entry s_ij = 1 - 2 bit(i, j), a sign, so
+    -m_rr = 1, RC = sum_k s_rk^2 = r, and
+    RAC = sum_(k<r) s_rk (-s_kr + sum_(l<r, l!=k) s_kl s_lr) = -r + acc.
+    The pattern is symmetric, so s_kl s_lr = 1 - 2 (bit l of
+    rows[k] ^ rows[r]), and acc sums s_rk (r - 1 - 2 off_k) with off_k
+    the popcount of rows[k] ^ rows[r] below bit r, bit k left out. The
+    column is then (1, 1, -r, r - acc): r popcounts and no matrix per
+    step. Past the block's degree the recurrence gives 0 by
+    Cayley-Hamilton, so the four are exact from one pair on.
+    """
+    p0, p1, p2, p3 = 1, 1, 0, 0
+    for r in range(1, len(rows)):
+        row, below = rows[r], (1 << r) - 1
+        acc, bit = 0, 1
+        for other in rows[:r]:
+            off = ((other ^ row) & (below ^ bit)).bit_count()
+            acc += 2 * off - r + 1 if row & bit else r - 1 - 2 * off
+            bit <<= 1
+        p0, p1, p2, p3 = p0, p1 + p0, p2 + p1 - r * p0, p3 + p2 - r * p1 + (r - acc) * p0
+    return p0, p1, p2, p3
 
 
 def _shifted_seidel_matrix(rows: tuple[int, ...]) -> IntMatrix:
@@ -166,13 +194,14 @@ def leading_characteristic_coefficients(g: StereotypeGraph) -> tuple[int, int, i
 
     The same lift as stereotype_characteristic_polynomial, x^(n-1) (x - n)
     charpoly(S - I), read on its first four coefficients: they need only
-    the first four of charpoly(S - I), one truncated Berkowitz pass of
-    O(n^3) instead of the whole polynomial's O(n^4). Those coefficients
-    are switching invariants, so g's own rows serve and nothing is
-    cached. For n = 1, where A has degree 2, c3 is 0.
+    the first four of charpoly(S - I), which
+    _leading_shifted_seidel_coefficients computes in O(n^2) popcounts of
+    the pattern rows, with no matrix. Those coefficients are switching
+    invariants, so g's own rows serve and nothing is cached. For n = 1,
+    where A has degree 2, c3 is 0.
     """
-    core = tuple(_berkowitz(_shifted_seidel_matrix(g.rows), 4))
-    head = (_times_x_minus_n(core, g.n) + (0, 0, 0))[:4]
+    core = _leading_shifted_seidel_coefficients(g.rows)
+    head = _times_x_minus_n(core, g.n)[:4]
     if head[0] != 1:
         raise InternalInvariant("characteristic polynomial is not monic")
     return head

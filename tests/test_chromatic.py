@@ -46,6 +46,7 @@ from stereograph import (
     reduce_to_k2,
     splitmix64_stream,
     stability_report,
+    switching_representative,
     two_coloring,
 )
 from stereograph import chromatic, graphs, spectral
@@ -299,13 +300,24 @@ GIRTH_GRAPHS = {
     "isolated-vertices": (Graph.from_edges(3, frozenset()), None),
     "path": (Graph.from_edges(6, [(i, i + 1) for i in range(5)]), None),
     "two-trees": (Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (4, 5), (5, 6)]), None),
-    "C5": (cycle_graph(5), 5),
-    "C7": (cycle_graph(7), 7),
-    "C8": (cycle_graph(8), 8),
+    **{f"C{length}": (cycle_graph(length), length) for length in range(4, 10)},
     "petersen": (petersen_graph(), 5),
     "grotzsch": (grotzsch_graph(), 4),
-    "K33": (gen_complete_bipartite(3).graph, 4),
+    # Once a 4-cycle is known, every later root stops at level 1.
+    **{f"K{n}{n}": (gen_complete_bipartite(n).graph, 4) for n in (2, 3, 6, 12)},
     "odd-wheel-W5": (odd_wheel_graph(), 3),
+    # A cycle on the low ids sets the best before the roots of a shorter
+    # one are walked: the early stop must not skip it.
+    "C4-then-triangle": (
+        Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 4)]),
+        3,
+    ),
+    "C5-then-C4": (
+        Graph.from_edges(
+            9, [(i, (i + 1) % 5) for i in range(5)] + [(5, 6), (6, 7), (7, 8), (8, 5)]
+        ),
+        4,
+    ),
     "C7-and-separate-C4": (
         Graph.from_edges(
             11, [(i, (i + 1) % 7) for i in range(7)] + [(7, 8), (8, 9), (9, 10), (10, 7)]
@@ -332,6 +344,12 @@ class TestGirth:
     def test_stereotype_graphs(self, n):
         for g in enumerate_all(n):
             assert g.graph.girth() == edge_bfs_girth(g.graph)
+
+    @pytest.mark.parametrize("n", range(6, 15))
+    def test_random_stereotype_graphs(self, n):
+        for seed in range(3):
+            graph = gen_random(n, seed).graph
+            assert graph.girth() == edge_bfs_girth(graph)
 
 
 class TestSearchAgainstOracle:
@@ -670,19 +688,22 @@ class TestStabilityReport:
         # full polynomial up; a graph past the chromatic bound still
         # makes one pass.
         lookups, passes = [], []
-        lookup, berkowitz = spectral.characteristic_polynomial, spectral._berkowitz
+        lookup = spectral.characteristic_polynomial
+        leading = spectral._leading_shifted_seidel_coefficients
         monkeypatch.setattr(
             spectral, "characteristic_polynomial", lambda m: lookups.append(m) or lookup(m)
         )
         monkeypatch.setattr(
-            spectral, "_berkowitz", lambda m, terms: passes.append(terms) or berkowitz(m, terms)
+            spectral,
+            "_leading_shifted_seidel_coefficients",
+            lambda rows: passes.append(rows) or leading(rows),
         )
         graphs = [g for n in range(1, 5) for g in enumerate_all(n)] + [gen_random(9, 0)]
         for g in graphs:
             passes.clear()
             _stability_report_cached.cache_clear()
             stability_report(g)
-            assert passes == [4]
+            assert passes == [switching_representative(g).rows]
         assert lookups == []
 
     def test_cached_report_equals_the_report_computed_on_the_graph_itself(self):

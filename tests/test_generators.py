@@ -345,6 +345,15 @@ class TestCensus:
         with pytest.raises(InternalInvariant, match="^index 3 on 6 pairs"):
             generators._check_index_three(6, labeled, classes)
 
+    @pytest.mark.parametrize("k, labeled, classes", [(2, 64, 1), (2, 32, 2), (6, 16, 1)])
+    def test_extreme_rows_check_rejects_a_wrong_row(self, k, labeled, classes):
+        # The pinned census rows pass the check through census itself.
+        labeled_by_k = {j: lab for j, lab, _ in SIX_PAIR_CENSUS}
+        classes_by_k = {j: cls for j, _, cls in SIX_PAIR_CENSUS}
+        labeled_by_k[k], classes_by_k[k] = labeled, classes
+        with pytest.raises(InternalInvariant, match=f"^index {k} on 6 pairs"):
+            generators._check_extreme_rows(6, labeled_by_k, classes_by_k)
+
     @pytest.mark.parametrize("n", range(2, 8))
     def test_pairing_lemma(self, n):
         # Every perfect matching whose every two edges induce a 4-cycle

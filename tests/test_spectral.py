@@ -41,7 +41,9 @@ from stereograph.polynomials import interpolate_integer_polynomial
 from stereograph.spectral import (
     IntMatrix,
     _berkowitz,
+    _leading_shifted_seidel_coefficients,
     _quadratic_identity_holds,
+    _shifted_seidel_matrix,
     bareiss_determinant,
 )
 
@@ -175,11 +177,9 @@ class TestCharacteristicPolynomialOnIntMatrices:
         assert characteristic_polynomial(principal_submatrix(m, order)) == poly
 
     @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_truncated_pass_is_a_prefix(self, data):
-        m = data.draw(square_int_matrices(9))
-        terms = data.draw(st.integers(min_value=1, max_value=len(m) + 1))
-        assert _berkowitz(m, terms) == list(interpolated_characteristic_polynomial(m)[:terms])
+    @given(square_int_matrices(9))
+    def test_whole_pass_matches_interpolation(self, m):
+        assert _berkowitz(m) == list(interpolated_characteristic_polynomial(m))
 
     def test_pinned_random_adjacency_at_24_pairs(self):
         poly = characteristic_polynomial(adjacency_matrix(gen_random(24, 0)))
@@ -248,10 +248,29 @@ def first_four(coefficients: tuple[int, ...]) -> tuple[int, ...]:
     return (coefficients + (0, 0, 0))[:4]
 
 
+@st.composite
+def wide_patterns(draw, max_n=40):
+    """Stereotype graphs on 1..max_n pairs, their matching bits drawn as
+    one integer."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    length = n * (n - 1) // 2
+    value = draw(st.integers(min_value=0, max_value=(1 << length) - 1))
+    return from_pattern(n, [value >> s & 1 for s in range(length)])
+
+
 class TestLeadingCharacteristicCoefficients:
-    """c0..c3 from one truncated Berkowitz pass on g's own Seidel matrix,
-    against the full polynomial and the Bareiss-and-interpolation oracle
-    on the 2n x 2n adjacency matrix."""
+    """c0..c3 from the popcount pass on g's own pattern rows, against the
+    whole Berkowitz pass on its Seidel matrix, the full polynomial and
+    the Bareiss-and-interpolation oracle on the 2n x 2n adjacency
+    matrix."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(wide_patterns())
+    @example(from_pattern(1, []))
+    @example(from_pattern(2, [1]))
+    def test_popcount_pass_is_the_head_of_the_whole_pass(self, g):
+        whole = _berkowitz(_shifted_seidel_matrix(g.rows))
+        assert _leading_shifted_seidel_coefficients(g.rows) == first_four(tuple(whole))
 
     def test_every_graph_with_up_to_six_pairs(self):
         # The oracles run once per switching class, on the adjacency
@@ -284,12 +303,14 @@ class TestLeadingCharacteristicCoefficients:
     def test_pinned_random_graph_at_24_pairs(self):
         assert leading_characteristic_coefficients(gen_random(24, 0)) == CHARPOLY_RANDOM_24[:4]
 
-    def test_identities_at_96_pairs(self):
-        # Out of the full polynomial's reach here (seconds), in reach of
-        # c0..c3 (milliseconds): each XOR-0 pair triple holds two triangles.
-        g = gen_random(96, 0)
+    @pytest.mark.parametrize("n", [96, 192])
+    def test_identities_at_many_pairs(self, n):
+        # Out of the full polynomial's reach here (seconds to minutes), in
+        # reach of c0..c3 (milliseconds): each XOR-0 pair triple holds two
+        # triangles.
+        g = gen_random(n, 0)
         c0, c1, c2, c3 = leading_characteristic_coefficients(g)
-        assert (c0, c1, c2) == (1, 0, -96 * 96)
+        assert (c0, c1, c2) == (1, 0, -n * n)
         assert c3 == -4 * len(triangle_pair_triples(g))
         assert c3 < 0
 
