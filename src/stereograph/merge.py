@@ -12,12 +12,14 @@ Surviving merged pairs are relabeled with the smaller pair index, and the
 class containing that pair's side-1 vertex keeps side 1, so reductions
 are fully deterministic.
 
-The state mid-reduction is two bitmasks per original vertex id: its
-neighbours and the original vertices its class holds, both 0 once the
-vertex has been merged away. The triangle test reads six bits of the
-four vertices involved, and a merge rewrites each vertex's neighbour
-mask with a few int operations, so one merge costs O(V) int operations
-and no edge set is ever rebuilt. check_order_invariance walks every
+The state mid-reduction is two ints per original vertex id v: the
+original ids in v's class, and the OR of those ids' original neighbour
+masks (v's reach), both 0 once v has been merged away. Class v is
+adjacent to class w iff v's reach meets w's class mask, so _merge reads
+the triangle test's six bits and merges with two ORs per list: O(1) int
+operations per merge, and no neighbour mask is rewritten. reduce_to_k2
+logs each step as ints and builds the MergeStep objects only when
+StabilityVerdict.steps is read. check_order_invariance walks every
 merge order, so it raises SizeExceeded past its limit on n.
 """
 
@@ -30,7 +32,7 @@ from typing import Sequence
 
 from .errors import InvalidOrder, PairAbsent
 from .graphs import Edge, iter_bits, normalize_edge
-from .model import StereotypeGraph, _check_limit, vertex_id
+from .model import StereotypeGraph, _check_limit
 
 Triangle = tuple[int, int, int]
 ClassPartition = frozenset[frozenset[int]]
@@ -42,30 +44,35 @@ ORDER_ENUMERATION_BOUND = 5
 class PairedGraph:
     """A graph on surviving pairs mid-reduction.
 
-    Vertex ids are those of the original 2n-vertex graph. Bit w of
-    `masks[v]` is set iff vw is an edge, and `class_masks[v]` has one bit
-    per original vertex id that v represents; both are 0 for a vertex
-    whose pair has been merged away. `pairs` (the alive pair labels),
-    `edges` and `classes` (each current vertex with the frozenset of
-    original ids it represents) are read-only views of the masks.
-    Unlike a stereotype graph, two alive pairs may induce more than a
-    4-cycle here.
+    Vertex ids are those of the original 2n-vertex graph. `class_masks[v]`
+    has one bit per original vertex id that v represents, and `reach[v]`
+    is the OR of those ids' original neighbour masks; both are 0 for a
+    vertex whose pair has been merged away. `masks` (bit w of `masks[v]`
+    set iff vw is an edge), `pairs` (the alive pair labels), `edges` and
+    `classes` (each current vertex with the frozenset of original ids it
+    represents) are read-only views of the two. Unlike a stereotype
+    graph, two alive pairs may induce more than a 4-cycle here.
     """
 
-    masks: tuple[int, ...]
     class_masks: tuple[int, ...]
+    reach: tuple[int, ...]
 
     @classmethod
     def from_stereotype(cls, g: StereotypeGraph) -> "PairedGraph":
-        return cls(g.graph.masks, tuple(1 << v for v in range(g.vertex_count)))
+        return cls(tuple(1 << v for v in range(g.vertex_count)), g.graph.masks)
 
     @property
     def n_original(self) -> int:
-        return len(self.masks) // 2
+        return len(self.class_masks) // 2
 
     @property
     def pairs(self) -> tuple[int, ...]:
         return tuple(p for p, mask in enumerate(self.class_masks[::2], 1) if mask)
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        alive = [(w, mask) for w, mask in enumerate(self.class_masks) if mask]
+        return tuple(sum(1 << w for w, mask in alive if reach & mask) for reach in self.reach)
 
     @cached_property
     def edges(self) -> frozenset[Edge]:
@@ -83,12 +90,9 @@ class PairedGraph:
     def class_map(self) -> dict[int, frozenset[int]]:
         return dict(self.classes)
 
-    def pair_vertices(self, label: int) -> tuple[int, int]:
-        return vertex_id(label, 1), vertex_id(label, 2)
-
     def has_edge(self, u: int, v: int) -> bool:
         u, v = normalize_edge(u, v)
-        return 0 <= u and v < len(self.masks) and self.masks[u] >> v & 1 == 1
+        return 0 <= u and v < len(self.reach) and self.reach[u] & self.class_masks[v] != 0
 
     def class_partition(self) -> ClassPartition:
         return frozenset(members for _, members in self.classes)
@@ -114,67 +118,76 @@ class MergeStep:
 
 @dataclass(frozen=True)
 class StabilityVerdict:
+    """A reduction's result. `step_log` has one (pair as given, side-1
+    class mask, side-2 class mask) per merge, the masks of the survivor's
+    two vertices after it; `steps` is built from it when first read."""
+
     stable: bool
     final_graph: PairedGraph
-    steps: tuple[MergeStep, ...] = ()
+    step_log: tuple[tuple[tuple[int, int], int, int], ...] = ()
     blocking_witness: Triangle | None = None
 
+    @cached_property
+    def steps(self) -> tuple[MergeStep, ...]:
+        return tuple(
+            MergeStep(pair, (frozenset(iter_bits(one)), frozenset(iter_bits(two))))
+            for pair, one, two in self.step_log
+        )
 
-def merge_pairs(pg: PairedGraph, i: int, j: int) -> MergeOutcome:
-    """Merge pairs i and j, or report the triangle blocking the merge."""
+
+def _merge(class_masks: list[int], reach: list[int], i: int, j: int) -> Triangle | None:
+    """Merge pairs i and j in place, or return the triangle blocking the
+    merge and leave the state as it was. Raises PairAbsent unless i and j
+    are two distinct alive labels."""
     if type(i) is not int or type(j) is not int:
         raise PairAbsent(f"pair labels must be ints, got ({i!r}, {j!r})")
     if i == j:
         raise PairAbsent(f"cannot merge pair {i} with itself")
-    masks, class_masks = pg.masks, pg.class_masks
     for label in (i, j):
-        if not (0 < label <= len(masks) // 2 and class_masks[2 * label - 2]):
+        if not (0 < label <= len(class_masks) // 2 and class_masks[2 * label - 2]):
             raise PairAbsent(f"pair {label} is not alive")
 
-    # pair_vertices inlined: u_side^p has id 2(p-1) + side-1.
+    # u_side^p has id 2(p-1) + side-1, as in model.vertex_id.
     a1, b1 = 2 * i - 2, 2 * j - 2
     a2, b2 = a1 + 1, b1 + 1
-    a1a2, b1b2 = masks[a1] >> a2 & 1, masks[b1] >> b2 & 1
-    a1b1, a1b2 = masks[a1] >> b1 & 1, masks[a1] >> b2 & 1
-    a2b1, a2b2 = masks[a2] >> b1 & 1, masks[a2] >> b2 & 1
+    reach_a1, reach_a2 = reach[a1], reach[a2]
+    a1a2, b1b2 = reach_a1 & class_masks[a2], reach[b1] & class_masks[b2]
+    a1b1, a1b2 = reach_a1 & class_masks[b1], reach_a1 & class_masks[b2]
+    a2b1, a2b2 = reach_a2 & class_masks[b1], reach_a2 & class_masks[b2]
     # The four triples of the quad in a fixed order, so the witness is
     # deterministic.
-    for tri, closed in (
-        ((a1, a2, b1), a1a2 and a1b1 and a2b1),
-        ((a1, a2, b2), a1a2 and a1b2 and a2b2),
-        ((a1, b1, b2), b1b2 and a1b1 and a1b2),
-        ((a2, b1, b2), b1b2 and a2b1 and a2b2),
-    ):
-        if closed:
-            return MergeOutcome(blocking_triangle=tuple(sorted(tri)))
+    closed = (
+        a1a2 and a1b1 and a2b1,
+        a1a2 and a1b2 and a2b2,
+        b1b2 and a1b1 and a1b2,
+        b1b2 and a2b1 and a2b2,
+    )
+    if any(closed):
+        triples = ((a1, a2, b1), (a1, a2, b2), (a1, b1, b2), (a2, b1, b2))
+        return tuple(sorted(next(tri for tri, c in zip(triples, closed) if c)))
 
     # The induced subgraph is a 4-cycle: each vertex of pair i misses
     # exactly one vertex of pair j. The two non-adjacent couples become
-    # the new classes.
+    # the new classes, kept at the survivor's two ids.
     partner = b2 if a1b1 else b1
     one, two = (a1, partner), (a2, b1 + b2 - partner)
     v1, r1 = (a1, b1) if i < j else (b1, a1)
-    v2, r2 = v1 + 1, r1 + 1
     if v1 not in one:
         one, two = two, one
-    side_one = 1 << one[0] | 1 << one[1]
-    side_two = 1 << two[0] | 1 << two[1]
-    keep = ~(side_one | side_two)
-    bit1, bit2 = 1 << v1, 1 << v2
+    for state in (class_masks, reach):
+        merged = state[one[0]] | state[one[1]], state[two[0]] | state[two[1]]
+        state[r1] = state[r1 + 1] = 0
+        state[v1], state[v1 + 1] = merged
+    return None
 
-    new_masks = [
-        mask & keep | (bit1 if mask & side_one else 0) | (bit2 if mask & side_two else 0)
-        for mask in masks
-    ]
-    new_masks[v1] = (masks[one[0]] | masks[one[1]]) & keep | bit2
-    new_masks[v2] = (masks[two[0]] | masks[two[1]]) & keep | bit1
-    new_masks[r1] = new_masks[r2] = 0
 
-    new_classes = list(class_masks)
-    new_classes[v1] = class_masks[one[0]] | class_masks[one[1]]
-    new_classes[v2] = class_masks[two[0]] | class_masks[two[1]]
-    new_classes[r1] = new_classes[r2] = 0
-    return MergeOutcome(graph=PairedGraph(tuple(new_masks), tuple(new_classes)))
+def merge_pairs(pg: PairedGraph, i: int, j: int) -> MergeOutcome:
+    """Merge pairs i and j, or report the triangle blocking the merge."""
+    class_masks, reach = list(pg.class_masks), list(pg.reach)
+    witness = _merge(class_masks, reach, i, j)
+    if witness is not None:
+        return MergeOutcome(blocking_triangle=witness)
+    return MergeOutcome(graph=PairedGraph(tuple(class_masks), tuple(reach)))
 
 
 def reduce_to_k2(
@@ -182,10 +195,11 @@ def reduce_to_k2(
 ) -> StabilityVerdict:
     """Apply n-1 merges (given order, else lexicographic) until one pair
     remains or a merge blocks; stable exactly when K_2 is reached."""
-    pg = PairedGraph.from_stereotype(g)
-    steps: list[MergeStep] = []
-
-    if order is not None:
+    if order is None:
+        # The lexicographic order always merges the two lowest alive
+        # labels, and pair 1 survives each merge.
+        order = [(1, k) for k in range(2, g.n + 1)]
+    else:
         try:
             order = list(order)
         except TypeError:
@@ -193,39 +207,28 @@ def reduce_to_k2(
         if len(order) != g.n - 1:
             raise InvalidOrder(f"expected {g.n - 1} merges for n={g.n}, got {len(order)}")
 
-    step_index = 0
-    pairs = pg.pairs
-    while len(pairs) > 1:
-        step = pairs[:2] if order is None else order[step_index]
+    class_masks, reach = [1 << v for v in range(g.vertex_count)], list(g.graph.masks)
+    log: list[tuple[tuple[int, int], int, int]] = []
+    for step_index, step in enumerate(order):
         try:
             i, j = step
         except (TypeError, ValueError):
             raise InvalidOrder(f"step {step_index}: {step!r} is not a pair of labels") from None
         try:
-            outcome = merge_pairs(pg, i, j)
+            witness = _merge(class_masks, reach, i, j)
         except PairAbsent:
-            # merge_pairs alone decides which labels can merge.
+            # _merge alone decides which labels can merge.
+            pairs = tuple(p for p, mask in enumerate(class_masks[::2], 1) if mask)
             raise InvalidOrder(
                 f"step {step_index}: pair ({i!r}, {j!r}) is not alive in {pairs}"
             ) from None
-        if not outcome.merged:
-            return StabilityVerdict(
-                stable=False,
-                final_graph=pg,
-                steps=tuple(steps),
-                blocking_witness=outcome.blocking_triangle,
-            )
-        pg = outcome.graph
-        pairs = pg.pairs
-        v1, v2 = pg.pair_vertices(min(i, j))
-        classes = (
-            frozenset(iter_bits(pg.class_masks[v1])),
-            frozenset(iter_bits(pg.class_masks[v2])),
-        )
-        steps.append(MergeStep((i, j), classes))
-        step_index += 1
+        if witness is not None:
+            final = PairedGraph(tuple(class_masks), tuple(reach))
+            return StabilityVerdict(False, final, tuple(log), witness)
+        v1 = 2 * min(i, j) - 2
+        log.append(((i, j), class_masks[v1], class_masks[v1 + 1]))
 
-    return StabilityVerdict(stable=True, final_graph=pg, steps=tuple(steps))
+    return StabilityVerdict(True, PairedGraph(tuple(class_masks), tuple(reach)), tuple(log))
 
 
 def check_order_invariance(g: StereotypeGraph, limit: int | None = ORDER_ENUMERATION_BOUND) -> bool:
@@ -235,26 +238,22 @@ def check_order_invariance(g: StereotypeGraph, limit: int | None = ORDER_ENUMERA
     _check_limit("order enumeration", g.n, limit)
 
     verdicts: set[bool] = set()
-    partitions: set[ClassPartition] = set()
+    partitions: set[frozenset[int]] = set()
 
-    def walk(pg: PairedGraph) -> None:
-        if len(pg.pairs) == 1:
+    def walk(class_masks: list[int], reach: list[int], pairs: list[int]) -> None:
+        if len(pairs) == 1:
             verdicts.add(True)
-            partitions.add(pg.class_partition())
+            partitions.add(frozenset(mask for mask in class_masks if mask))
             return
-        for i, j in itertools.combinations(pg.pairs, 2):
-            outcome = merge_pairs(pg, i, j)
-            if outcome.merged:
-                walk(outcome.graph)
+        for i, j in itertools.combinations(pairs, 2):
+            merged_masks, merged_reach = class_masks.copy(), reach.copy()
+            if _merge(merged_masks, merged_reach, i, j) is None:
+                walk(merged_masks, merged_reach, [p for p in pairs if p != j])
             else:
                 verdicts.add(False)
 
-    walk(PairedGraph.from_stereotype(g))
-    if len(verdicts) != 1:
-        return False
-    if verdicts == {True} and len(partitions) != 1:
-        return False
-    return True
+    walk([1 << v for v in range(g.vertex_count)], list(g.graph.masks), list(range(1, g.n + 1)))
+    return len(verdicts) == 1 and (verdicts == {False} or len(partitions) == 1)
 
 
 __all__ = [

@@ -65,7 +65,7 @@ from stereograph.graphs import (
     max_clique_size,
     normalize_edge,
 )
-from stereograph.merge import MergeOutcome, MergeStep, StabilityVerdict
+from stereograph.merge import MergeOutcome, MergeStep
 from stereograph.model import (
     CheckResult,
     StereotypeGraph,
@@ -699,7 +699,17 @@ def setwise_merge_pairs(pg: SetwisePairedGraph, i: int, j: int) -> MergeOutcome:
     return MergeOutcome(graph=merged)
 
 
-def setwise_reduce_to_k2(g: StereotypeGraph, order=None) -> StabilityVerdict:
+@dataclass(frozen=True)
+class SetwiseVerdict:
+    """reduce_to_k2's verdict with its steps held as built, not as a log."""
+
+    stable: bool
+    final_graph: SetwisePairedGraph
+    steps: tuple[MergeStep, ...]
+    blocking_witness: tuple[int, int, int] | None = None
+
+
+def setwise_reduce_to_k2(g: StereotypeGraph, order=None) -> SetwiseVerdict:
     """reduce_to_k2 on the set state; order as there, assumed valid."""
     pg = SetwisePairedGraph.from_stereotype(g)
     steps = []
@@ -707,14 +717,14 @@ def setwise_reduce_to_k2(g: StereotypeGraph, order=None) -> StabilityVerdict:
         i, j = order[step_index] if order is not None else pg.pairs[:2]
         outcome = setwise_merge_pairs(pg, i, j)
         if not outcome.merged:
-            return StabilityVerdict(False, pg, tuple(steps), outcome.blocking_triangle)
+            return SetwiseVerdict(False, pg, tuple(steps), outcome.blocking_triangle)
         pg = outcome.graph
         classes = dict(pg.classes)
         survivor = min(i, j)
         steps.append(
             MergeStep((i, j), (classes[vertex_id(survivor, 1)], classes[vertex_id(survivor, 2)]))
         )
-    return StabilityVerdict(True, pg, tuple(steps))
+    return SetwiseVerdict(True, pg, tuple(steps))
 
 
 def setwise_order_invariance(g: StereotypeGraph) -> bool:

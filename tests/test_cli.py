@@ -498,6 +498,44 @@ class TestMerge:
         assert doc["classes"] == [["u1.1", "u1.2", "u1.3"], ["u2.1", "u2.2", "u2.3"]]
         assert len(doc["trace"]) == 2
 
+    @pytest.mark.parametrize(
+        "graph, argv, expected",
+        [
+            (
+                "k33",
+                ("--to-k2", "--trace"),
+                '{"status": "stable", "classes": [["u1.1", "u1.2", "u1.3"], '
+                '["u2.1", "u2.2", "u2.3"]], "trace": [{"merged": [1, 2], "classes": '
+                '[["u1.1", "u1.2"], ["u2.1", "u2.2"]]}, {"merged": [1, 3], "classes": '
+                '[["u1.1", "u1.2", "u1.3"], ["u2.1", "u2.2", "u2.3"]]}]}',
+            ),
+            (
+                "kl3",
+                ("--to-k2", "--trace"),
+                '{"status": "unstable", "triangle": ["u1.1", "u2.1", "u1.3"], "trace": '
+                '[{"merged": [1, 2], "classes": [["u1.1", "u2.2"], ["u2.1", "u1.2"]]}]}',
+            ),
+            (
+                "kl3",
+                ("--pairs", "1,2"),
+                '{"status": "merged", "classes": {"u1.1": ["u1.1", "u2.2"], '
+                '"u2.1": ["u2.1", "u1.2"], "u1.3": ["u1.3"], "u2.3": ["u2.3"]}}',
+            ),
+            (
+                "k33",
+                ("--pairs", "3,1"),
+                '{"status": "merged", "classes": {"u1.1": ["u1.1", "u1.3"], '
+                '"u2.1": ["u2.1", "u2.3"], "u1.2": ["u1.2"], "u2.2": ["u2.2"]}}',
+            ),
+        ],
+        ids=["k33-trace", "kl3-trace", "kl3-pairs", "k33-pairs-reversed"],
+    )
+    def test_exact_text(self, capsys, request, graph, argv, expected):
+        # The whole line, so a change to the step log or the class views
+        # shows as a changed character.
+        code, out, err = run(capsys, "merge", request.getfixturevalue(f"{graph}_file"), *argv)
+        assert (code, out, err) == (0, expected + "\n", "")
+
     def test_unstable_reduction(self, capsys, kl3_file):
         code, out, _ = run(capsys, "merge", kl3_file, "--to-k2")
         doc = json.loads(out)

@@ -1,6 +1,7 @@
 """Merge engine: single merges, full reductions, order invariance."""
 
 import itertools
+import random
 import re
 
 import pytest
@@ -20,13 +21,17 @@ from stereograph import (
     check_order_invariance,
     enumerate_all,
     from_pattern,
+    gen_complete_bipartite,
+    gen_complete_ladder,
     gen_random,
     merge_pairs,
     reduce_to_k2,
     two_coloring,
 )
 from stereograph.merge import PairedGraph
+from stereograph.serialize import merge_steps_to_jsonable
 from test_model import patterns
+from test_switching import switch_pairs
 
 
 def start(g):
@@ -310,3 +315,85 @@ class TestAgainstSetwiseOracle:
             assert_same_outcome(outcome, oracle)
             if outcome.merged:
                 pg, expected = outcome.graph, oracle.graph
+
+
+def random_order(n, seed):
+    """A legal merge order drawn from a seeded generator: each step two
+    alive labels in either order, the larger one merged away."""
+    rng = random.Random(seed)
+    alive, order = list(range(1, n + 1)), []
+    while len(alive) > 1:
+        i, j = rng.sample(alive, 2)
+        order.append((i, j))
+        alive.remove(max(i, j))
+    return order
+
+
+class TestLargeReductions:
+    """Sizes at which O(n) work per merge makes a reduction quadratic;
+    checked by outcome only, with no timing."""
+
+    def test_complete_bipartite_400(self):
+        verdict = reduce_to_k2(gen_complete_bipartite(400))
+        assert verdict.stable
+        assert len(verdict.steps) == 399
+        assert verdict.final_graph.pairs == (1,)
+        side_one, side_two = frozenset(range(0, 800, 2)), frozenset(range(1, 800, 2))
+        assert verdict.final_graph.class_partition() == {side_one, side_two}
+        assert verdict.steps[-1].classes == (side_one, side_two)
+
+    @pytest.mark.parametrize("n", [3, 5, 24, 400])
+    def test_complete_ladder_blocks_after_one_step(self, n):
+        verdict = reduce_to_k2(gen_complete_ladder(n))
+        assert not verdict.stable
+        assert len(verdict.steps) == 1
+        assert verdict.blocking_witness == (0, 1, 4)
+        assert verdict.final_graph.pairs == (1,) + tuple(range(3, n + 1))
+
+
+def order_independence_graphs():
+    """(id, graph): gen_random on 8..12 pairs, K_{12,12} and a switched K_{12,12}."""
+    k12 = gen_complete_bipartite(12)
+    cases = [(f"random-{n}-{s}", gen_random(n, s)) for n in range(8, 13) for s in range(8)]
+    return cases + [("k12", k12), ("k12-switched", switch_pairs(k12, {2, 5, 11}))]
+
+
+class TestOrderIndependenceLarge:
+    """Past check_order_invariance's bound: three orders per graph."""
+
+    @pytest.mark.parametrize(
+        "seed, g",
+        [pytest.param(seed, g, id=name) for seed, (name, g) in enumerate(order_independence_graphs())],
+    )
+    def test_three_orders_agree(self, seed, g):
+        orders = [None, descending_order(g.n), random_order(g.n, seed)]
+        verdicts = [reduce_to_k2(g, order) for order in orders]
+        assert len({v.stable for v in verdicts}) == 1
+        if verdicts[0].stable:
+            assert len({v.final_graph.class_partition() for v in verdicts}) == 1
+
+    def test_both_verdicts_occur(self):
+        stable = {reduce_to_k2(g).stable for _, g in order_independence_graphs()}
+        assert stable == {True, False}
+
+
+class TestReadOnDemand:
+    """steps and final_graph's views are built when read, the same each time."""
+
+    def test_views_stable_and_match_oracle(self, all_st4):
+        for g in all_st4:
+            verdict, expected = reduce_to_k2(g), setwise_reduce_to_k2(g)
+            for _ in range(2):
+                assert verdict.steps == expected.steps
+                assert_same_state(verdict.final_graph, expected.final_graph)
+            assert verdict.steps is verdict.steps
+            assert verdict == reduce_to_k2(g)
+
+    def test_jsonable_steps_text(self, k33, kl3):
+        assert merge_steps_to_jsonable(reduce_to_k2(k33).steps) == [
+            {"merged": [1, 2], "classes": [["u1.1", "u1.2"], ["u2.1", "u2.2"]]},
+            {"merged": [1, 3], "classes": [["u1.1", "u1.2", "u1.3"], ["u2.1", "u2.2", "u2.3"]]},
+        ]
+        assert merge_steps_to_jsonable(reduce_to_k2(kl3).steps) == [
+            {"merged": [1, 2], "classes": [["u1.1", "u2.2"], ["u2.1", "u1.2"]]},
+        ]
