@@ -23,10 +23,14 @@ branch and bound: greedy upper bound, then one clique search for the
 smallest maximum clique, which is both the lower bound and the clique
 pre-colored by the DSATUR k-coloring searches run when the bounds
 differ. Each search keeps its state as ints on the neighbour bitmasks:
-the uncolored set, each color's members and the union of their
-neighbourhoods, and the uncolored vertices bucketed by saturation.
-Every coloring is one color per vertex id, a `Coloring` tuple, from the
-search to the witness.
+the uncolored set, the union of each color's neighbourhoods, and the
+uncolored vertices bucketed by saturation, in a list that a step copies
+only when it raises some vertex. A search returns its color classes as
+vertex masks; optimal_coloring turns the first that exists into the one
+`Coloring` tuple, one color per vertex id, that it checks and returns.
+The index itself, `csi`, is read off the normalised pattern when it is
+3, with a coloring and a triangle checked on the graph; every other
+index comes from the search.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from .model import (
     StereotypeGraph,
     _normalised_rows,
     recognize_complete_bipartite,
+    switching_representative,
     vertex_id,
 )
 from .polynomials import IntPolynomial
@@ -291,89 +296,99 @@ def greedy_coloring(graph: Graph) -> Coloring:
     return Coloring(tuple(colors))
 
 
-def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> Coloring | None:
+def _raise_saturation(buckets: list[int], raised: int) -> list[int]:
+    """A copy of the saturation buckets with every vertex of raised moved
+    up one bucket; raised lies inside the union of the buckets and
+    misses the top one."""
+    buckets = buckets[:]
+    s = 0
+    while raised:
+        up = buckets[s] & raised
+        if up:
+            buckets[s] ^= up
+            buckets[s + 1] |= up
+            raised ^= up
+        s += 1
+    return buckets
+
+
+def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> list[int] | None:
     """Exact DSATUR decision search (Brelaz 1979) for a proper coloring
     with at most k colors, the given clique (k >= its size) pre-colored
-    1..len(clique).
+    1..len(clique). Returns the k color classes as vertex masks, class
+    c - 1 holding the vertices of color c, or None if there is none.
 
     The state is a handful of ints on the neighbour bitmasks: the
-    uncolored set, the members of each color, the union `seen[c]` of
-    the neighbourhoods of color c's members, and buckets of vertices
-    keyed by saturation (the number of distinct colors on their
-    neighbours). Coloring v with c moves `masks[v] & uncolored &
-    ~seen[c]` up one bucket; a vertex reaching bucket k has no color
-    left, which is a dead end, and undoing restores the saved ints. A
-    colored vertex stays in the bucket it left, so the buckets are read
-    through the uncolored set. The search branches on the lowest id
-    with the most uncolored neighbours in the highest non-empty bucket,
-    that is on the uncolored vertex with the most distinct neighbour
-    colors, then the most uncolored neighbours, then the lowest id. It
-    tries only that vertex's free colors, and at most one color not yet
-    used anywhere.
+    uncolored set, the union `seen[c]` of the neighbourhoods of color
+    c's members, and buckets 0..k-1 of vertices keyed by saturation
+    (the number of distinct colors on their neighbours). Coloring v
+    with c raises `masks[v] & uncolored & ~seen[c]` one bucket. If that
+    takes a vertex of bucket k-1 up, the vertex has no color left: a
+    dead end, found before anything is copied or changed. Only a step
+    that raises some vertex copies the bucket list; any other step
+    hands the parent's list on. Undoing a step restores `seen[c]`
+    alone. A colored vertex stays in the bucket it left, so the buckets
+    are read through the uncolored set. The search branches on the
+    lowest id with the most uncolored neighbours in the highest
+    non-empty bucket (with no degree count when that bucket holds one
+    vertex), that is on the uncolored vertex with the most distinct
+    neighbour colors, then the most uncolored neighbours, then the
+    lowest id. It tries only that vertex's free colors, and at most one
+    color not yet used anywhere. The classes are written on the way out
+    of a successful search, so a failed branch leaves nothing to undo
+    in them.
     """
     masks = graph.masks
     members = [0] * (k + 1)  # colors 1..k; entry 0 unused
     seen = [0] * (k + 1)
 
-    def color(v: int, c: int, uncolored: int, buckets: list[int]) -> list[int] | None:
-        """The buckets after coloring v with c, or None at a dead end;
-        members[c] and seen[c] are updated in place."""
-        members[c] |= 1 << v
-        raised = masks[v] & uncolored & ~seen[c]
-        seen[c] |= masks[v]
-        buckets = buckets[:]
-        s = 0
-        while raised:
-            up = buckets[s] & raised
-            if up:
-                buckets[s] ^= up
-                buckets[s + 1] |= up
-                raised ^= up
-            s += 1
-        return None if buckets[k] else buckets
-
     def search(uncolored: int, buckets: list[int], used: int) -> bool:
-        if not uncolored:
-            return True
+        """Whether the non-empty uncolored set can be colored."""
         s = k - 1
         while not buckets[s] & uncolored:
             s -= 1
         top = buckets[s] & uncolored
-        most = -1
-        while top:
-            bit = top & -top
-            top ^= bit
-            u = bit.bit_length() - 1
-            degree = (masks[u] & uncolored).bit_count()
-            if degree > most:
-                v, most = u, degree
-        rest = uncolored ^ 1 << v
-        for c in range(1, min(used + 1, k) + 1):
-            if seen[c] >> v & 1:
-                continue
+        if top & (top - 1):
+            most = -1
+            while top:
+                low = top & -top
+                top ^= low
+                degree = (masks[low.bit_length() - 1] & uncolored).bit_count()
+                if degree > most:
+                    bit, most = low, degree
+        else:
+            bit = top
+        rest = uncolored ^ bit
+        mask = masks[bit.bit_length() - 1]
+        near = mask & rest
+        for c in range(1, (used + 1 if used < k else k) + 1):
             saved = seen[c]
-            after = color(v, c, rest, buckets)
-            if after is not None and search(rest, after, max(used, c)):
+            if saved & bit:
+                continue
+            raised = near & ~saved
+            if raised & buckets[k - 1]:
+                continue
+            after = _raise_saturation(buckets, raised) if raised else buckets
+            seen[c] = saved | mask
+            if not rest or search(rest, after, c if c > used else used):
+                members[c] |= bit
                 return True
-            members[c] ^= 1 << v
             seen[c] = saved
         return False
 
     uncolored = (1 << graph.vertex_count) - 1
-    buckets = [uncolored] + [0] * k
+    buckets = [uncolored] + [0] * (k - 1)
     for c, v in enumerate(clique, start=1):
         uncolored ^= 1 << v
-        after = color(v, c, uncolored, buckets)
-        if after is None:
+        members[c] = 1 << v
+        seen[c] = masks[v]
+        raised = masks[v] & uncolored
+        if raised & buckets[k - 1]:
             return None
-        buckets = after
-    if not search(uncolored, buckets, len(clique)):
+        buckets = _raise_saturation(buckets, raised)
+    if uncolored and not search(uncolored, buckets, len(clique)):
         return None
-    colors = [0] * graph.vertex_count
-    for c in range(1, k + 1):
-        for v in iter_bits(members[c]):
-            colors[v] = c
-    return Coloring(tuple(colors))
+    return members[1:]
 
 
 def optimal_coloring(graph: Graph) -> Coloring:
@@ -382,7 +397,10 @@ def optimal_coloring(graph: Graph) -> Coloring:
     One clique search gives both the lower bound and the clique that the
     exact search pre-colors. That clique is checked on the masks before
     the search and against the palette after it, so a wrong lower bound
-    raises instead of passing unnoticed."""
+    raises instead of passing unnoticed. The first palette with a
+    coloring gives its color classes, and the one Coloring returned is
+    built from them (or is the first-fit one when no smaller palette
+    works)."""
     if graph.vertex_count == 0:
         raise DomainError("chromatic number of an empty graph is undefined here")
     upper = greedy_coloring(graph)
@@ -391,9 +409,13 @@ def optimal_coloring(graph: Graph) -> Coloring:
         raise InternalInvariant(f"the lower-bound clique {clique} is not a clique")
     best = upper
     for k in range(len(clique), upper.colors_used):
-        attempt = _k_coloring(graph, k, clique)
-        if attempt is not None:
-            best = attempt
+        classes = _k_coloring(graph, k, clique)
+        if classes is not None:
+            colors = [0] * graph.vertex_count
+            for c, members in enumerate(classes, start=1):
+                for v in iter_bits(members):
+                    colors[v] = c
+            best = Coloring(tuple(colors))
             break
     if not best.is_proper(graph):
         raise InternalInvariant("optimal coloring failed the properness check")
@@ -410,8 +432,68 @@ def chromatic_number(graph: Graph) -> int:
     return optimal_coloring(graph).colors_used
 
 
+def _index_three_blocks(rows: Sequence[int]) -> tuple[int, int] | None:
+    """The two sides of H, as masks of 0-based pair indices, when the
+    index of the normalised pattern with these rows is 3, else None.
+
+    H is the graph on pairs 2..n whose edges are the parallel pairs
+    (row bits 0): pair i's H-neighbourhood is its row XOR every pair
+    but pair 1 and itself. The index is 3 iff H is a complete bipartite
+    graph with both sides non-empty plus isolated vertices (proof in
+    generators._check_index_three). The first pair with an H-neighbour
+    lies on one side and its neighbourhood is the other side; from it
+    on, every pair of a side must see exactly the other side, and any
+    other pair nothing. Most patterns fail within a few rows.
+    """
+    n = len(rows)
+    outside = (1 << n) - 2
+    first = 1
+    while first < n and rows[first] == outside ^ 1 << first:
+        first += 1
+    if first == n:
+        return None
+    other = rows[first] ^ outside ^ 1 << first
+    low = (other & -other).bit_length() - 1
+    side = rows[low] ^ outside ^ 1 << low
+    for i in range(first, n):
+        bit = 1 << i
+        if rows[i] ^ outside ^ bit != (other if side & bit else side if other & bit else 0):
+            return None
+    return side, other
+
+
 def csi(g: StereotypeGraph) -> int:
-    return chromatic_number(g.graph)
+    """The chromatic stability index, chi(g.graph).
+
+    Index 3 is decided on the normalised pattern (_index_three_blocks)
+    and certified on g.graph: pair 1 gets colors (1, 2), the pairs of
+    the two sides of H (2, 3) and (3, 1), the other pairs (2, 1), each
+    swapped back on a pair that normalising switched; u1 of pair 1 and
+    of one pair from each side is a triangle. A coloring or triangle
+    that fails its check raises InternalInvariant. Any other pattern
+    goes to the exact search."""
+    blocks = _index_three_blocks(switching_representative(g).rows)
+    if blocks is None:
+        return chromatic_number(g.graph)
+    side, other = blocks
+    if not side or not other:
+        raise InternalInvariant(f"index-3 blocks {blocks} leave a side empty")
+    switched = g.rows[0]
+    colors: list[int] = []
+    for i in range(g.n):
+        bit = 1 << i
+        pair = (2, 3) if side & bit else (3, 1) if other & bit else (2, 1) if i else (1, 2)
+        colors += pair[::-1] if switched & bit else pair
+    triangle = tuple(
+        2 * i + (switched >> i & 1)
+        for i in (0, (side & -side).bit_length() - 1, (other & -other).bit_length() - 1)
+    )
+    graph = g.graph
+    if not Coloring(tuple(colors)).is_proper(graph) or not is_clique(graph, triangle):
+        raise InternalInvariant(
+            f"index-3 certificate fails on {g.bits}: coloring {colors}, triangle {triangle}"
+        )
+    return 3
 
 
 def constructive_pair_coloring(g: StereotypeGraph) -> Coloring:

@@ -362,9 +362,11 @@ def max_clique(g: Graph) -> tuple[int, ...]:
                 return
             v = (candidates & -candidates).bit_length() - 1
             candidates &= candidates - 1
-            chosen.append(v)
-            extend(candidates & masks[v], size + 1)
-            chosen.pop()
+            below = candidates & masks[v]
+            if size + 1 + below.bit_count() > best_size:
+                chosen.append(v)
+                extend(below, size + 1)
+                chosen.pop()
 
     extend((1 << n) - 1, 0)
     return best

@@ -28,10 +28,12 @@ stereotype validation from edge-tuple sets (setwise_validate_stereotype),
 a stereotype graph's edges from its pattern bits one pair of pairs
 at a time (edge_list), the CSI-targeted construction from the
 paper's chain of expansion steps, each on the exact search's coloring
-(chained_build_with_csi), the smallest clique of a given size from a
-backtracking search that stops at the first clique of exactly that size
-(find_clique_of_size, the fixed-size reference for graphs.max_clique,
-the library's one clique search, a branch and bound over all sizes),
+(chained_build_with_csi), the index-3 patterns from three blocks of
+pairs, crossed inside a block and parallel across (three_block_graph),
+the smallest clique of a given size from a backtracking search that
+stops at the first clique of exactly that size (find_clique_of_size,
+the fixed-size reference for graphs.max_clique, the library's one
+clique search, a branch and bound over all sizes),
 and the exact coloring from a DSATUR search on per-vertex adjacency
 lists and per-vertex color counts, choosing each branching vertex by a
 max over the uncolored set, after two clique searches
@@ -526,6 +528,20 @@ def chained_build_with_csi(n: int, k: int) -> StereotypeGraph:
     for _ in range(k - 2):
         g = expand_incrementing(g, optimal_coloring(g.graph))
     return g
+
+
+def three_block_graph(blocks, switched=()) -> StereotypeGraph:
+    """The pattern in which pairs i and j (0-based) are crossed iff
+    blocks[i] == blocks[j], then the pairs in switched switched. With
+    three blocks, all of them non-empty, this is an index-3 switching
+    class written in the form where the blocks play symmetric roles,
+    not through the parallel graph H that csi reads."""
+    n = len(blocks)
+    bits = [
+        (blocks[i] == blocks[j]) ^ (i in switched) ^ (j in switched)
+        for i, j in itertools.combinations(range(n), 2)
+    ]
+    return from_pattern(n, [int(b) for b in bits])
 
 
 def edge_bfs_girth(graph: Graph) -> int | None:

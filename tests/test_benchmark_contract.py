@@ -4,8 +4,9 @@ perfbench/spans.py wraps functions and methods by (module, attribute)
 name and reads a value off some of their results, and perfbench/batch.py
 reads both polynomial caches' cache_info(); a rename or deletion here
 would break tracing or every benchmark batch, so it fails tier-1
-instead. One csi_files batch also runs end to end and must check clean.
-perfbench/ is only read.
+instead. The CSI spans must also stay live: a report reaches them
+through the attributes spans.py wraps. One csi_files batch also runs
+end to end and must check clean. perfbench/ is only read.
 """
 
 import importlib
@@ -18,7 +19,9 @@ from pathlib import Path
 
 import pytest
 
-from stereograph import gen_random
+from oracles import three_block_graph
+from stereograph import gen_random, stability_report
+from stereograph.chromatic import _stability_report_cached
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PATH = ROOT / "perfbench" / "spans.py"
@@ -84,6 +87,38 @@ def test_polynomial_cache_exposes_cache_info(module_name, attr):
     assert cached.__name__ == attr
     for field in ("currsize", "hits", "misses"):
         assert isinstance(getattr(info, field), int)
+
+
+CSI_SPANS = ("chromatic.csi", "chromatic.greedy")
+
+
+@pytest.mark.parametrize(
+    "g, index, calls",
+    [
+        pytest.param(gen_random(9, 0), 5, 1, id="searched"),
+        pytest.param(three_block_graph([0, 1, 1, 2, 0, 2, 1, 2, 0]), 3, 0, id="three-blocks"),
+    ],
+)
+def test_report_reaches_the_csi_spans(monkeypatch, g, index, calls):
+    """A computed report calls each CSI span's function once through the
+    module attribute spans.py wraps when the exact search decides the
+    index, and neither when csi reads index 3 off the pattern."""
+    counts = dict.fromkeys(CSI_SPANS, 0)
+
+    def counted(name, original):
+        def wrapper(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for module_name, attr, name, _ in SPANS.FUNCTIONS:
+        if name in CSI_SPANS:
+            module = importlib.import_module(module_name)
+            monkeypatch.setattr(module, attr, counted(name, getattr(module, attr)))
+    _stability_report_cached.cache_clear()
+    assert stability_report(g).csi == index
+    assert counts == dict.fromkeys(CSI_SPANS, calls)
 
 
 def test_csi_files_batch_checks_clean(tmp_path):

@@ -17,6 +17,7 @@ from oracles import (
     first_fit_colors,
     list_dsatur_coloring,
     subset_dp_partition_counts,
+    three_block_graph,
 )
 from stereograph import (
     DomainError,
@@ -471,6 +472,109 @@ class TestSearchAgainstListDsatur:
         monkeypatch.setattr(chromatic, "is_clique", lambda graph, vertices: True)
         with pytest.raises(InternalInvariant, match="outgrew a 3-coloring"):
             optimal_coloring(c5)
+
+
+def drawn_three_block_graph(n, seed):
+    """A 3-block pattern on n >= 3 pairs: blocks drawn at random, all
+    three non-empty, in a random pair order, then random pairs switched."""
+    stream = splitmix64_stream(seed)
+    blocks = [0, 1, 2] + [next(stream) % 3 for _ in range(n - 3)]
+    blocks = [b for _, b in sorted((next(stream), b) for b in blocks)]
+    return three_block_graph(blocks, {i for i in range(n) if next(stream) & 1})
+
+
+def count_calls(monkeypatch, names):
+    """Count the calls to each chromatic attribute in names; the calls
+    made through the module globals are the ones that count."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, original):
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(chromatic, name, counted(name, getattr(chromatic, name)))
+    return calls
+
+
+SEARCHES = ("chromatic_number", "optimal_coloring", "max_clique", "_k_coloring")
+
+
+class TestIndexThreeOnThePattern:
+    """csi reads index 3 off the normalised pattern, with a coloring and a
+    triangle checked on the graph, and leaves every other index to the
+    exact search."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_graph(self, n):
+        # The search runs once per switching class, on the representative,
+        # which is isomorphic to every graph of its class.
+        indices = {}
+        for g in enumerate_all(n):
+            rows = switching_representative(g).rows
+            if rows not in indices:
+                indices[rows] = chromatic_number(StereotypeGraph(n, rows).graph)
+            index = indices[rows]
+            assert csi(g) == index, g.bits
+            assert (chromatic._index_three_blocks(rows) is not None) == (index == 3), g.bits
+
+    @pytest.mark.parametrize("n", range(3, 25))
+    def test_three_block_patterns_run_no_search(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, SEARCHES)
+        graphs = [drawn_three_block_graph(n, seed) for seed in range(4)]
+        for g in graphs:
+            assert csi(g) == 3
+        assert calls == dict.fromkeys(SEARCHES, 0)
+        # The counters are live: the exact search agrees and reaches them.
+        for g in graphs:
+            assert chromatic.chromatic_number(g.graph) == 3
+        assert calls["max_clique"] == len(graphs)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_one_bit_away_falls_back_to_the_search(self, monkeypatch, n):
+        calls = count_calls(monkeypatch, SEARCHES)
+        g = drawn_three_block_graph(n, n)
+        fallbacks = 0
+        for slot in range(pattern_length(n)):
+            bits = list(g.bits)
+            bits[slot] ^= 1
+            near = from_pattern(n, bits)
+            calls.update(dict.fromkeys(SEARCHES, 0))
+            index = csi(near)
+            searched = calls["max_clique"]
+            assert index == chromatic.chromatic_number(near.graph), bits
+            assert searched == (index != 3), bits
+            fallbacks += searched
+        assert fallbacks
+
+    @pytest.mark.parametrize("case", ["ladder", "empty-side", "moved-pair", "isolated-pair"])
+    def test_wrong_blocks_raise(self, monkeypatch, case):
+        g = three_block_graph([0, 0, 1, 1, 2, 2], switched={1, 4})
+        side, other = chromatic._index_three_blocks(switching_representative(g).rows)
+        assert (side, other) == (0b001100, 0b110000)
+        wrong = {
+            "ladder": (side, other),
+            "empty-side": (side, 0),
+            "moved-pair": (side | 0b010000, other ^ 0b010000),
+            "isolated-pair": (side | 0b000010, other),
+        }[case]
+        if case == "ladder":
+            g = gen_complete_ladder(6)
+        monkeypatch.setattr(chromatic, "_index_three_blocks", lambda rows: wrong)
+        with pytest.raises(InternalInvariant, match="index-3"):
+            csi(g)
+
+    def test_triangle_is_checked(self, monkeypatch):
+        """A proper coloring alone does not certify index 3: the triangle
+        that bounds it from below is checked too."""
+        g = drawn_three_block_graph(7, 0)
+        assert csi(g) == 3
+        monkeypatch.setattr(chromatic, "is_clique", lambda graph, vertices: False)
+        with pytest.raises(InternalInvariant, match="index-3 certificate"):
+            csi(g)
 
 
 class TestIsProper:

@@ -16,6 +16,61 @@ from stereograph.graphs import Graph
 from stereograph.model import vertex_name
 
 
+# (the command that writes the file, the index, the witness colors of
+# u1.1, u2.1, u1.2, u2.2, ...) that csi --witness prints. They pin the
+# DSATUR search's branching order: a faster step must keep them.
+PINNED_WITNESSES = [
+    ("build --n 13 --csi 2", 2, "1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2 1 2"),
+    ("build --n 13 --csi 3", 3, "1 2 3 2 3 2 3 2 3 2 3 2 3 2 3 2 3 2 3 2 3 2 3 2 3 1"),
+    ("build --n 13 --csi 7", 7, "1 2 7 2 7 2 7 2 7 2 7 2 7 2 7 2 3 1 4 3 5 4 6 5 7 6"),
+    (
+        "build --n 13 --csi 13",
+        13,
+        "1 2 13 2 3 1 4 3 5 4 6 5 7 6 8 7 9 8 10 9 11 10 12 11 13 12",
+    ),
+    (
+        "generate --type random --n 13 --seed 0",
+        6,
+        "1 3 2 5 2 5 6 3 6 1 4 3 4 1 1 2 5 2 4 3 6 5 2 5 4 6",
+    ),
+    (
+        "generate --type random --n 13 --seed 1",
+        6,
+        "1 3 4 2 5 3 3 4 1 3 1 2 4 6 1 2 6 4 2 5 6 5 1 5 6 2",
+    ),
+    (
+        "generate --type random --n 13 --seed 2",
+        7,
+        "1 2 2 6 5 6 6 2 2 7 4 3 4 3 4 5 5 2 1 7 5 3 4 3 1 6",
+    ),
+    (
+        "generate --type random --n 13 --seed 3",
+        6,
+        "1 2 6 2 4 3 4 3 3 4 5 1 1 5 4 3 5 1 5 1 2 6 5 1 6 2",
+    ),
+    (
+        "generate --type random --n 14 --seed 0",
+        6,
+        "1 6 1 2 3 5 1 6 4 3 1 3 2 3 4 3 3 1 4 5 5 4 2 6 4 5 1 2",
+    ),
+    (
+        "generate --type random --n 14 --seed 1",
+        6,
+        "1 6 4 2 2 3 2 3 1 3 4 6 4 5 1 5 3 4 6 4 2 5 3 5 2 1 6 2",
+    ),
+    (
+        "generate --type random --n 14 --seed 2",
+        6,
+        "1 4 2 5 3 6 1 3 2 5 1 4 1 6 4 2 2 4 3 5 4 6 1 3 5 2 3 6",
+    ),
+    (
+        "generate --type random --n 14 --seed 3",
+        7,
+        "3 5 1 5 1 6 3 2 3 4 2 4 7 5 4 3 1 6 4 3 5 2 2 7 7 5 6 1",
+    ),
+]
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
@@ -333,6 +388,18 @@ class TestCsiAndPolynomials:
         witness = json.loads(lines[1])
         assert set(witness) == {f"u{p}.{i}" for p in (1, 2) for i in (1, 2, 3)}
         assert len(set(witness.values())) == 3
+
+    @pytest.mark.parametrize("argv, index, colors", PINNED_WITNESSES)
+    def test_witness_stdout_pinned(self, capsys, tmp_path, argv, index, colors):
+        """csi --witness prints, byte for byte, the index and the coloring
+        the exact search gave on files written by build and generate;
+        colors lists u1.1, u2.1, u1.2, ... in order."""
+        path = tmp_path / "graph.json"
+        assert run(capsys, *argv.split(), "-o", str(path))[0] == 0
+        colors = [int(c) for c in colors.split()]
+        names = [f"u{side}.{pair}" for pair in range(1, len(colors) // 2 + 1) for side in (1, 2)]
+        expected = f"{index}\n{json.dumps(dict(zip(names, colors)))}\n"
+        assert run(capsys, "csi", str(path), "--witness") == (0, expected, "")
 
     def test_charpoly_text(self, capsys, kl3_file):
         code, out, _ = run(capsys, "charpoly", kl3_file)
