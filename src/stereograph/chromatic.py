@@ -28,9 +28,10 @@ uncolored vertices bucketed by saturation, in a list that a step copies
 only when it raises some vertex. A search returns its color classes as
 vertex masks; optimal_coloring turns the first that exists into the one
 `Coloring` tuple, one color per vertex id, that it checks and returns.
-The index itself, `csi`, is read off the normalised pattern when it is
-3, with a coloring and a triangle checked on the graph; every other
-index comes from the search.
+The index, `csi`, and CLI `csi --witness` read one coloring,
+_csi_coloring's: at index 3 it is written down from the descendant H
+(model._descendant) and checked, with a triangle, on the graph; at any
+other index it is the search's.
 """
 
 from __future__ import annotations
@@ -39,16 +40,16 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalInvariant, SizeExceeded
 from .graphs import Graph, is_clique, iter_bits, max_clique
 from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
+    _descendant,
     _normalised_rows,
     recognize_complete_bipartite,
-    switching_representative,
     vertex_id,
 )
 from .polynomials import IntPolynomial
@@ -432,49 +433,49 @@ def chromatic_number(graph: Graph) -> int:
     return optimal_coloring(graph).colors_used
 
 
-def _index_three_blocks(rows: Sequence[int]) -> tuple[int, int] | None:
-    """The two sides of H, as masks of 0-based pair indices, when the
-    index of the normalised pattern with these rows is 3, else None.
+def _index_three_blocks(h: Iterable[int]) -> tuple[int, int] | None:
+    """The two sides of the descendant H (model._descendant), as masks
+    of 0-based pair indices, when its class has index 3, else None.
 
-    H is the graph on pairs 2..n whose edges are the parallel pairs
-    (row bits 0): pair i's H-neighbourhood is its row XOR every pair
-    but pair 1 and itself. The index is 3 iff H is a complete bipartite
-    graph with both sides non-empty plus isolated vertices (proof in
-    generators._check_index_three). The first pair with an H-neighbour
-    lies on one side and its neighbourhood is the other side; from it
-    on, every pair of a side must see exactly the other side, and any
-    other pair nothing. Most patterns fail within a few rows.
+    The index is 3 iff H is complete bipartite with both sides non-empty
+    plus isolated vertices (proof in generators._check_index_three). The
+    first pair with an H-neighbour lies on one side, its neighbourhood
+    is the other. H is read once, in pair order, and as it is symmetric
+    it suffices that no pair of the other side sees that side and every
+    pair outside it sees nothing or exactly the other side. Most
+    patterns fail within a few pairs, before the rest of H is computed.
     """
-    n = len(rows)
-    outside = (1 << n) - 2
-    first = 1
-    while first < n and rows[first] == outside ^ 1 << first:
-        first += 1
-    if first == n:
-        return None
-    other = rows[first] ^ outside ^ 1 << first
-    low = (other & -other).bit_length() - 1
-    side = rows[low] ^ outside ^ 1 << low
-    for i in range(first, n):
+    side = other = 0
+    for i, mask in enumerate(h):
         bit = 1 << i
-        if rows[i] ^ outside ^ bit != (other if side & bit else side if other & bit else 0):
+        if other & bit:
+            if mask & other:
+                return None
+        elif not mask:
+            continue
+        elif mask == other:
+            side |= bit
+        elif other:
             return None
-    return side, other
+        else:
+            side, other = bit, mask
+    return (side, other) if other else None
 
 
-def csi(g: StereotypeGraph) -> int:
-    """The chromatic stability index, chi(g.graph).
+def _csi_coloring(g: StereotypeGraph) -> Coloring:
+    """A checked coloring of g.graph with chi(g.graph) colors: the route
+    of csi and of CLI csi.
 
-    Index 3 is decided on the normalised pattern (_index_three_blocks)
-    and certified on g.graph: pair 1 gets colors (1, 2), the pairs of
-    the two sides of H (2, 3) and (3, 1), the other pairs (2, 1), each
+    Index 3 is decided on the descendant H (_index_three_blocks) and
+    certified on g.graph: pair 1 gets colors (1, 2), the pairs of the
+    two sides of H (2, 3) and (3, 1), the other pairs (2, 1), each
     swapped back on a pair that normalising switched; u1 of pair 1 and
     of one pair from each side is a triangle. A coloring or triangle
     that fails its check raises InternalInvariant. Any other pattern
-    goes to the exact search."""
-    blocks = _index_three_blocks(switching_representative(g).rows)
+    goes to optimal_coloring, the exact search."""
+    blocks = _index_three_blocks(_descendant(_normalised_rows(g)))
     if blocks is None:
-        return chromatic_number(g.graph)
+        return optimal_coloring(g.graph)
     side, other = blocks
     if not side or not other:
         raise InternalInvariant(f"index-3 blocks {blocks} leave a side empty")
@@ -489,11 +490,17 @@ def csi(g: StereotypeGraph) -> int:
         for i in (0, (side & -side).bit_length() - 1, (other & -other).bit_length() - 1)
     )
     graph = g.graph
-    if not Coloring(tuple(colors)).is_proper(graph) or not is_clique(graph, triangle):
+    coloring = Coloring(tuple(colors))
+    if not coloring.is_proper(graph) or not is_clique(graph, triangle):
         raise InternalInvariant(
             f"index-3 certificate fails on {g.bits}: coloring {colors}, triangle {triangle}"
         )
-    return 3
+    return coloring
+
+
+def csi(g: StereotypeGraph) -> int:
+    """The chromatic stability index, chi(g.graph), off _csi_coloring."""
+    return _csi_coloring(g).colors_used
 
 
 def constructive_pair_coloring(g: StereotypeGraph) -> Coloring:
@@ -640,7 +647,7 @@ def stability_report(g: StereotypeGraph) -> StabilityReport:
     cached on that pattern's rows: the 1024 graphs on 5 pairs need 64
     reports. A cache hit builds no graph.
     """
-    return _stability_report_cached(tuple(_normalised_rows(g)))
+    return _stability_report_cached(_normalised_rows(g))
 
 
 # Keyed on the representative's rows, which fix n as their length, rather

@@ -14,15 +14,12 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
 from . import __version__
-from .chromatic import (
-    chromatic_polynomial,
-    optimal_coloring,
-    stability_report,
-)
+from .chromatic import _csi_coloring, chromatic_polynomial, stability_report
 from .errors import (
     InternalInvariant,
     NotAStereotypeGraph,
@@ -92,14 +89,31 @@ def _load_graph(path: str) -> StereotypeGraph:
     return graph_from_dict(_load_document(path))
 
 
+# An integer's one spelling: ASCII digits with no leading zero, as in
+# parse_vertex_name, and a minus only before a nonzero value, so that a
+# negative value reaches the range check that names it.
+_INTEGER = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def _integer(text: str) -> int:
+    """text as an int when it is the int's one spelling, else
+    ArgumentTypeError with argparse's message for a bad int."""
+    try:
+        if _INTEGER.fullmatch(text):
+            return int(text)
+    except ValueError:  # past int()'s digit limit
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _limit(default: int) -> int:
     """The limit on n from STEREOGRAPH_MAX_N, or default when it is unset."""
     raw = os.environ.get("STEREOGRAPH_MAX_N", str(default))
     try:
-        limit = int(raw)
+        limit = _integer(raw)
         if limit >= 1:
             return limit
-    except ValueError:
+    except argparse.ArgumentTypeError:
         pass
     raise ParseError(f"STEREOGRAPH_MAX_N must be a positive integer, got {raw!r}")
 
@@ -146,7 +160,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_csi(args) -> int:
     g = _load_graph(args.file)
-    coloring = optimal_coloring(g.graph)
+    coloring = _csi_coloring(g)
     print(coloring.colors_used)
     if args.witness:
         witness = {vertex_name(v): c for v, c in enumerate(coloring.colors)}
@@ -212,8 +226,8 @@ def _cmd_merge(args) -> int:
     if args.pairs is not None:
         try:
             i_str, j_str = args.pairs.split(",")
-            i, j = int(i_str), int(j_str)
-        except ValueError as exc:
+            i, j = _integer(i_str), _integer(j_str)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ParseError(f"--pairs expects 'i,j', got {args.pairs!r}") from exc
         outcome = merge_pairs(PairedGraph.from_stereotype(g), i, j)
         if outcome.merged:
@@ -279,24 +293,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="emit a canonical or random graph")
     p.add_argument("--type", required=True, choices=["knn", "ladder", "random"])
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", required=True, type=_integer)
+    p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("build", help="construct a graph with a target index")
-    p.add_argument("--n", required=True, type=int)
-    p.add_argument("--csi", required=True, type=int)
+    p.add_argument("--n", required=True, type=_integer)
+    p.add_argument("--csi", required=True, type=_integer)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(handler=_cmd_build)
 
     p = sub.add_parser("enumerate", help="list every graph on n pairs")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_integer)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(handler=_cmd_enumerate)
 
     p = sub.add_parser("census", help="CSV of index counts over all graphs on n pairs")
-    p.add_argument("--n", required=True, type=int)
+    p.add_argument("--n", required=True, type=_integer)
     p.add_argument("-o", "--output", default="-")
     p.set_defaults(handler=_cmd_census)
 

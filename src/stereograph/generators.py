@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Callable, Iterator
 
-from .chromatic import Coloring, chromatic_number
+from .chromatic import Coloring, _k_coloring, chromatic_number
 from .errors import (
     DomainError,
     EdgeAbsent,
@@ -209,11 +209,12 @@ def _check_index_three(n: int, labeled: int, classes: int) -> None:
     """Raise InternalInvariant unless the index-3 row on n >= 3 pairs has
     2^(n-1) * S(n, 3) labeled graphs and round(n^2 / 12) classes.
 
-    With pair 1 parallel to every other pair, let H be the graph on
-    pairs 2..n whose edges are the parallel pairs. The index is at most
-    3 iff H is a complete bipartite graph plus isolated vertices: in a
-    3-colouring with pair 1 coloured (1, 2), every other pair is
-    coloured (2, 1), (2, 3) or (3, 1), and two pairs are parallel iff
+    Let H be the class's descendant at pair 1 (model._descendant), read
+    on the normalised pattern, where pair 1 is parallel to every other
+    pair. The index is at most 3 iff H is a complete bipartite graph
+    plus isolated vertices: in a 3-colouring of the normalised pattern
+    with pair 1 coloured (1, 2), every other pair is coloured (2, 1),
+    (2, 3) or (3, 1), and two pairs are parallel iff
     one is (2, 3) and the other (3, 1); conversely such an H has that
     colouring. The index is exactly 3 iff both sides are non-empty, so
     the index-3 switching classes are the partitions of the n pairs into
@@ -296,14 +297,14 @@ class _OrbitWalk:
 
 def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[int, ...] | None:
     """Check that coloring is proper and optimal with colors 1..colors_used;
-    return the smallest clique certifying it, or None if only the exact
-    search could (the index exceeds the clique number).
+    return the smallest clique certifying it, or None if only a search
+    could (the index exceeds the clique number).
 
     A proper coloring gives omega <= chi <= colors_used, so a clique as
     large as the palette exists only when omega equals it, and then the
-    smallest such clique is max_clique's. One clique search certifies
-    the coloring whenever the palette equals omega; otherwise
-    chromatic_number runs the exact search, which adds its own."""
+    smallest such clique is max_clique's. Otherwise _k_coloring, with
+    that clique pre-colored, must refute one color fewer; the index is
+    computed only for the message of a coloring that fails."""
     colors = coloring.colors
     if len(colors) != g.vertex_count:
         raise InvalidColoring("coloring must assign every vertex exactly once")
@@ -314,10 +315,10 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
     clique = max_clique(g.graph)
     if len(clique) == coloring.colors_used:
         return clique
-    index = chromatic_number(g.graph)
-    if coloring.colors_used != index:
+    if _k_coloring(g.graph, coloring.colors_used - 1, clique) is not None:
         raise InvalidColoring(
-            f"coloring uses {coloring.colors_used} colors but the index is {index}"
+            f"coloring uses {coloring.colors_used} colors but the index is "
+            f"{chromatic_number(g.graph)}"
         )
     return None
 

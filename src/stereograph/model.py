@@ -17,12 +17,12 @@ Swapping the two sides of pair i (Seidel switching) flips every bit
 (i, j) and maps the graph to an isomorphic one, so every graph invariant
 is an invariant of the pattern's switching class. Each class has one
 normalised pattern, with pair 1 parallel to every other pair;
-_normalised_rows computes its rows one at a time. switching_representative
-builds it from them, stability_report and the characteristic polynomial
-key their caches on them without building a graph, and the two
-recognizers compare them with the extremes: the complete bipartite class
-normalises to 1 on every bit outside pair 1's row, the complete ladder
-class to all 0.
+_normalised_rows computes its rows. switching_representative builds it
+from them, stability_report and the characteristic polynomial key their
+caches on them without building a graph, and _descendant reads them as
+H, the class's descendant at pair 1, defined there. The complete
+bipartite class is the one whose H has no edge, and csi's index-3 test
+reads H too; the complete ladder class normalises to all 0.
 
 Every constructor checks the pair count with _check_pair_count, and
 every pattern is checked as rows by the StereotypeGraph constructor;
@@ -464,8 +464,8 @@ def restrict_pairs(g: StereotypeGraph, m: int) -> StereotypeGraph:
     return StereotypeGraph(m, tuple(row & (1 << m) - 1 for row in g.rows[:m]))
 
 
-def _normalised_rows(g: StereotypeGraph) -> Iterator[int]:
-    """The rows of switching_representative(g), one at a time.
+def _normalised_rows(g: StereotypeGraph) -> tuple[int, ...]:
+    """The rows of switching_representative(g), g.rows if g is normalised.
 
     Swapping the sides of pair i flips every bit(i, j), so switching the
     pairs i with bit(1, i) = 1 clears row 1 and turns bit(i, j) into
@@ -474,8 +474,24 @@ def _normalised_rows(g: StereotypeGraph) -> Iterator[int]:
     """
     rows = g.rows
     s = rows[0]
+    if not s:
+        return rows
     full = (1 << g.n) - 1
-    return (row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows))
+    return tuple(row ^ s ^ (full if s >> i & 1 else 0) for i, row in enumerate(rows))
+
+
+def _descendant(rows: Sequence[int]) -> Iterator[int]:
+    """H, the descendant of the switching class at pair 1 (Seidel, "A
+    survey of two-graphs", 1976), from its normalised rows, one mask of
+    0-based pair indices per pair, lazily: the graph on pairs 2..n whose
+    edges are the parallel pairs, so pair i's mask is its row XOR every
+    pair but pair 1 and itself, and pair 1's is 0. {j, k} is an edge iff
+    the triple (1, j, k) has an even number of crossed bits, which
+    switching keeps: H is one graph for the whole class."""
+    outside = (1 << len(rows)) - 2
+    yield 0
+    for i in range(1, len(rows)):
+        yield rows[i] ^ outside ^ 1 << i
 
 
 def switching_representative(g: StereotypeGraph) -> StereotypeGraph:
@@ -487,23 +503,21 @@ def switching_representative(g: StereotypeGraph) -> StereotypeGraph:
     """
     if g.rows[0] == 0:
         return g
-    return StereotypeGraph(g.n, tuple(_normalised_rows(g)))
+    return StereotypeGraph(g.n, _normalised_rows(g))
 
 
 def recognize_complete_bipartite(g: StereotypeGraph) -> bool:
     """True iff g is a complete bipartite graph on equal sides, i.e. the
-    pattern switches to all-crossed (no pair triple is XOR-0): every row
-    of its switching representative after pair 1's is 1 off the diagonal
-    and pair 1. Stops at the first row that is not."""
-    full = (1 << g.n) - 1
-    return all(row == full ^ 1 ^ 1 << i for i, row in enumerate(_normalised_rows(g)) if i)
+    pattern switches to all-crossed (no pair triple is XOR-0): its
+    descendant H has no edge. The rows are normalised at once; H is read
+    up to the first pair with an edge."""
+    return not any(_descendant(_normalised_rows(g)))
 
 
 def recognize_complete_ladder(g: StereotypeGraph) -> bool:
     """True iff g is two n-cliques joined by a perfect matching, i.e. the
     pattern switches to all-parallel (every pair triple is XOR-0): every
-    row of its switching representative is 0. Stops at the first row
-    that is not."""
+    row of its switching representative is 0."""
     return not any(_normalised_rows(g))
 
 

@@ -184,7 +184,7 @@ def stereotype_characteristic_polynomial(g: StereotypeGraph) -> IntPolynomial:
     pattern of a switching class gives the same matrix and hits the cache
     of characteristic_polynomial.
     """
-    shifted = _shifted_seidel_matrix(tuple(_normalised_rows(g)))
+    shifted = _shifted_seidel_matrix(_normalised_rows(g))
     core = characteristic_polynomial(shifted).coefficients
     return IntPolynomial(_times_x_minus_n(core, g.n) + (0,) * (g.n - 1))
 

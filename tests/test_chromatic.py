@@ -60,7 +60,7 @@ from stereograph.chromatic import (
     leading_chromatic_coefficients,
 )
 from stereograph.graphs import Graph, max_clique_size
-from stereograph.model import pattern_length
+from stereograph.model import _descendant, pattern_length
 
 # b2 = C(16, 2) for the 2-pair 4-cycle would be wrong; the frozen values
 # below were recomputed with the deletion-contraction oracle.
@@ -519,7 +519,8 @@ class TestIndexThreeOnThePattern:
                 indices[rows] = chromatic_number(StereotypeGraph(n, rows).graph)
             index = indices[rows]
             assert csi(g) == index, g.bits
-            assert (chromatic._index_three_blocks(rows) is not None) == (index == 3), g.bits
+            blocks = chromatic._index_three_blocks(_descendant(rows))
+            assert (blocks is not None) == (index == 3), g.bits
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_three_block_patterns_run_no_search(self, monkeypatch, n):
@@ -553,7 +554,7 @@ class TestIndexThreeOnThePattern:
     @pytest.mark.parametrize("case", ["ladder", "empty-side", "moved-pair", "isolated-pair"])
     def test_wrong_blocks_raise(self, monkeypatch, case):
         g = three_block_graph([0, 0, 1, 1, 2, 2], switched={1, 4})
-        side, other = chromatic._index_three_blocks(switching_representative(g).rows)
+        side, other = chromatic._index_three_blocks(_descendant(switching_representative(g).rows))
         assert (side, other) == (0b001100, 0b110000)
         wrong = {
             "ladder": (side, other),
@@ -563,7 +564,7 @@ class TestIndexThreeOnThePattern:
         }[case]
         if case == "ladder":
             g = gen_complete_ladder(6)
-        monkeypatch.setattr(chromatic, "_index_three_blocks", lambda rows: wrong)
+        monkeypatch.setattr(chromatic, "_index_three_blocks", lambda h: wrong)
         with pytest.raises(InternalInvariant, match="index-3"):
             csi(g)
 

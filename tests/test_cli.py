@@ -11,9 +11,10 @@ import pytest
 import stereograph
 import stereograph.cli as cli
 from stereograph import enumerate_all, from_pattern, graph_to_json
-from stereograph.chromatic import StabilityReport, stability_report
+from stereograph.chromatic import Coloring, StabilityReport, stability_report
 from stereograph.graphs import Graph
 from stereograph.model import vertex_name
+from test_chromatic import count_calls, drawn_three_block_graph
 
 
 # (the command that writes the file, the index, the witness colors of
@@ -401,6 +402,27 @@ class TestCsiAndPolynomials:
         expected = f"{index}\n{json.dumps(dict(zip(names, colors)))}\n"
         assert run(capsys, "csi", str(path), "--witness") == (0, expected, "")
 
+    def test_csi_takes_the_library_route(self, capsys, monkeypatch, tmp_path):
+        """CLI csi prints the coloring chromatic.csi reads: on a 3-block
+        pattern the index-3 certificate, with no call to the search."""
+        calls = count_calls(monkeypatch, ("optimal_coloring", "max_clique"))
+        path = tmp_path / "graph.json"
+        for n in (3, 8, 20):
+            for seed in range(3):
+                g = drawn_three_block_graph(n, seed)
+                path.write_text(graph_to_json(g))
+                code, out, err = run(capsys, "csi", str(path), "--witness")
+                index, witness = out.splitlines()
+                colors = json.loads(witness)
+                coloring = Coloring(tuple(colors[vertex_name(v)] for v in range(2 * n)))
+                assert (code, index, err, len(colors)) == (0, "3", "", 2 * n)
+                assert coloring.is_proper(g.graph) and set(coloring.colors) == {1, 2, 3}
+        assert calls == {"optimal_coloring": 0, "max_clique": 0}
+        # The counters are live: any other index reaches the search.
+        path.write_text(graph_to_json(from_pattern(4, [0] * 6)))
+        assert run(capsys, "csi", str(path))[:2] == (0, "4\n")
+        assert calls == {"optimal_coloring": 1, "max_clique": 1}
+
     def test_charpoly_text(self, capsys, kl3_file):
         code, out, _ = run(capsys, "charpoly", kl3_file)
         assert code == 0
@@ -541,7 +563,7 @@ class TestEnumerateAndCensus:
         assert (code, out) == (1, "")
         assert err == "stereograph: census bounded at n <= 7, got n=8\n"
 
-    @pytest.mark.parametrize("raw", ["0", "-1", "x", "2.5"])
+    @pytest.mark.parametrize("raw", ["0", "-1", "x", "2.5", "7_0", "+7", " 7", "07", "\u0667"])
     def test_env_bound_must_be_integer(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("STEREOGRAPH_MAX_N", raw)
         for command in ("enumerate", "census"):
@@ -624,8 +646,12 @@ class TestMerge:
         assert err == f"stereograph: {message}\n"
 
     def test_bad_pairs_argument(self, capsys, kl3_file):
-        code, _, err = run(capsys, "merge", kl3_file, "--pairs", "1;2")
-        assert code == 1
+        # A pair number is spelt as parse_vertex_name reads one: int() alone
+        # would merge pairs 1 and 2 for "1,\u0662" and pair 10 for "1_0".
+        for pairs in ["1;2", "1,\u0662", "1_0,2", " 1,2", "+1,2", "1,02"]:
+            code, out, err = run(capsys, "merge", kl3_file, "--pairs", pairs)
+            assert (code, out) == (1, ""), pairs
+            assert err == f"stereograph: --pairs expects 'i,j', got {pairs!r}\n"
 
 
 class TestExportDot:
@@ -642,6 +668,25 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             cli.main(["csi", kl3_file, "--frobnicate"])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("generate", "--type", "knn", "--n", "1_2"),
+            ("generate", "--type", "knn", "--n", "\u0663"),
+            ("generate", "--type", "random", "--n", "3", "--seed", "+1"),
+            ("build", "--n", "5", "--csi", "03"),
+            ("census", "--n", " 3"),
+        ],
+        ids=["n-underscore", "n-arabic-indic", "seed-plus", "csi-leading-zero", "n-space"],
+    )
+    def test_integer_options_are_canonical(self, capsys, argv):
+        # The spelling STEREOGRAPH_MAX_N and --pairs take too.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert (exc.value.code, captured.out) == (1, "")
+        assert captured.err.endswith(f"{argv[-2]}: invalid int value: {argv[-1]!r}\n")
 
     def test_no_subcommand_prints_help(self, capsys):
         code, out, _ = run(capsys)

@@ -502,10 +502,16 @@ class TestExpansion:
     @pytest.mark.parametrize("expand", [expand_preserving, expand_incrementing])
     def test_one_clique_search_per_step(self, monkeypatch, expand):
         """The clique that certifies the coloring is the only clique
-        search an expansion runs, including the one it grows: one
+        search an expansion runs, including the one it grows and the one
+        that the refutation of a smaller palette pre-colors when the index
+        exceeds the clique number (192 of the 1024 graphs on 5 pairs): one
         max_clique call, and no other clique search by any name."""
-        samples = [g for n in (2, 3, 4) for g in enumerate_all(n)]
+        samples = [g for n in (2, 3, 4, 5) for g in enumerate_all(n)]
         colorings = [optimal_coloring(g.graph) for g in samples]
+        # Where the index exceeds the clique number, the incrementing step
+        # has no clique to grow and must refuse; nowhere else.
+        gaps = [c.colors_used > max_clique_size(g.graph) for g, c in zip(samples, colorings)]
+        assert sum(gaps) == sum(gaps[-1024:]) == 192
         calls = {"max_clique_size": 0, "max_clique": 0}
 
         def counted(name):
@@ -521,9 +527,13 @@ class TestExpansion:
             wrapper = counted(name)
             for module in (graphs, chromatic, generators):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
-        for g, coloring in zip(samples, colorings):
+        for g, coloring, gap in zip(samples, colorings, gaps):
             calls.update(max_clique_size=0, max_clique=0)
-            expand(g, coloring)
+            if gap and expand is expand_incrementing:
+                with pytest.raises(DomainError, match="no cross clique"):
+                    expand(g, coloring)
+            else:
+                expand(g, coloring)
             assert calls == dict(max_clique_size=0, max_clique=1), g.bits
         # find_clique_of_size is a test oracle, out of the library's reach.
         assert not any(

@@ -26,6 +26,7 @@ from stereograph import (
     stability_report,
     stereotype_characteristic_polynomial,
     switching_representative,
+    triangle_pair_triples,
 )
 from stereograph.chromatic import (
     _chromatic_polynomial_cached,
@@ -33,7 +34,7 @@ from stereograph.chromatic import (
     _stability_report_cached,
 )
 from stereograph.graphs import Graph, max_clique, normalize_edge
-from stereograph.model import pattern_length, pattern_slot
+from stereograph.model import _descendant, pattern_length, pattern_slot
 from stereograph.spectral import characteristic_polynomial
 
 
@@ -170,6 +171,41 @@ def test_switching_representative_is_g_with_the_pairs_crossed_to_pair_one_swappe
 
     swapped = {normalize_edge(swap(u), swap(v)) for u, v in g.graph.edges}
     assert swapped == set(switching_representative(g).graph.edges)
+
+
+def descendant_edges(g):
+    """The edges {j, k} (1-based, j < k) of the descendant H at pair 1 of
+    g's switching class, after checking that H has one mask per pair,
+    pair 1's empty, and is symmetric."""
+    h = tuple(_descendant(switching_representative(g).rows))
+    assert len(h) == g.n and h[0] == 0
+    arcs = {(j + 1, k + 1) for j, mask in enumerate(h) for k in range(g.n) if mask >> k & 1}
+    assert all((k, j) in arcs for j, k in arcs)
+    return {(j, k) for j, k in arcs if j < k}
+
+
+def even_triples_through_pair_one(g):
+    """The {j, k} with (1, j, k) in triangle_pair_triples(g): enumerated
+    on g's own pattern, with no normalising."""
+    return {(j, k) for i, j, k in triangle_pair_triples(g) if i == 1}
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_descendant_edges_are_the_even_triples_through_pair_one(n):
+    for g in enumerate_all(n):
+        assert descendant_edges(g) == even_triples_through_pair_one(g), g.bits
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_descendant_is_one_graph_for_every_pattern_of_a_class(seed):
+    # The 2^(n-1) patterns of a class: every set of pairs 2..n switched.
+    g = gen_random(7, seed)
+    h = descendant_edges(g)
+    assert h == even_triples_through_pair_one(g)
+    for size in range(g.n):
+        for switched in itertools.combinations(range(2, g.n + 1), size):
+            member = switch_pairs(g, set(switched))
+            assert descendant_edges(member) == even_triples_through_pair_one(member) == h
 
 
 def test_polynomial_caches_hold_one_entry_per_switching_class():
