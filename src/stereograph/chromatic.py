@@ -31,7 +31,11 @@ vertex masks; optimal_coloring turns the first that exists into the one
 The index, `csi`, and CLI `csi --witness` read one coloring,
 _csi_coloring's: at index 3 it is written down from the descendant H
 (model._descendant) and checked, with a triangle, on the graph; at any
-other index it is the search's.
+other index it is the search's, handed the clique of
+_pair_rooted_clique: max_clique's search rooted only where the swap of
+every pair's two sides allows the smallest maximum clique to start.
+two_coloring keeps each BFS level as one mask and builds an odd cycle
+only for a graph that has one.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .errors import DomainError, InternalInvariant, SizeExceeded
-from .graphs import Graph, is_clique, iter_bits, max_clique
+from .graphs import Graph, _clique_search, is_clique, iter_bits, max_clique
 from .merge import reduce_to_k2
 from .model import (
     StereotypeGraph,
@@ -219,8 +223,12 @@ def leading_chromatic_coefficients(graph: Graph) -> tuple[int, int, int]:
     non_edges = sum(degrees) // 2
     independent_triples = 0
     for u, row in enumerate(apart):
-        for v in iter_bits(row >> (u + 1) << (u + 1)):
-            independent_triples += ((row & apart[v]) >> (v + 1)).bit_count()
+        # higher: u's non-neighbours above the one taken last.
+        higher = row >> (u + 1) << (u + 1)
+        while higher:
+            low = higher & -higher
+            higher ^= low
+            independent_triples += (higher & apart[low.bit_length() - 1]).bit_count()
     two_below = (
         independent_triples + comb(non_edges, 2) - sum(comb(d, 2) for d in degrees)
     )
@@ -238,45 +246,75 @@ class BipartitionResult:
 
 
 def two_coloring(graph: Graph) -> BipartitionResult:
-    """Breadth-first bipartition; on failure returns an odd cycle."""
+    """Breadth-first bipartition, one component at a time from its lowest
+    vertex; on failure returns an odd cycle.
+
+    Each BFS level is one mask: a vertex of the level adds its neighbours
+    to the next level with one OR, after one AND of its neighbours with
+    its own level, as an edge inside a level closes an odd cycle. A
+    bipartite graph takes color 1 on the even levels and 2 on the odd
+    ones; otherwise _odd_cycle reads the cycle off the levels so far.
+    """
     masks = graph.masks
-    color = [0] * graph.vertex_count  # 0: not reached yet
-    parent: list[int | None] = [None] * graph.vertex_count
-    for root in range(graph.vertex_count):
-        if color[root]:
-            continue
-        color[root] = 1
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for w in iter_bits(masks[u]):
-                if not color[w]:
-                    color[w] = 3 - color[u]
-                    parent[w] = u
-                    queue.append(w)
-                elif color[w] == color[u]:
-                    cycle = _odd_cycle_from_conflict(u, w, parent)
-                    return BipartitionResult(coloring=None, odd_cycle=cycle)
-    return BipartitionResult(coloring=Coloring(tuple(color)), odd_cycle=None)
+    unreached = (1 << graph.vertex_count) - 1
+    odd = 0  # the vertices on odd levels
+    while unreached:
+        level = unreached & -unreached
+        levels = [level]
+        unreached ^= level
+        while level:
+            reached = 0
+            rest = level
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                mask = masks[low.bit_length() - 1]
+                if mask & level:
+                    return BipartitionResult(coloring=None, odd_cycle=_odd_cycle(masks, levels))
+                reached |= mask
+            level = reached & unreached
+            unreached ^= level
+            levels.append(level)
+        odd |= sum(levels[1::2])
+    colors = tuple(2 if odd >> v & 1 else 1 for v in range(graph.vertex_count))
+    return BipartitionResult(coloring=Coloring(colors), odd_cycle=None)
 
 
-def _odd_cycle_from_conflict(
-    u: int, w: int, parent: Sequence[int | None]
-) -> tuple[int, ...]:
-    ancestors_u = [u]
-    while parent[ancestors_u[-1]] is not None:
-        ancestors_u.append(parent[ancestors_u[-1]])
-    position = {v: idx for idx, v in enumerate(ancestors_u)}
-    path_w = [w]
-    while path_w[-1] not in position:
-        path_w.append(parent[path_w[-1]])
-    meet = path_w[-1]
-    cycle = tuple(ancestors_u[: position[meet] + 1]) + tuple(reversed(path_w[:-1]))
-    if len(cycle) % 2 == 0:
-        raise InternalInvariant("bipartition conflict produced an even cycle")
-    return cycle
+def _odd_cycle(masks: Sequence[int], levels: list[int]) -> tuple[int, ...]:
+    """The odd cycle of the first edge inside the last of the BFS levels,
+    levels[0] the root, in the order a queue-based BFS meets it.
+
+    That BFS queues each level's vertices by their parents' places in
+    the level above, then by id, and a vertex's parent is the first of
+    the level above, in that order, next to it. The first vertex u of
+    the last level, in that order, with a neighbour in its level, and
+    u's lowest such neighbour w, close the cycle u ... a ... w, a the
+    lowest common ancestor of the two: 2(d - depth(a)) + 1 vertices for
+    the depth d of the last level.
+    """
+    parent: dict[int, int] = {}
+    order = [levels[0].bit_length() - 1]
+    for level in levels[1:]:
+        queued = []
+        for p in order:
+            children = masks[p] & level
+            level ^= children
+            while children:
+                low = children & -children
+                children ^= low
+                v = low.bit_length() - 1
+                parent[v] = p
+                queued.append(v)
+        order = queued
+    last = levels[-1]
+    u = next(v for v in order if masks[v] & last)
+    inside = masks[u] & last
+    w = (inside & -inside).bit_length() - 1
+    up, across = [u], [w]
+    while up[-1] != across[-1]:
+        up.append(parent[up[-1]])
+        across.append(parent[across[-1]])
+    return tuple(up) + tuple(reversed(across[:-1]))
 
 
 def greedy_coloring(graph: Graph) -> Coloring:
@@ -392,24 +430,26 @@ def _k_coloring(graph: Graph, k: int, clique: tuple[int, ...]) -> list[int] | No
     return members[1:]
 
 
-def optimal_coloring(graph: Graph) -> Coloring:
+def optimal_coloring(graph: Graph, clique: tuple[int, ...] | None = None) -> Coloring:
     """A verified proper coloring using exactly chi(graph) colors.
 
-    One clique search gives both the lower bound and the clique that the
-    exact search pre-colors. That clique is checked on the masks before
-    the search and against the palette after it, so a wrong lower bound
-    raises instead of passing unnoticed. The first palette with a
-    coloring gives its color classes, and the one Coloring returned is
-    built from them (or is the first-fit one when no smaller palette
-    works)."""
+    The clique, max_clique(graph) unless given, is both the lower bound
+    and the vertices the exact search pre-colors; any clique keeps the
+    search exact, and a maximum one makes it shortest. It is checked on
+    the masks before the search and against the palette after it, so a
+    wrong lower bound raises InternalInvariant instead of passing
+    unnoticed. The first palette with a coloring gives its color
+    classes, and the one Coloring returned is built from them (or is
+    the first-fit one when no smaller palette works)."""
     if graph.vertex_count == 0:
         raise DomainError("chromatic number of an empty graph is undefined here")
     upper = greedy_coloring(graph)
-    clique = max_clique(graph)
+    if clique is None:
+        clique = max_clique(graph)
     if not is_clique(graph, clique):
         raise InternalInvariant(f"the lower-bound clique {clique} is not a clique")
     best = upper
-    for k in range(len(clique), upper.colors_used):
+    for k in range(max(len(clique), 1), upper.colors_used):
         classes = _k_coloring(graph, k, clique)
         if classes is not None:
             colors = [0] * graph.vertex_count
@@ -475,7 +515,8 @@ def _csi_coloring(g: StereotypeGraph) -> Coloring:
     goes to optimal_coloring, the exact search."""
     blocks = _index_three_blocks(_descendant(_normalised_rows(g)))
     if blocks is None:
-        return optimal_coloring(g.graph)
+        graph = g.graph
+        return optimal_coloring(graph, _pair_rooted_clique(graph))
     side, other = blocks
     if not side or not other:
         raise InternalInvariant(f"index-3 blocks {blocks} leave a side empty")
@@ -496,6 +537,23 @@ def _csi_coloring(g: StereotypeGraph) -> Coloring:
             f"index-3 certificate fails on {g.bits}: coloring {colors}, triangle {triangle}"
         )
     return coloring
+
+
+def _pair_rooted_clique(graph: Graph) -> tuple[int, ...]:
+    """max_clique(graph) for the graph of a stereotype graph: the same
+    search, rooted only at the side-1 vertices 2r, each with its
+    neighbours above pair r, and (0, 1) as the clique to beat.
+
+    Swapping the two sides of every pair is an automorphism, and it maps
+    a clique whose lowest vertex is odd to a lexicographically smaller
+    one, so the smallest maximum clique starts at an even vertex. A
+    vertex of another pair meets exactly one vertex of a pair, so a
+    clique of three or more vertices holds at most one vertex per pair:
+    never the root's partner, and no more vertices than there are pairs
+    from the root's on, which is the roots left. (0, 1) is the smallest
+    clique of two.
+    """
+    return _clique_search(graph.masks, ((1 << graph.vertex_count) - 1) // 3, 2, (0, 1))
 
 
 def csi(g: StereotypeGraph) -> int:

@@ -337,19 +337,31 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
 
 def max_clique(g: Graph) -> tuple[int, ...]:
     """The lexicographically smallest maximum clique, in ascending order,
-    from one bitmask branch and bound.
-
-    The search adds vertices lowest first and prunes a branch only when
-    it cannot beat the best clique so far, so the first maximum clique
-    it reaches is the smallest one; it returns () for no vertices.
-    """
+    from _clique_search rooted at every vertex; () for no vertices."""
     n = g.vertex_count
     if n == 0:
         return ()
-    masks = g.masks
+    return _clique_search(g.masks, (1 << n) - 1, 1, (0,))
+
+
+def _clique_search(
+    masks: tuple[int, ...], roots: int, skip: int, best: tuple[int, ...]
+) -> tuple[int, ...]:
+    """The largest clique rooted at a vertex of the roots mask, the
+    lexicographically smallest of that size, or best if none is larger:
+    the one clique search body, which max_clique and the CSI route's
+    _pair_rooted_clique seed.
+
+    A root v, lowest first, takes its neighbours from v + skip on as its
+    candidates. The search adds vertices lowest first and prunes a branch
+    only when it cannot beat the best clique so far, so the first maximum
+    clique it reaches is the smallest one it can reach. The roots stop
+    once no more of them are left than the best size: a seed must make
+    that a bound on a clique rooted at the next root, as it is when every
+    vertex is a root.
+    """
     chosen: list[int] = []
-    best: tuple[int, ...] = (0,)
-    best_size = 1
+    best_size = len(best)
 
     def extend(candidates: int, size: int) -> None:
         nonlocal best, best_size
@@ -368,7 +380,14 @@ def max_clique(g: Graph) -> tuple[int, ...]:
                 extend(below, size + 1)
                 chosen.pop()
 
-    extend((1 << n) - 1, 0)
+    while roots.bit_count() > best_size:
+        v = (roots & -roots).bit_length() - 1
+        roots &= roots - 1
+        candidates = masks[v] >> v + skip << v + skip
+        if 1 + candidates.bit_count() > best_size:
+            chosen.append(v)
+            extend(candidates, 1)
+            chosen.pop()
     return best
 
 

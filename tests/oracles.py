@@ -34,12 +34,17 @@ the smallest clique of a given size from a backtracking search that
 stops at the first clique of exactly that size (find_clique_of_size,
 the fixed-size reference for graphs.max_clique, the library's one
 clique search, a branch and bound over all sizes),
-and the exact coloring from a DSATUR search on per-vertex adjacency
+the exact coloring from a DSATUR search on per-vertex adjacency
 lists and per-vertex color counts, choosing each branching vertex by a
 max over the uncolored set, after two clique searches
-(list_dsatur_coloring). That one differs from the library in its data
-structures, not its branching order, so the two return the same
-coloring.
+(list_dsatur_coloring), the bipartition from a queue-based BFS with one
+color and one parent pointer per vertex, its odd cycle from the two
+parent chains of the first edge it finds inside a color
+(parent_pointer_two_coloring), and the row checks of a
+StereotypeGraph from a scan of each row and then of its symmetry with
+every row before it (rowwise_row_fault). The DSATUR, BFS and row-scan
+references differ from the library in their data structures, not their
+order, so each returns exactly what the library does.
 Keep it that way; the point is that a shared bug cannot hide."""
 
 from __future__ import annotations
@@ -542,6 +547,54 @@ def three_block_graph(blocks, switched=()) -> StereotypeGraph:
         for i, j in itertools.combinations(range(n), 2)
     ]
     return from_pattern(n, [int(b) for b in bits])
+
+
+def parent_pointer_two_coloring(
+    graph: Graph,
+) -> tuple[tuple[int, ...] | None, tuple[int, ...] | None]:
+    """(colors, None) for a bipartite graph, else (None, odd cycle), by a
+    queue-based BFS from each uncolored vertex in id order: the root takes
+    color 1, each newly met neighbour the other color and a parent
+    pointer, and the first neighbour met with its own vertex's color
+    closes the cycle through the two parent chains."""
+    n = graph.vertex_count
+    color = [0] * n
+    parent: list[int | None] = [None] * n
+    for root in range(n):
+        if color[root]:
+            continue
+        color[root] = 1
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w in sorted(graph.neighbors(u)):
+                if not color[w]:
+                    color[w] = 3 - color[u]
+                    parent[w] = u
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    chain_u = [u]
+                    while parent[chain_u[-1]] is not None:
+                        chain_u.append(parent[chain_u[-1]])
+                    chain_w = [w]
+                    while chain_w[-1] not in chain_u:
+                        chain_w.append(parent[chain_w[-1]])
+                    meet = chain_u.index(chain_w[-1])
+                    return None, tuple(chain_u[: meet + 1]) + tuple(reversed(chain_w[:-1]))
+    return tuple(color), None
+
+
+def rowwise_row_fault(n: int, rows: tuple[int, ...]) -> str | None:
+    """The message of the first fault of a StereotypeGraph's rows, or
+    None: each row in order must be an int in [0, 2^n) with its own bit
+    clear, and then symmetric with every row before it."""
+    for i, row in enumerate(rows):
+        if type(row) is not int or not 0 <= row < 1 << n or row >> i & 1:
+            return f"row {i} must be an int in [0, 2^{n}) with bit {i} clear, got {row!r}"
+        for j in range(i):
+            if row >> j & 1 != rows[j] >> i & 1:
+                return f"row {i} is not symmetric with row {j}"
+    return None
 
 
 def edge_bfs_girth(graph: Graph) -> int | None:

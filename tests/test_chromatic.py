@@ -16,6 +16,7 @@ from oracles import (
     enumerate_coloring_count,
     first_fit_colors,
     list_dsatur_coloring,
+    parent_pointer_two_coloring,
     subset_dp_partition_counts,
     three_block_graph,
 )
@@ -25,6 +26,7 @@ from stereograph import (
     SizeExceeded,
     StabilityComparison,
     StereotypeGraph,
+    build_with_csi,
     characteristic_criterion,
     chromatic_number,
     chromatic_polynomial,
@@ -473,6 +475,49 @@ class TestSearchAgainstListDsatur:
         with pytest.raises(InternalInvariant, match="outgrew a 3-coloring"):
             optimal_coloring(c5)
 
+    @pytest.mark.parametrize("clique", [(0, 2), (0, 0), (0, 5), (-1,)])
+    def test_given_non_clique_raises(self, clique):
+        with pytest.raises(InternalInvariant, match="not a clique"):
+            optimal_coloring(LOOSE_BOUND_GRAPHS["C5"][0], clique)
+
+    @pytest.mark.parametrize("n", range(6, 13))
+    def test_given_smaller_clique_keeps_chi(self, n):
+        """Any clique keeps the search exact: each proper prefix of the
+        maximum clique, the empty one included, and each single vertex of
+        it gives chi colors."""
+        graphs_n = [gen_random(n, seed).graph for seed in range(4)]
+        if n == 6:
+            graphs_n += [LOOSE_BOUND_GRAPHS[name][0] for name in sorted(LOOSE_BOUND_GRAPHS)]
+        for graph in graphs_n:
+            chi = chromatic_number(graph)
+            top = graphs.max_clique(graph)
+            for clique in [top[:size] for size in range(len(top))] + [(v,) for v in top]:
+                coloring = optimal_coloring(graph, clique)
+                assert coloring.is_proper(graph), clique
+                assert coloring.colors_used == chi, clique
+
+
+class TestPairRootedClique:
+    """The CSI route's clique, rooted at the side-1 vertices only, is the
+    smallest maximum clique that max_clique finds from every root."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_graph(self, n):
+        for g in enumerate_all(n):
+            assert chromatic._pair_rooted_clique(g.graph) == graphs.max_clique(g.graph), g.bits
+
+    @pytest.mark.parametrize("n", range(6, 25))
+    def test_random_graphs(self, n):
+        for seed in range(4):
+            graph = gen_random(n, seed).graph
+            assert chromatic._pair_rooted_clique(graph) == graphs.max_clique(graph), seed
+
+    @pytest.mark.parametrize("n", range(2, 15))
+    def test_built_graphs(self, n):
+        for k in range(2, n + 1):
+            graph = build_with_csi(n, k).graph
+            assert chromatic._pair_rooted_clique(graph) == graphs.max_clique(graph), k
+
 
 def drawn_three_block_graph(n, seed):
     """A 3-block pattern on n >= 3 pairs: blocks drawn at random, all
@@ -500,7 +545,13 @@ def count_calls(monkeypatch, names):
     return calls
 
 
-SEARCHES = ("chromatic_number", "optimal_coloring", "max_clique", "_k_coloring")
+SEARCHES = (
+    "chromatic_number",
+    "optimal_coloring",
+    "max_clique",
+    "_pair_rooted_clique",
+    "_k_coloring",
+)
 
 
 class TestIndexThreeOnThePattern:
@@ -545,7 +596,9 @@ class TestIndexThreeOnThePattern:
             near = from_pattern(n, bits)
             calls.update(dict.fromkeys(SEARCHES, 0))
             index = csi(near)
-            searched = calls["max_clique"]
+            # csi's one clique search is the pair-rooted one.
+            searched = calls["_pair_rooted_clique"]
+            assert calls["max_clique"] == 0, bits
             assert index == chromatic.chromatic_number(near.graph), bits
             assert searched == (index != 3), bits
             fallbacks += searched
@@ -592,7 +645,52 @@ class TestIsProper:
             assert not Coloring(colors[:-1]).is_proper(graph)
 
 
+def assert_odd_cycle(graph, cycle):
+    """cycle is a simple closed walk of odd length along edges of graph."""
+    assert len(cycle) % 2 == 1 and len(set(cycle)) == len(cycle), cycle
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        assert graph.has_edge(a, b), cycle
+
+
 class TestTwoColoring:
+    """two_coloring returns the coloring, or the very odd cycle, of the
+    queue-based parent-pointer BFS (parent_pointer_two_coloring)."""
+
+    @staticmethod
+    def check(graph):
+        result = two_coloring(graph)
+        colors = None if result.coloring is None else result.coloring.colors
+        assert (colors, result.odd_cycle) == parent_pointer_two_coloring(graph)
+        if result.odd_cycle is not None:
+            assert_odd_cycle(graph, result.odd_cycle)
+        return result
+
+    @settings(max_examples=200, deadline=None)
+    @given(graph=general_graphs(min_vertices=0))
+    def test_general_graphs(self, graph):
+        self.check(graph)
+
+    @settings(max_examples=300, deadline=None)
+    @given(graph=sparse_graphs(max_vertices=16))
+    def test_sparse_graphs(self, graph):
+        """Long odd cycles, far from the root, and forests."""
+        self.check(graph)
+
+    @pytest.mark.parametrize("length", range(3, 16, 2))
+    def test_odd_cycle_relabelled(self, length):
+        """An odd cycle whose conflict lies at the deepest level, the
+        cycle's vertices relabelled by a fixed permutation."""
+        stream = splitmix64_stream(length)
+        labels = [v for _, v in sorted((next(stream), v) for v in range(length))]
+        edges = [(labels[i], labels[(i + 1) % length]) for i in range(length)]
+        result = self.check(Graph.from_edges(length, edges))
+        assert len(result.odd_cycle) == length
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_small_graph(self, n):
+        for g in enumerate_all(n):
+            self.check(g.graph)
+
     def test_all_crossed_separates_sides(self, k33):
         result = two_coloring(k33.graph)
         assert result.odd_cycle is None

@@ -405,7 +405,8 @@ class TestCsiAndPolynomials:
     def test_csi_takes_the_library_route(self, capsys, monkeypatch, tmp_path):
         """CLI csi prints the coloring chromatic.csi reads: on a 3-block
         pattern the index-3 certificate, with no call to the search."""
-        calls = count_calls(monkeypatch, ("optimal_coloring", "max_clique"))
+        searches = ("optimal_coloring", "_pair_rooted_clique", "max_clique")
+        calls = count_calls(monkeypatch, searches)
         path = tmp_path / "graph.json"
         for n in (3, 8, 20):
             for seed in range(3):
@@ -417,11 +418,12 @@ class TestCsiAndPolynomials:
                 coloring = Coloring(tuple(colors[vertex_name(v)] for v in range(2 * n)))
                 assert (code, index, err, len(colors)) == (0, "3", "", 2 * n)
                 assert coloring.is_proper(g.graph) and set(coloring.colors) == {1, 2, 3}
-        assert calls == {"optimal_coloring": 0, "max_clique": 0}
-        # The counters are live: any other index reaches the search.
+        assert calls == dict.fromkeys(searches, 0)
+        # The counters are live: any other index reaches the search, with
+        # its clique from the pair-rooted search.
         path.write_text(graph_to_json(from_pattern(4, [0] * 6)))
         assert run(capsys, "csi", str(path))[:2] == (0, "4\n")
-        assert calls == {"optimal_coloring": 1, "max_clique": 1}
+        assert calls == {"optimal_coloring": 1, "_pair_rooted_clique": 1, "max_clique": 0}
 
     def test_charpoly_text(self, capsys, kl3_file):
         code, out, _ = run(capsys, "charpoly", kl3_file)

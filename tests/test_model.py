@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import edge_list, setwise_validate_stereotype, trace_triangle_count
+from oracles import (
+    edge_list,
+    rowwise_row_fault,
+    setwise_validate_stereotype,
+    trace_triangle_count,
+)
 from test_chromatic import general_graphs
 from stereograph.spectral import adjacency_matrix
 from stereograph import (
@@ -23,14 +28,16 @@ from stereograph import (
     from_pattern,
     gen_complete_bipartite,
     gen_complete_ladder,
+    gen_random,
     graph_isomorphic,
     pattern_of,
     recognize_complete_bipartite,
     recognize_complete_ladder,
+    splitmix64_stream,
     triangle_pair_triples,
     validate_stereotype,
 )
-from stereograph import graphs
+from stereograph import graphs, model
 from stereograph.graphs import Graph, normalize_edge
 from stereograph.model import (
     parse_vertex_name,
@@ -393,6 +400,48 @@ class TestRows:
     def test_constructor_rejects(self, n, rows, error):
         with pytest.raises(error):
             StereotypeGraph(n, rows)
+
+    @pytest.mark.parametrize("n", [*range(2, 41), 300])
+    def test_one_flipped_bit_names_its_pair(self, n):
+        """The packed symmetry test rejects one flipped off-diagonal bit
+        of random rows with the row scan's message, which names the pair."""
+        rows = gen_random(n, n).rows
+        stream = splitmix64_stream(n)
+        for _ in range(12 if n < 100 else 3):
+            i = next(stream) % n
+            j = (i + 1 + next(stream) % (n - 1)) % n
+            broken = rows[:i] + (rows[i] ^ 1 << j,) + rows[i + 1 :]
+            message = rowwise_row_fault(n, broken)
+            assert message == f"row {max(i, j)} is not symmetric with row {min(i, j)}"
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                StereotypeGraph(n, broken)
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=patterns(max_n=20), data=st.data())
+    def test_first_fault_matches_the_row_scan(self, g, data):
+        """Several flipped bits and at most one bad row: the constructor
+        raises the row scan's first fault, or accepts what it accepts."""
+        n, rows = g.n, list(g.rows)
+        for i, j in data.draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4),
+            label="flips",
+        ):
+            rows[i] ^= 1 << j
+        if data.draw(st.booleans(), label="bad row"):
+            i = data.draw(st.integers(0, n - 1), label="row")
+            rows[i] = data.draw(st.sampled_from([-1, 1 << n, True, 1.0, rows[i] | 1 << i]))
+        rows = tuple(rows)
+        message = rowwise_row_fault(n, rows)
+        if message is None:
+            assert StereotypeGraph(n, rows).rows == rows
+        else:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                StereotypeGraph(n, rows)
+
+    def test_packed_test_failing_symmetric_rows_raises(self, monkeypatch):
+        monkeypatch.setattr(model, "_is_symmetric", lambda rows: False)
+        with pytest.raises(InternalInvariant, match="packed symmetry test"):
+            StereotypeGraph(3, gen_complete_bipartite(3).rows)
 
     def test_extreme_classes_at_larger_sizes(self):
         for n in (7, 8, 9, 17):
