@@ -27,13 +27,16 @@ the uncolored set, the union of each color's neighbourhoods, and the
 uncolored vertices bucketed by saturation, in a list that a step copies
 only when it raises some vertex. A search returns its color classes as
 vertex masks; optimal_coloring turns the first that exists into the one
-`Coloring` tuple, one color per vertex id, that it checks and returns.
+`Coloring` tuple, one color per vertex id, that it returns. Every
+coloring the package writes down (the search's, the index-3 one, the
+pair walk's, read off the pattern rows, and those of the generators)
+passes one check, _certify, with a clique that bounds the index below.
 The index, `csi`, and CLI `csi --witness` read one coloring,
 _csi_coloring's: at index 3 it is written down from the descendant H
-(model._descendant) and checked, with a triangle, on the graph; at any
-other index it is the search's, handed the clique of
-_pair_rooted_clique: max_clique's search rooted only where the swap of
-every pair's two sides allows the smallest maximum clique to start.
+(model._descendant) and certified with a triangle; at any other index
+it is the search's, handed the clique of _pair_rooted_clique:
+max_clique's search rooted only where the swap of every pair's two
+sides allows the smallest maximum clique to start.
 two_coloring keeps each BFS level as one mask and builds an odd cycle
 only for a graph that has one.
 """
@@ -49,13 +52,7 @@ from typing import Iterable, Sequence
 from .errors import DomainError, InternalInvariant, SizeExceeded
 from .graphs import Graph, _clique_search, is_clique, iter_bits, max_clique
 from .merge import reduce_to_k2
-from .model import (
-    StereotypeGraph,
-    _descendant,
-    _normalised_rows,
-    recognize_complete_bipartite,
-    vertex_id,
-)
+from .model import StereotypeGraph, _descendant, _normalised_rows, recognize_complete_bipartite
 from .polynomials import IntPolynomial
 from .spectral import (
     leading_characteristic_coefficients,
@@ -436,11 +433,11 @@ def optimal_coloring(graph: Graph, clique: tuple[int, ...] | None = None) -> Col
     The clique, max_clique(graph) unless given, is both the lower bound
     and the vertices the exact search pre-colors; any clique keeps the
     search exact, and a maximum one makes it shortest. It is checked on
-    the masks before the search and against the palette after it, so a
-    wrong lower bound raises InternalInvariant instead of passing
-    unnoticed. The first palette with a coloring gives its color
-    classes, and the one Coloring returned is built from them (or is
-    the first-fit one when no smaller palette works)."""
+    the masks before the search, and _certify checks it against the
+    coloring after it, so a wrong lower bound raises InternalInvariant
+    instead of passing unnoticed. The first palette with a coloring
+    gives its color classes, and the one Coloring returned is built from
+    them (or is the first-fit one when no smaller palette works)."""
     if graph.vertex_count == 0:
         raise DomainError("chromatic number of an empty graph is undefined here")
     upper = greedy_coloring(graph)
@@ -458,13 +455,24 @@ def optimal_coloring(graph: Graph, clique: tuple[int, ...] | None = None) -> Col
                     colors[v] = c
             best = Coloring(tuple(colors))
             break
-    if not best.is_proper(graph):
-        raise InternalInvariant("optimal coloring failed the properness check")
-    if len(clique) > best.colors_used:
-        raise InternalInvariant(
-            f"a clique of {len(clique)} vertices outgrew a {best.colors_used}-coloring"
-        )
-    return best
+    return _certify(graph, best, clique, "optimal coloring")
+
+
+def _certify(graph: Graph, coloring: Coloring, clique: tuple[int, ...], claim: str) -> Coloring:
+    """coloring, once it and clique certify claim on graph: the one check
+    of every coloring the package writes down (McConnell et al.,
+    "Certifying algorithms", 2011). Raises InternalInvariant naming claim
+    unless clique is a clique of graph, coloring is proper on graph and
+    len(clique) <= colors_used, which give len(clique) <= chi(graph) <=
+    colors_used: the index is proved where the two meet."""
+    if not is_clique(graph, clique):
+        raise InternalInvariant(f"{claim}: {clique} is not a clique")
+    if not coloring.is_proper(graph):
+        raise InternalInvariant(f"{claim}: coloring {coloring.colors} is not proper")
+    used = coloring.colors_used
+    if len(clique) > used:
+        raise InternalInvariant(f"{claim}: a {len(clique)}-clique outgrew a {used}-coloring")
+    return coloring
 
 
 def chromatic_number(graph: Graph) -> int:
@@ -510,9 +518,8 @@ def _csi_coloring(g: StereotypeGraph) -> Coloring:
     certified on g.graph: pair 1 gets colors (1, 2), the pairs of the
     two sides of H (2, 3) and (3, 1), the other pairs (2, 1), each
     swapped back on a pair that normalising switched; u1 of pair 1 and
-    of one pair from each side is a triangle. A coloring or triangle
-    that fails its check raises InternalInvariant. Any other pattern
-    goes to optimal_coloring, the exact search."""
+    of one pair from each side is a triangle, and _certify checks the
+    two. Any other pattern goes to optimal_coloring, the exact search."""
     blocks = _index_three_blocks(_descendant(_normalised_rows(g)))
     if blocks is None:
         graph = g.graph
@@ -530,13 +537,7 @@ def _csi_coloring(g: StereotypeGraph) -> Coloring:
         2 * i + (switched >> i & 1)
         for i in (0, (side & -side).bit_length() - 1, (other & -other).bit_length() - 1)
     )
-    graph = g.graph
-    coloring = Coloring(tuple(colors))
-    if not coloring.is_proper(graph) or not is_clique(graph, triangle):
-        raise InternalInvariant(
-            f"index-3 certificate fails on {g.bits}: coloring {colors}, triangle {triangle}"
-        )
-    return coloring
+    return _certify(g.graph, Coloring(tuple(colors)), triangle, f"index-3 certificate on {g.bits}")
 
 
 def _pair_rooted_clique(graph: Graph) -> tuple[int, ...]:
@@ -562,46 +563,30 @@ def csi(g: StereotypeGraph) -> int:
 
 
 def constructive_pair_coloring(g: StereotypeGraph) -> Coloring:
-    """Proper coloring with at most n colors by the sequential pair walk.
+    """Proper coloring with at most n colors by the sequential pair walk,
+    read off the pattern rows; only the final check builds g.graph.
 
-    Colors u2^1 first, then walks pairs in index order giving pair i the
-    colors {i-1, i} oriented to avoid the previous pair's same-colored
-    neighbor, and finally gives u1^1 the smallest color absent from its
-    neighborhood. Free choices always take the smallest color index.
-    """
+    With pairs numbered from 0, u2 of pair 0 takes color 1 and each pair
+    p >= 1 the colors p and p + 1, the higher one on the side the previous
+    pair's higher color (on side s) does not meet: u1 of pair p meets it
+    iff s is bit(p - 1, p). Last, the pivot u1 of pair 0 takes the
+    smallest color absent from its partner and vertex 2j + bit(0, j) of
+    each pair j >= 1, its neighbours."""
     if g.n < 2:
         raise DomainError("the pair-walk coloring needs at least two pairs")
-    graph = g.graph
-    theta = [0] * g.vertex_count  # the pivot u1^1 is colored last
-    theta[vertex_id(1, 2)] = 1
-
-    first = vertex_id(2, 1)
-    if graph.has_edge(vertex_id(1, 2), first):
-        theta[first] = 2
-    else:
-        theta[first] = 1
-    theta[vertex_id(2, 2)] = 3 - theta[first]
-
-    for i in range(3, g.n + 1):
-        prev_vertex = next(
-            v
-            for v in (vertex_id(i - 1, 1), vertex_id(i - 1, 2))
-            if theta[v] == i - 1
-        )
-        u1 = vertex_id(i, 1)
-        theta[u1] = i if graph.has_edge(u1, prev_vertex) else i - 1
-        theta[vertex_id(i, 2)] = (2 * i - 1) - theta[u1]
-
-    pivot = vertex_id(1, 1)
-    used_nearby = {theta[w] for w in iter_bits(graph.masks[pivot])}
-    free = next((c for c in range(1, g.n + 1) if c not in used_nearby), None)
-    if free is None:
-        raise InternalInvariant("no free color remained for the first vertex")
-    theta[pivot] = free
-
-    coloring = Coloring(tuple(theta))
-    if not coloring.is_proper(graph) or coloring.colors_used > g.n:
-        raise InternalInvariant("pair-walk coloring violated its own contract")
+    rows = g.rows
+    colors = [0] * g.vertex_count
+    colors[1] = 1
+    side = 1  # the side of the previous pair's higher color
+    for p in range(1, g.n):
+        side = int(side != rows[p - 1] >> p & 1)
+        colors[2 * p + side] = p + 1
+        colors[2 * p + 1 - side] = p
+    nearby = {colors[1]} | {colors[2 * j + (rows[0] >> j & 1)] for j in range(1, g.n)}
+    colors[0] = next(c for c in range(1, g.n + 2) if c not in nearby)
+    coloring = _certify(g.graph, Coloring(tuple(colors)), (), "pair-walk coloring")
+    if coloring.colors_used > g.n:
+        raise InternalInvariant(f"the pair walk used {coloring.colors_used} colors on {g.n} pairs")
     return coloring
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Callable, Iterator
 
-from .chromatic import Coloring, _k_coloring, chromatic_number
+from .chromatic import Coloring, _certify, _k_coloring, chromatic_number
 from .errors import (
     DomainError,
     EdgeAbsent,
@@ -28,13 +28,7 @@ from .errors import (
     InvalidColoring,
     RangeError,
 )
-from .graphs import (
-    Edge,
-    Graph,
-    is_clique,
-    max_clique,
-    normalize_edge,
-)
+from .graphs import Edge, Graph, _edge_ends, max_clique, normalize_edge
 from .model import (
     StereotypeGraph,
     _check_limit,
@@ -308,6 +302,8 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
     colors = coloring.colors
     if len(colors) != g.vertex_count:
         raise InvalidColoring("coloring must assign every vertex exactly once")
+    if any(type(c) is not int for c in colors):
+        raise InvalidColoring(f"colors must be ints, got {colors}")
     if not coloring.is_proper(g.graph):
         raise InvalidColoring("coloring is not proper")
     if set(colors) != set(range(1, coloring.colors_used + 1)):
@@ -339,7 +335,7 @@ def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph
     color-1 vertex, then a color-2 vertex, then either matching). The
     result has one more pair and the same chromatic stability index.
     """
-    _validate_optimal_coloring(g, coloring)
+    clique = _validate_optimal_coloring(g, coloring)
     colors = coloring.colors
 
     def bit_for(i: int) -> int:
@@ -350,8 +346,7 @@ def expand_preserving(g: StereotypeGraph, coloring: Coloring) -> StereotypeGraph
         return int(c1 == 1 or c2 == 2)
 
     expanded = _assemble(g, bit_for)
-    if not Coloring(colors + (1, 2)).is_proper(expanded.graph):
-        raise InternalInvariant("preserving expansion broke the extended coloring")
+    _certify(expanded.graph, Coloring(colors + (1, 2)), clique or (), "preserving expansion")
     return expanded
 
 
@@ -412,8 +407,9 @@ def expand_incrementing(g: StereotypeGraph, coloring: Coloring) -> StereotypeGra
         return int(colors[vertex_id(i, 2)] == partner)
 
     expanded = _assemble(g, bit_for)
-    if not Coloring(tuple(colors + [new_color, partner])).is_proper(expanded.graph):
-        raise InternalInvariant("incrementing expansion broke the extended coloring")
+    colors += [new_color, partner]
+    # The clique grown through the new side-1 vertex proves index t + 1.
+    _certify(expanded.graph, Coloring(tuple(colors)), clique + (2 * g.n,), "incrementing expansion")
     return expanded
 
 
@@ -459,20 +455,16 @@ def build_with_csi(n: int, k: int) -> StereotypeGraph:
 def _check_certificate(
     g: StereotypeGraph, n: int, k: int, coloring: Coloring, clique: tuple[int, ...]
 ) -> None:
-    """Raise InternalInvariant unless g has n pairs, coloring is a proper
-    k-coloring of it and clique is a k-vertex clique of it: then
+    """Raise InternalInvariant unless g has n pairs, coloring uses k colors
+    and clique has k vertices, and _certify accepts them on g.graph: then
     k <= clique number <= index <= k, so the index is exactly k."""
-    if not (
-        g.n == n
-        and coloring.colors_used == k
-        and coloring.is_proper(g.graph)
-        and len(clique) == k
-        and is_clique(g.graph, clique)
-    ):
-        raise InternalInvariant(
-            f"targeted construction reached n={g.n} with a {coloring.colors_used}-coloring "
-            f"and a clique of {len(clique)} vertices, wanted n={n}, index {k}"
-        )
+    claim = (
+        f"targeted construction reached n={g.n} with a {coloring.colors_used}-coloring "
+        f"and a clique of {len(clique)} vertices, wanted n={n}, index {k}"
+    )
+    if not (g.n == n and coloring.colors_used == k and len(clique) == k):
+        raise InternalInvariant(claim)
+    _certify(g.graph, coloring, clique, claim)
 
 
 def delete_edges(g: StereotypeGraph, removed: list[Edge]) -> Graph:
@@ -481,7 +473,8 @@ def delete_edges(g: StereotypeGraph, removed: list[Edge]) -> Graph:
     coloring operation."""
     graph = g.graph
     gone = []
-    for u, v in removed:
+    for edge in removed:
+        u, v = _edge_ends(edge)
         if not graph.has_edge(u, v):
             raise EdgeAbsent(f"edge {normalize_edge(u, v)} is not present")
         gone.append((u, v))

@@ -20,7 +20,7 @@ which takes as many steps as the greatest eccentricity of its roots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InternalInvariant
@@ -29,9 +29,27 @@ Edge = tuple[int, int]
 
 
 def normalize_edge(u: int, v: int) -> Edge:
+    """(u, v) in ascending order; ends that are not ints (bools too, as in
+    model.vertex_id) and a self-loop raise DomainError."""
+    if type(u) is not int or type(v) is not int:
+        raise DomainError(f"edge ends must be ints, got ({u!r}, {v!r})")
     if u == v:
         raise DomainError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
+
+
+def _edge_ends(edge: Edge) -> Edge:
+    """The two ends of an edge entry, or DomainError if it has not two."""
+    try:
+        u, v = edge
+    except (TypeError, ValueError):
+        raise DomainError(f"an edge is two vertex ids, got {edge!r}") from None
+    return u, v
+
+
+def _check_vertex_count(count: object) -> None:
+    if type(count) is not int or count < 0:
+        raise DomainError(f"vertex count must be a non-negative int, got {count!r}")
 
 
 def _checked_edge(u: int, v: int, vertex_count: int) -> Edge:
@@ -50,6 +68,121 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_square_bits(rows: tuple[int, ...], noun: str) -> None:
+    """The one check of both bit matrices, a pattern's rows ("row") and a
+    graph's neighbour masks ("mask"): for n = len(rows), each row i must
+    be an int in [0, 2^n) with bit i clear, and symmetric with every row
+    before it. Rows of ints pass _is_symmetric, or _scan_rows names their
+    first fault. Other rows, and past _TILE rows under 8 set bits per
+    row, go to the scan alone: there it was faster from 2048 rows on
+    (timeit, random symmetric rows), and an edgeless 10^5-vertex graph
+    packed would take 1.2 GB."""
+    n = len(rows)
+    if set(map(type, rows)) <= {int} and (n <= _TILE or sum(map(int.bit_count, rows)) >= 8 * n):
+        if not _is_symmetric(rows):
+            _scan_rows(rows, noun)
+            raise InternalInvariant("the packed symmetry test failed symmetric rows")
+    else:
+        _scan_rows(rows, noun)
+
+
+def _scan_rows(rows: tuple[int, ...], noun: str) -> None:
+    """Raise the DomainError for the first fault of the rows, row by row,
+    if any, in one step per set bit: earlier[i] collects the rows so far
+    with bit i set, which row i's bits below i must equal."""
+    n = len(rows)
+    earlier = [0] * n
+    for i, row in enumerate(rows):
+        if type(row) is not int or not 0 <= row < 1 << n or row >> i & 1:
+            fault = f"must be an int in [0, 2^{n}) with bit {i} clear, got {row!r}"
+            raise DomainError(f"{noun} {i} {fault}")
+        unmatched = (row ^ earlier[i]) & (1 << i) - 1
+        if unmatched:
+            j = (unmatched & -unmatched).bit_length() - 1
+            raise DomainError(f"{noun} {i} is not symmetric with {noun} {j}")
+        for j in iter_bits(row >> i << i):
+            earlier[j] |= 1 << i
+
+
+_TILE = 1024  # its masks take 1.4 MiB, those of all eight tile sides 1.7 MiB
+
+
+@lru_cache(maxsize=None)
+def _packing(span: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The diagonal mask and the (shift, mask) delta swaps that transpose
+    the span x span bit matrices packed one row per span bits, bit (i, j)
+    at bit i * span + j, for span a power of two from 8 to _TILE.
+
+    The swap for s = span/2, ..., 2, 1 exchanges bit s of i and j: it
+    moves bit (i, j) with i & s == 0 and j & s != 0, the mask's bits, to
+    (i + s, j - s), s * (span - 1) bits up, and back (Warren, "Hacker's
+    Delight", 2nd ed., 7-3). The masks are built as bytes, so each costs
+    one pass over its span^2 bits; the diagonal, bits i * (span + 1),
+    doubles once per s."""
+    width = span >> 3
+    steps, diagonal = [], 1
+    s = span >> 1
+    while s:
+        diagonal |= diagonal << s * (span + 1)
+        if s < 8:
+            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[s]]) * width
+        else:
+            row = (bytes(s >> 3) + b"\xff" * (s >> 3)) * (width // (s >> 2))
+        block = row * s + bytes(width * s)
+        steps.append((s * (span - 1), int.from_bytes(block * (span // (2 * s)), "little")))
+        s >>= 1
+    return diagonal, tuple(steps)
+
+
+for _span in (8, 16, 32):  # at import, so no batch of small graphs pays for them
+    _packing(_span)
+
+
+def _transposed(packed: int, steps: tuple[tuple[int, int], ...]) -> int:
+    """The packed square bit matrix transposed by the delta swaps steps."""
+    for shift, mask in steps:
+        delta = (packed ^ packed >> shift) & mask
+        packed ^= delta ^ delta << shift
+    return packed
+
+
+def _is_symmetric(rows: tuple[int, ...]) -> bool:
+    """Whether the ints rows, n = len(rows), are a symmetric n x n bit
+    matrix with a clear diagonal. Packed one row per w bits (bytes() up
+    to 8 rows, one to_bytes join above), w = n rounded up to whole tiles
+    of t x t bits, t the power of two from max(n, 8) on but at most
+    _TILE, each tile must equal the transpose of its mirror and those on
+    the diagonal miss it. A row outside [0, 2^w) fails the packing, and
+    a bit in a column from n on a transpose: the rows from n on are 0."""
+    n = len(rows)
+    tile = min(max(8, 1 << (n - 1).bit_length()), _TILE)
+    step = tile >> 3
+    width = -(-n // tile) * step
+    try:
+        data = bytes(rows) if n <= 8 else b"".join([row.to_bytes(width, "little") for row in rows])
+    except (ValueError, OverflowError):
+        return False
+    diagonal, steps = _packing(tile)
+    if width == step:  # one tile
+        packed = int.from_bytes(data, "little")
+        return not packed & diagonal and _transposed(packed, steps) == packed
+
+    def block(a: int, b: int) -> int:
+        """The tile of the rows a * tile.. and the columns b * tile.."""
+        starts = range(a * tile * width + b * step, min(n, a * tile + tile) * width, width)
+        return int.from_bytes(b"".join([data[k : k + step] for k in starts]), "little")
+
+    bands = width // step
+    for a in range(bands):
+        upper = block(a, a)
+        if upper & diagonal or _transposed(upper, steps) != upper:
+            return False
+        for b in range(a + 1, bands):
+            if _transposed(block(a, b), steps) != block(b, a):
+                return False
+    return True
+
+
 @dataclass(frozen=True)
 class Graph:
     """An undirected simple graph on vertices ``0..vertex_count-1``, stored
@@ -58,29 +191,31 @@ class Graph:
     `masks`; two graphs are equal iff they have the same vertex count and
     the same edges.
 
-    The masks must be a tuple of vertex_count ints, symmetric and free of
-    self-loops; `from_edges` builds them from an edge list and checks
-    every edge."""
+    The constructor checks what it stores: vertex_count, an int >= 0, and
+    the masks, with _check_square_bits. `from_edges` checks the count,
+    then every edge, as it builds the masks from an edge list."""
 
     vertex_count: int
     masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if type(self.masks) is not tuple:
+        count, masks = self.vertex_count, self.masks
+        if type(masks) is not tuple:
             raise TypeError(
-                f"Graph takes a tuple of neighbour masks, got {type(self.masks).__name__}; "
+                f"Graph takes a tuple of neighbour masks, got {type(masks).__name__}; "
                 "build a graph from edges with Graph.from_edges"
             )
-        if len(self.masks) != self.vertex_count:
-            raise DomainError(
-                f"expected {self.vertex_count} neighbour masks, got {len(self.masks)}"
-            )
+        _check_vertex_count(count)
+        if len(masks) != count:
+            raise DomainError(f"expected {count} neighbour masks, got {len(masks)}")
+        _check_square_bits(masks, "mask")
 
     @classmethod
     def from_edges(cls, vertex_count: int, edges: Iterable[Edge]) -> "Graph":
+        _check_vertex_count(vertex_count)
         masks = [0] * vertex_count
-        for u, v in edges:
-            u, v = _checked_edge(u, v, vertex_count)
+        for edge in edges:
+            u, v = _checked_edge(*_edge_ends(edge), vertex_count)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         return cls(vertex_count, tuple(masks))
@@ -256,10 +391,11 @@ class Graph:
 
     def delete_edges(self, removed: Iterable[Edge]) -> "Graph":
         """The graph without the listed edges; an absent edge or a vertex
-        outside the graph is ignored, a self-loop raises."""
+        outside the graph is ignored, a self-loop or an entry that is not
+        two int vertex ids raises."""
         masks = list(self.masks)
-        for u, v in removed:
-            u, v = normalize_edge(u, v)
+        for edge in removed:
+            u, v = normalize_edge(*_edge_ends(edge))
             if 0 <= u and v < self.vertex_count:
                 masks[u] &= ~(1 << v)
                 masks[v] &= ~(1 << u)

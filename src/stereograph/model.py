@@ -36,17 +36,16 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NoReturn, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 from .errors import (
     DomainError,
-    InternalInvariant,
     LengthMismatch,
     NotAStereotypeGraph,
     SizeExceeded,
 )
-from .graphs import Edge, Graph, _checked_edge
+from .graphs import Edge, Graph, _check_square_bits, _checked_edge, _edge_ends
 
 
 def vertex_id(pair: int, side: int) -> int:
@@ -149,12 +148,7 @@ class StereotypeGraph:
             )
         if len(rows) != n:
             raise LengthMismatch(f"expected {n} rows for n={n}, got {len(rows)}")
-        limit = 1 << n
-        for i, row in enumerate(rows):
-            if type(row) is not int or not 0 <= row < limit or row >> i & 1:
-                _reject_rows(n, rows, i)
-        if not _is_symmetric(rows):
-            _reject_rows(n, rows, n)
+        _check_square_bits(rows, "row")
 
     def bit(self, i: int, j: int) -> int:
         """Matching bit between pairs i and j (order-insensitive)."""
@@ -194,78 +188,6 @@ class StereotypeGraph:
             parallel = even ^ crossed ^ 1 << 2 * i
             masks += [1 << 2 * i + 1 | parallel | crossed << 1, 1 << 2 * i | crossed | parallel << 1]
         return Graph(2 * n, tuple(masks))
-
-
-def _reject_rows(n: int, rows: tuple[int, ...], bad: int) -> NoReturn:
-    """Raise the DomainError for the first fault of the rows, in the
-    order of a row-by-row check that tests each row and then its
-    symmetry with every row before it: the first row i < bad that is not
-    symmetric with a row j < i, else the range or diagonal fault of row
-    bad. bad = n means the rows passed their own tests and the packed
-    symmetry test failed them: if every pair then scans symmetric, that
-    test is wrong, and InternalInvariant says so."""
-    for i in range(bad):
-        for j in range(i):
-            if (rows[i] >> j ^ rows[j] >> i) & 1:
-                raise DomainError(f"row {i} is not symmetric with row {j}")
-    if bad == n:
-        raise InternalInvariant("the packed symmetry test failed symmetric rows")
-    raise DomainError(
-        f"row {bad} must be an int in [0, 2^{n}) with bit {bad} clear, got {rows[bad]!r}"
-    )
-
-
-@lru_cache(maxsize=4)
-def _transpose_steps(span: int) -> tuple[tuple[int, int], ...]:
-    """The (shift, mask) delta swaps that transpose the span x span bit
-    matrices packed one row per span bits, bit (i, j) at bit
-    i * span + j, for span a power of two from 8 on.
-
-    The swap for s = span/2, ..., 2, 1 exchanges bit s of i and j: it
-    moves bit (i, j) with i & s == 0 and j & s != 0, the mask's bits, to
-    (i + s, j - s), s * (span - 1) bits up, and back (Warren, "Hacker's
-    Delight", 2nd ed., 7-3). The masks are built as bytes, so each costs
-    one pass over its span^2 bits.
-    """
-    width = span >> 3
-    steps = []
-    s = span >> 1
-    while s:
-        if s < 8:
-            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[s]]) * width
-        else:
-            row = (bytes(s >> 3) + b"\xff" * (s >> 3)) * (width // (s >> 2))
-        block = row * s + bytes(width * s)
-        steps.append((s * (span - 1), int.from_bytes(block * (span // (2 * s)), "little")))
-        s >>= 1
-    return tuple(steps)
-
-
-# Up to 8 pairs a row fits one byte. Entry n - 1 holds the last log2(span)
-# of the 8 x 8 swaps, which transpose the span x span corner.
-_BYTE_STEPS = tuple(_transpose_steps(8)[3 - (n - 1).bit_length() :] for n in range(1, 9))
-
-
-def _is_symmetric(rows: tuple[int, ...]) -> bool:
-    """Whether the rows, ints in [0, 2^n) for n = len(rows), are a
-    symmetric bit matrix: packed one row per span bits, span the power
-    of two from max(n, 8) on, in one pass over the bytes of the rows,
-    they equal their transpose, which takes log2 of n rounded up delta
-    swaps on the packed int."""
-    n = len(rows)
-    if n <= 8:
-        packed = int.from_bytes(bytes(rows), "little")
-        steps = _BYTE_STEPS[n - 1]
-    else:
-        span = 1 << (n - 1).bit_length()
-        width = span >> 3
-        packed = int.from_bytes(b"".join([row.to_bytes(width, "little") for row in rows]), "little")
-        steps = _transpose_steps(span)
-    flipped = packed
-    for shift, mask in steps:
-        delta = (flipped ^ flipped >> shift) & mask
-        flipped ^= delta ^ delta << shift
-    return flipped == packed
 
 
 def _pattern_rows(n: int, bits: Sequence[object]) -> tuple[int, ...]:
@@ -337,8 +259,8 @@ def from_edge_list(n: int, edges: Iterable[Edge]) -> StereotypeGraph:
     """
     _check_pair_count(n)
     edge_set: set[Edge] = set()
-    for u, v in edges:
-        e = _checked_edge(u, v, 2 * n)
+    for edge in edges:
+        e = _checked_edge(*_edge_ends(edge), 2 * n)
         if e in edge_set:
             raise DomainError(f"duplicate edge {e}")
         edge_set.add(e)

@@ -485,6 +485,13 @@ class TestExpansion:
         with pytest.raises(InvalidColoring, match=r"colors must be exactly 1\.\.colors_used"):
             expand(k33, gapped)
 
+    @pytest.mark.parametrize("expand", [expand_preserving, expand_incrementing])
+    @pytest.mark.parametrize("colors", [(1.0, 2, 1, 2), (True, 2, True, 2), (1, 2.0, 1, 2)])
+    def test_non_int_colors_rejected(self, expand, colors):
+        # Each equals a proper 2-coloring as a set, {1.0, 2} == {1, 2}.
+        with pytest.raises(InvalidColoring, match="colors must be ints"):
+            expand(gen_complete_bipartite(2), Coloring(colors))
+
     def test_non_optimal_coloring_rejected(self, k33):
         wasteful = Coloring(tuple(range(1, 7)))
         with pytest.raises(InvalidColoring, match="uses 6 colors but the index is 2"):
@@ -657,10 +664,56 @@ class TestBuildWithCsi:
             generators._check_certificate(g, n, k, coloring, clique)
 
 
+class TestOneCertificateCheck:
+    def test_every_written_coloring_passes_it(self, monkeypatch, k33):
+        """The search, the index-3 certificate, the pair walk, the targeted
+        construction and both expansions each hand their coloring to
+        chromatic._certify; every one but the pair walk's proves its index
+        with a clique as large as the palette."""
+        certified = []
+        certify = chromatic._certify
+
+        def recording(graph, coloring, clique, claim):
+            certified.append((claim.split(" on ")[0].split(" reached")[0], len(clique)))
+            return certify(graph, coloring, clique, claim)
+
+        monkeypatch.setattr(chromatic, "_certify", recording)
+        monkeypatch.setattr(generators, "_certify", recording)
+        three = build_with_csi(5, 3)
+        coloring = optimal_coloring(k33.graph)
+        assert chromatic.csi(three) == 3
+        chromatic.constructive_pair_coloring(three)
+        expand_preserving(k33, coloring)
+        expand_incrementing(k33, coloring)
+        assert certified == [
+            ("targeted construction", 3),
+            ("optimal coloring", 2),
+            ("index-3 certificate", 3),
+            ("pair-walk coloring", 0),
+            ("preserving expansion", 2),
+            ("incrementing expansion", 3),
+        ]
+
+
 class TestDeleteEdges:
     def test_absent_edge(self, kl3):
         with pytest.raises(EdgeAbsent):
             delete_edges(kl3, [(0, 3)])
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ((0.0, 1), "edge ends must be ints"),
+            ((0, 1.5), "edge ends must be ints"),
+            (("a", 1), "edge ends must be ints"),
+            ((True, 2), "edge ends must be ints"),
+            ((0, 1, 2), "an edge is two vertex ids"),
+            (5, "an edge is two vertex ids"),
+        ],
+    )
+    def test_malformed_entry_rejected(self, entry, message):
+        with pytest.raises(DomainError, match=message):
+            delete_edges(gen_random(3, 0), [entry])
 
     def test_identity(self, kl3):
         assert delete_edges(kl3, []) == kl3.graph

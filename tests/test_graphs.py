@@ -8,6 +8,11 @@ against dense-matrix and brute-force oracles.
 
 import itertools
 import random
+import re
+import subprocess
+import sys
+import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +22,7 @@ from oracles import (
     find_clique_of_size,
     floyd_warshall_profile,
     permutation_isomorphic,
+    rowwise_row_fault,
     trace_triangle_count,
 )
 from stereograph import enumerate_all, gen_random, graphs
@@ -32,6 +38,7 @@ from stereograph.graphs import (
 )
 from stereograph.spectral import adjacency_matrix
 from test_chromatic import GIRTH_GRAPHS, LOOSE_BOUND_GRAPHS, general_graphs, sparse_graphs
+from test_cli import package_env
 
 any_graphs = st.one_of(sparse_graphs(), general_graphs(min_vertices=0, max_vertices=12))
 
@@ -49,6 +56,32 @@ class TestIterBits:
         assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
 
 
+IN_RANGE_100 = "must be an int in [0, 2^100) with bit {} clear"
+IN_RANGE_1100 = "must be an int in [0, 2^1100) with bit 0 clear"
+
+
+@st.composite
+def square_bits(draw, max_n):
+    """Rows of a random symmetric loop-free bit matrix with a few bits
+    flipped, some past the last column, and at times a negative row."""
+    n = draw(st.integers(0, max_n), label="n")
+    rows = [0] * n
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=4 * n)):
+        if i < n and j < n and i != j:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    if n:
+        for i, j in draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n + 20)), max_size=3),
+            label="flips",
+        ):
+            rows[i] ^= 1 << j
+        if draw(st.booleans(), label="negative row"):
+            i = draw(st.integers(0, n - 1), label="row")
+            rows[i] = ~rows[i]
+    return tuple(rows)
+
+
 class TestMaskStorage:
     def test_edge_set_in_place_of_masks_rejected(self):
         with pytest.raises(TypeError, match="Graph.from_edges"):
@@ -59,6 +92,118 @@ class TestMaskStorage:
     def test_mask_count_must_match_vertex_count(self):
         with pytest.raises(DomainError, match="expected 3 neighbour masks, got 2"):
             Graph(3, (2, 1))
+
+    @pytest.mark.parametrize(
+        "count, masks, message",
+        [
+            (2, (1, 0), "mask 0 must be an int in [0, 2^2) with bit 0 clear, got 1"),
+            (2, (2, 0), "mask 1 is not symmetric with mask 0"),
+            (2, (32, 0), "mask 0 must be an int in [0, 2^2) with bit 0 clear, got 32"),
+            (2, (2, True), "mask 1 must be an int in [0, 2^2) with bit 1 clear, got True"),
+            (3, (2, 5, 0), "mask 2 is not symmetric with mask 1"),
+            (2.0, (2, 1), "vertex count must be a non-negative int, got 2.0"),
+            (True, (0,), "vertex count must be a non-negative int, got True"),
+            (-1, (), "vertex count must be a non-negative int, got -1"),
+            (100, (0,) * 99 + (1,), "mask 99 is not symmetric with mask 0"),
+            (100, (0,) * 99 + (1 << 99,), f"mask 99 {IN_RANGE_100.format(99)}, got {1 << 99}"),
+            (100, (1 << 100,) + (0,) * 99, f"mask 0 {IN_RANGE_100.format(0)}, got {1 << 100}"),
+            (100, (-1,) + (0,) * 99, f"mask 0 {IN_RANGE_100.format(0)}, got -1"),
+            # Past graphs._TILE vertices, masks with under 8 set bits per
+            # vertex are scanned bit by bit, not packed.
+            (1100, (0,) * 1099 + (1,), "mask 1099 is not symmetric with mask 0"),
+            (1100, (1 << 1100,) + (0,) * 1099, f"mask 0 {IN_RANGE_1100}, got {1 << 1100}"),
+            (1100, (-1,) + (0,) * 1099, f"mask 0 {IN_RANGE_1100}, got -1"),
+        ],
+    )
+    def test_constructor_checks_what_it_stores(self, count, masks, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            Graph(count, masks)
+        if message.startswith("vertex count"):
+            # from_edges checks the count before it allocates the masks.
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                Graph.from_edges(count, [])
+
+    def test_negative_mask_rejected_at_once(self):
+        # iter_bits never ends on a negative int: unchecked, reading the
+        # edges of this graph ran forever. A subprocess bounds the wait.
+        code = (
+            "from stereograph.graphs import Graph\n"
+            "try:\n    Graph(2, (-1, 1)).edges\n"
+            "except ValueError as e:\n    print(type(e).__name__, e)"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            env=package_env(),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        message = "mask 0 must be an int in [0, 2^2) with bit 0 clear, got -1"
+        assert result.stdout == f"DomainError {message}\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        masks=st.integers(0, 6).flatmap(
+            lambda n: st.lists(
+                st.one_of(st.integers(-1, (1 << n) + 1), st.integers()), min_size=n, max_size=n
+            )
+        )
+    )
+    def test_any_int_masks_rejected_or_well_formed(self, masks):
+        """Graph of any tuple of ints raises the row scan's first fault or
+        holds symmetric, loop-free masks in range."""
+        n, masks = len(masks), tuple(masks)
+        message = rowwise_row_fault(n, masks)
+        if message is not None:
+            with pytest.raises(DomainError, match=f"^{re.escape(message.replace('row', 'mask'))}$"):
+                Graph(n, masks)
+            return
+        graph = Graph(n, masks)
+        for v, mask in enumerate(graph.masks):
+            assert 0 <= mask < 1 << n and not mask >> v & 1
+            assert all(graph.masks[w] >> v & 1 for w in iter_bits(mask))
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=square_bits(max_n=40))
+    def test_packed_tiles_agree_with_the_row_scan(self, rows):
+        """With tiles of 8 x 8 bits, so that up to 5 x 5 tiles are
+        compared, the packed test accepts exactly what the scan accepts."""
+        with mock.patch.object(graphs, "_TILE", 8):
+            assert graphs._is_symmetric(rows) == (rowwise_row_fault(len(rows), rows) is None)
+
+    def test_large_dense_check_holds_little_memory(self):
+        """The masks of 3000 vertices are tested in 1024 x 1024 tiles: the
+        check holds the packed rows (3000 x 384 bytes, once as pieces and
+        once joined) and a few tiles, where one transpose of the whole
+        4096 x 4096 packing held 2 MiB per mask, 12 of them."""
+        full = (1 << 3000) - 1
+        masks = tuple(full ^ 3 << (v & ~1) for v in range(3000))  # all but the pair v, v ^ 1
+        Graph(3000, masks)  # the 1024 x 1024 masks are built once
+        tracemalloc.start()
+        try:
+            Graph(3000, masks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+
+    @pytest.mark.parametrize("edge", [(True, 2), (0.0, 1), (0, 1.5), ("a", 1)])
+    def test_non_int_edge_end_rejected(self, edge):
+        # True == 1 and 1.0 == 1, so such an edge was once taken for an int one.
+        with pytest.raises(DomainError, match="edge ends must be ints"):
+            Graph.from_edges(3, [edge])
+        with pytest.raises(DomainError, match="edge ends must be ints"):
+            PATHS["P3"].has_edge(*edge)
+        with pytest.raises(DomainError, match="edge ends must be ints"):
+            PATHS["P3"].delete_edges([edge])
+
+    @pytest.mark.parametrize("entry", [(0, 1, 2), (1,), 5, None])
+    def test_edge_entry_of_other_than_two_items_rejected(self, entry):
+        message = f"^an edge is two vertex ids, got {re.escape(repr(entry))}$"
+        with pytest.raises(DomainError, match=message):
+            Graph.from_edges(3, [entry])
+        with pytest.raises(DomainError, match=message):
+            PATHS["P3"].delete_edges([entry])
 
     def test_equal_edge_sets_give_equal_graphs(self):
         path = Graph.from_edges(3, [(1, 0), (2, 1), (0, 1)])

@@ -37,7 +37,7 @@ from stereograph import (
     triangle_pair_triples,
     validate_stereotype,
 )
-from stereograph import graphs, model
+from stereograph import graphs
 from stereograph.graphs import Graph, normalize_edge
 from stereograph.model import (
     parse_vertex_name,
@@ -227,6 +227,17 @@ class TestFromEdgeList:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(DomainError):
             from_edge_list(2, [(0, 1), (1, 0), (2, 3), (0, 2), (1, 3)])
+
+    @pytest.mark.parametrize("edge", [(True, 0), (0, 1.0), (0.0, 1)])
+    def test_non_int_edge_end_rejected(self, edge):
+        # True == 1, so the edge (True, 0) was read as the in-pair edge.
+        with pytest.raises(DomainError, match="edge ends must be ints"):
+            from_edge_list(1, [edge])
+
+    @pytest.mark.parametrize("entry", [(0, 1, 2), (1,), 5])
+    def test_edge_entry_of_other_than_two_items_rejected(self, entry):
+        with pytest.raises(DomainError, match="an edge is two vertex ids"):
+            from_edge_list(1, [entry])
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_accepts_exactly_the_pattern_family(self, n):
@@ -439,7 +450,7 @@ class TestRows:
                 StereotypeGraph(n, rows)
 
     def test_packed_test_failing_symmetric_rows_raises(self, monkeypatch):
-        monkeypatch.setattr(model, "_is_symmetric", lambda rows: False)
+        monkeypatch.setattr(graphs, "_is_symmetric", lambda rows: False)
         with pytest.raises(InternalInvariant, match="packed symmetry test"):
             StereotypeGraph(3, gen_complete_bipartite(3).rows)
 
