@@ -7,7 +7,7 @@ of its Newton form over the falling factorials, expanded by Horner's
 rule. Those counts come from a memoised DP over the vertex
 subsets reached from the full set by removing independent sets, with
 each subset's counts packed into one int; it is exponential, so
-`chromatic_polynomial` is bounded at CHROMATIC_POLY_VERTEX_BOUND
+`independent_partition_counts` is bounded at CHROMATIC_POLY_VERTEX_BOUND
 vertices. The chromatically-bipartite criterion needs only b0..b2,
 which depend on the three top partition counts alone (into V, V-1 and
 V-2 sets); `leading_chromatic_coefficients` counts those on the
@@ -31,10 +31,10 @@ vertex masks; optimal_coloring turns the first that exists into the one
 coloring the package writes down (the search's, the index-3 one, the
 pair walk's, read off the pattern rows, and those of the generators)
 passes one check, _certify, with a clique that bounds the index below.
-The index, `csi`, and CLI `csi --witness` read one coloring,
-_csi_coloring's: at index 3 it is written down from the descendant H
-(model._descendant) and certified with a triangle; at any other index
-it is the search's, handed the clique of _pair_rooted_clique:
+Every index of a stereotype graph (`csi`, report, census, CLI `csi`)
+reads _csi_coloring's coloring: written down from the descendant H
+(model._descendant) at index 3 and certified with a triangle, else the
+search's, handed _pair_rooted_clique's clique (the expansions' too):
 max_clique's search rooted only where the swap of every pair's two
 sides allows the smallest maximum clique to start.
 two_coloring keeps each BFS level as one mask and builds an odd cycle
@@ -125,9 +125,16 @@ def independent_partition_counts(graph: Graph) -> list[int]:
     recursion runs down from the full set, memoising only the subsets
     it reaches. A subset's counts are packed into one int, field i of
     `width` bits holding the count for i parts (Bell(V) < 2^width), so
-    summing them is one add and moving one part up one shift.
+    summing them is one add and moving one part up one shift. The count
+    is exponential, so it is bounded at CHROMATIC_POLY_VERTEX_BOUND
+    vertices, which bounds chromatic_polynomial too.
     """
     n = graph.vertex_count
+    if n > CHROMATIC_POLY_VERTEX_BOUND:
+        raise SizeExceeded(
+            f"independent partition counts bounded at {CHROMATIC_POLY_VERTEX_BOUND} "
+            f"vertices, got {n}"
+        )
     if n == 0:
         return [1]
     nbr = graph.masks
@@ -186,12 +193,8 @@ def _chromatic_polynomial_cached(graph: Graph) -> IntPolynomial:
 
 
 def chromatic_polynomial(graph: Graph) -> IntPolynomial:
-    """Exact chromatic polynomial, degree = vertex count, monic."""
-    if graph.vertex_count > CHROMATIC_POLY_VERTEX_BOUND:
-        raise SizeExceeded(
-            f"chromatic polynomial bounded at {CHROMATIC_POLY_VERTEX_BOUND} vertices, "
-            f"got {graph.vertex_count}"
-        )
+    """Exact chromatic polynomial, degree = vertex count, monic; bounded
+    with independent_partition_counts."""
     return _chromatic_polynomial_cached(graph)
 
 
@@ -476,8 +479,8 @@ def _certify(graph: Graph, coloring: Coloring, clique: tuple[int, ...], claim: s
 
 
 def chromatic_number(graph: Graph) -> int:
-    """Exact chromatic number (the chromatic stability index for
-    stereotype graphs)."""
+    """Exact chromatic number of a plain graph; the index of a
+    stereotype graph is csi's, which equals it on g.graph."""
     return optimal_coloring(graph).colors_used
 
 
@@ -485,13 +488,16 @@ def _index_three_blocks(h: Iterable[int]) -> tuple[int, int] | None:
     """The two sides of the descendant H (model._descendant), as masks
     of 0-based pair indices, when its class has index 3, else None.
 
-    The index is 3 iff H is complete bipartite with both sides non-empty
-    plus isolated vertices (proof in generators._check_index_three). The
-    first pair with an H-neighbour lies on one side, its neighbourhood
-    is the other. H is read once, in pair order, and as it is symmetric
-    it suffices that no pair of the other side sees that side and every
-    pair outside it sees nothing or exactly the other side. Most
-    patterns fail within a few pairs, before the rest of H is computed.
+    The index is at most 3 iff H is complete bipartite plus isolated
+    vertices: in a 3-colouring of the normalised pattern with pair 1
+    coloured (1, 2), every other pair is coloured (2, 1), (2, 3) or
+    (3, 1), and two are parallel iff one is (2, 3) and the other (3, 1);
+    conversely such an H has that colouring. It is exactly 3 iff both
+    sides are non-empty. The first pair with an H-neighbour lies on one
+    side, its neighbourhood the other. H is read once, in pair order,
+    and as it is symmetric, no pair of the other side may see that side
+    and every pair outside it sees nothing or exactly the other side;
+    most patterns fail within a few pairs, before H is read further.
     """
     side = other = 0
     for i, mask in enumerate(h):
@@ -537,7 +543,8 @@ def _csi_coloring(g: StereotypeGraph) -> Coloring:
         2 * i + (switched >> i & 1)
         for i in (0, (side & -side).bit_length() - 1, (other & -other).bit_length() - 1)
     )
-    return _certify(g.graph, Coloring(tuple(colors)), triangle, f"index-3 certificate on {g.bits}")
+    claim = f"index-3 certificate on {g.n} pairs, blocks {side:#x} and {other:#x}"
+    return _certify(g.graph, Coloring(tuple(colors)), triangle, claim)
 
 
 def _pair_rooted_clique(graph: Graph) -> tuple[int, ...]:

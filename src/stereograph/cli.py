@@ -224,6 +224,8 @@ def _cmd_census(args) -> int:
 def _cmd_merge(args) -> int:
     g = _load_graph(args.file)
     if args.pairs is not None:
+        if args.trace:
+            raise ParseError("--trace logs the --to-k2 reduction; --pairs has no step log")
         try:
             i_str, j_str = args.pairs.split(",")
             i, j = _integer(i_str), _integer(j_str)
@@ -319,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--pairs", help="merge one pair of pair indices, e.g. 1,2")
     group.add_argument("--to-k2", action="store_true", dest="to_k2")
-    p.add_argument("--trace", action="store_true", help="include the step log")
+    p.add_argument("--trace", action="store_true", help="include the --to-k2 step log")
     p.set_defaults(handler=_cmd_merge)
 
     p = sub.add_parser("export-dot", help="write Graphviz DOT")

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from operator import getitem
 from typing import Callable, Iterator
 
-from .chromatic import Coloring, _certify, _k_coloring, chromatic_number
+from .chromatic import Coloring, _certify, _k_coloring, _pair_rooted_clique, csi
 from .errors import (
     DomainError,
     EdgeAbsent,
@@ -28,7 +28,7 @@ from .errors import (
     InvalidColoring,
     RangeError,
 )
-from .graphs import Edge, Graph, _edge_ends, max_clique, normalize_edge
+from .graphs import Edge, Graph, _edge_ends, normalize_edge
 from .model import (
     StereotypeGraph,
     _check_limit,
@@ -120,7 +120,7 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
     normalised patterns and expands each unseen one to its orbit under
     pair relabellings: the closure of its value under the two generators
     tau and rho of _OrbitWalk, two table steps per orbit member. It
-    takes one chromatic_number per orbit and counts |orbit| * 2^(n-1)
+    takes one csi per orbit and counts |orbit| * 2^(n-1)
     labeled graphs for it.
 
     Each orbit is one isomorphism class, by the pairing lemma: every
@@ -151,7 +151,7 @@ def census(n: int, limit: int | None = DEFAULT_CENSUS_BOUND) -> list[CensusRow]:
     while value >= 0:
         g = StereotypeGraph(n, _value_rows(n, value))
         orbit = walk.orbit(value, seen)
-        k = chromatic_number(g.graph)
+        k = csi(g)
         labeled[k] = labeled.get(k, 0) + (len(orbit) << (n - 1))
         classes[k] = classes.get(k, 0) + 1
         if k == 2 and not recognize_complete_bipartite(g):
@@ -203,20 +203,17 @@ def _check_index_three(n: int, labeled: int, classes: int) -> None:
     """Raise InternalInvariant unless the index-3 row on n >= 3 pairs has
     2^(n-1) * S(n, 3) labeled graphs and round(n^2 / 12) classes.
 
-    Let H be the class's descendant at pair 1 (model._descendant), read
-    on the normalised pattern, where pair 1 is parallel to every other
-    pair. The index is at most 3 iff H is a complete bipartite graph
-    plus isolated vertices: in a 3-colouring of the normalised pattern
-    with pair 1 coloured (1, 2), every other pair is coloured (2, 1),
-    (2, 3) or (3, 1), and two pairs are parallel iff
-    one is (2, 3) and the other (3, 1); conversely such an H has that
-    colouring. The index is exactly 3 iff both sides are non-empty, so
-    the index-3 switching classes are the partitions of the n pairs into
-    three blocks (pair 1 with the isolated ones, and the two sides),
-    S(n, 3) = (3^(n-1) - 2^n + 1) / 2 of them. A triple of pairs has an
-    even number of crossed bits iff its pairs lie in three different
-    blocks, so the blocks play symmetric roles and the isomorphism
-    classes are the partitions of n into three parts.
+    The index is exactly 3 iff the descendant H at pair 1 is complete
+    bipartite with both sides non-empty plus isolated vertices (proof
+    in chromatic._index_three_blocks, by which csi, and so the census,
+    decides index 3). So the index-3 switching classes are the
+    partitions of the n pairs into three blocks (pair 1 with the
+    isolated ones, and the two sides), S(n, 3) = (3^(n-1) - 2^n + 1) / 2
+    of them. A triple of pairs has an even number of crossed bits iff
+    its pairs lie in three different blocks, so the blocks play
+    symmetric roles and the isomorphism classes are the partitions of n
+    into three parts. Counted apart from the blocks, these hold the H
+    route to its closed forms.
     """
     stirling = (3 ** (n - 1) - (1 << n) + 1) // 2
     if labeled != stirling << (n - 1) or classes != (n * n + 6) // 12:
@@ -296,9 +293,10 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
 
     A proper coloring gives omega <= chi <= colors_used, so a clique as
     large as the palette exists only when omega equals it, and then the
-    smallest such clique is max_clique's. Otherwise _k_coloring, with
-    that clique pre-colored, must refute one color fewer; the index is
-    computed only for the message of a coloring that fails."""
+    smallest such clique is _pair_rooted_clique's, the clique of the csi
+    route. Otherwise _k_coloring, with that clique pre-colored, must
+    refute one color fewer; csi is computed only for the message of a
+    coloring that fails."""
     colors = coloring.colors
     if len(colors) != g.vertex_count:
         raise InvalidColoring("coloring must assign every vertex exactly once")
@@ -308,13 +306,12 @@ def _validate_optimal_coloring(g: StereotypeGraph, coloring: Coloring) -> tuple[
         raise InvalidColoring("coloring is not proper")
     if set(colors) != set(range(1, coloring.colors_used + 1)):
         raise InvalidColoring("colors must be exactly 1..colors_used")
-    clique = max_clique(g.graph)
+    clique = _pair_rooted_clique(g.graph)
     if len(clique) == coloring.colors_used:
         return clique
     if _k_coloring(g.graph, coloring.colors_used - 1, clique) is not None:
         raise InvalidColoring(
-            f"coloring uses {coloring.colors_used} colors but the index is "
-            f"{chromatic_number(g.graph)}"
+            f"coloring uses {coloring.colors_used} colors but the index is {csi(g)}"
         )
     return None
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Sequence
 
-from .errors import InternalInvariant
+from .errors import DomainError, InternalInvariant
 
 
 @dataclass(frozen=True)
@@ -21,8 +21,10 @@ class IntPolynomial:
     coefficients: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.coefficients:
-            raise ValueError("a polynomial needs at least one coefficient")
+        # type() rather than isinstance(): True would print as "True".
+        cs = self.coefficients
+        if type(cs) is not tuple or not cs or any(type(c) is not int for c in cs):
+            raise DomainError(f"coefficients must be a non-empty tuple of ints, got {cs!r}")
 
     @property
     def degree(self) -> int:

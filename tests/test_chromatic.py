@@ -52,7 +52,7 @@ from stereograph import (
     switching_representative,
     two_coloring,
 )
-from stereograph import chromatic, graphs, spectral
+from stereograph import chromatic, generators, graphs, spectral
 from stereograph.chromatic import (
     Coloring,
     _compute_stability_report,
@@ -62,7 +62,7 @@ from stereograph.chromatic import (
     leading_chromatic_coefficients,
 )
 from stereograph.graphs import Graph, max_clique_size
-from stereograph.model import _descendant, pattern_length
+from stereograph.model import _descendant, _value_rows, pattern_length
 
 # b2 = C(16, 2) for the 2-pair 4-cycle would be wrong; the frozen values
 # below were recomputed with the deletion-contraction oracle.
@@ -160,6 +160,16 @@ class TestChromaticPolynomial:
     def test_size_bound(self):
         with pytest.raises(SizeExceeded):
             chromatic_polynomial(gen_complete_ladder(8).graph)
+
+    def test_partition_counts_bounded(self):
+        # Unbounded, the edgeless 15-vertex graph (Bell(15) partitions)
+        # takes about a minute; the bound refuses it before any set is
+        # listed, for both entries.
+        edgeless = Graph.from_edges(15, frozenset())
+        message = "^independent partition counts bounded at 14 vertices, got 15$"
+        for entry in (independent_partition_counts, chromatic_polynomial):
+            with pytest.raises(SizeExceeded, match=message):
+                entry(edgeless)
 
     def test_partition_counts_baseline(self, k22):
         # The 4-cycle splits into independent sets as: 1 way into 2,
@@ -572,6 +582,30 @@ class TestIndexThreeOnThePattern:
             assert csi(g) == index, g.bits
             blocks = chromatic._index_three_blocks(_descendant(rows))
             assert (blocks is not None) == (index == 3), g.bits
+
+    def test_every_class_on_seven_pairs(self):
+        # One normalised pattern per switching class, the 54 the census
+        # walks and takes its index of on the csi route alone.
+        walk = generators._OrbitWalk(7)
+        seen = bytearray(1 << pattern_length(6))
+        value = classes = 0
+        while value >= 0:
+            walk.orbit(value, seen)
+            rows = _value_rows(7, value)
+            index = chromatic_number(StereotypeGraph(7, rows).graph)
+            assert csi(StereotypeGraph(7, rows)) == index, value
+            blocks = chromatic._index_three_blocks(_descendant(rows))
+            assert (blocks is not None) == (index == 3), value
+            classes += 1
+            value = seen.find(0, value + 1)
+        assert classes == 54
+
+    def test_certificate_reads_no_bits(self):
+        """The index-3 claim names the class by its pair count and block
+        masks, not by the C(n, 2) pattern bits only a failure shows."""
+        g = StereotypeGraph(40, drawn_three_block_graph(40, 0).rows)
+        assert csi(g) == 3
+        assert "bits" not in vars(g)
 
     @pytest.mark.parametrize("n", range(3, 25))
     def test_three_block_patterns_run_no_search(self, monkeypatch, n):

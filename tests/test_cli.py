@@ -655,6 +655,12 @@ class TestMerge:
             assert (code, out) == (1, ""), pairs
             assert err == f"stereograph: --pairs expects 'i,j', got {pairs!r}\n"
 
+    def test_pairs_with_trace_rejected(self, capsys, kl3_file):
+        # Only the --to-k2 reduction keeps a step log to print.
+        code, out, err = run(capsys, "merge", kl3_file, "--pairs", "1,2", "--trace")
+        assert (code, out) == (1, "")
+        assert err == "stereograph: --trace logs the --to-k2 reduction; --pairs has no step log\n"
+
 
 class TestExportDot:
     def test_deterministic_output(self, capsys, kl3_file, tmp_path):

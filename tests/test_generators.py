@@ -395,6 +395,30 @@ class TestCensus:
         with pytest.raises(DomainError):
             census(n)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_csi_route_per_class(self, monkeypatch, n):
+        """The census takes each class's index on the csi route, one
+        _csi_coloring per class, and never reaches the generic
+        chromatic_number or max_clique."""
+        names = ("_csi_coloring", "chromatic_number", "max_clique")
+        calls = dict.fromkeys(names, 0)
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for module in (graphs, chromatic):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        rows = census(n)
+        classes = sum(r.iso_class_count for r in rows)
+        assert calls == {"_csi_coloring": classes, "chromatic_number": 0, "max_clique": 0}
+        assert not any(hasattr(generators, name) for name in names)
+
 
 # The exhaustive walks as (call with n and limit, the name their bound
 # message gives); all three check limit with the one rule.
@@ -512,17 +536,18 @@ class TestExpansion:
         search an expansion runs, including the one it grows and the one
         that the refutation of a smaller palette pre-colors when the index
         exceeds the clique number (192 of the 1024 graphs on 5 pairs): one
-        max_clique call, and no other clique search by any name."""
+        _pair_rooted_clique call, the csi route's, and no max_clique or
+        other clique search by any name."""
         samples = [g for n in (2, 3, 4, 5) for g in enumerate_all(n)]
         colorings = [optimal_coloring(g.graph) for g in samples]
         # Where the index exceeds the clique number, the incrementing step
         # has no clique to grow and must refuse; nowhere else.
         gaps = [c.colors_used > max_clique_size(g.graph) for g, c in zip(samples, colorings)]
         assert sum(gaps) == sum(gaps[-1024:]) == 192
-        calls = {"max_clique_size": 0, "max_clique": 0}
+        calls = {"max_clique_size": 0, "max_clique": 0, "_pair_rooted_clique": 0}
 
         def counted(name):
-            original = getattr(graphs, name)
+            original = getattr(chromatic if name == "_pair_rooted_clique" else graphs, name)
 
             def wrapper(*args):
                 calls[name] += 1
@@ -535,13 +560,13 @@ class TestExpansion:
             for module in (graphs, chromatic, generators):
                 monkeypatch.setattr(module, name, wrapper, raising=False)
         for g, coloring, gap in zip(samples, colorings, gaps):
-            calls.update(max_clique_size=0, max_clique=0)
+            calls.update(max_clique_size=0, max_clique=0, _pair_rooted_clique=0)
             if gap and expand is expand_incrementing:
                 with pytest.raises(DomainError, match="no cross clique"):
                     expand(g, coloring)
             else:
                 expand(g, coloring)
-            assert calls == dict(max_clique_size=0, max_clique=1), g.bits
+            assert calls == dict(max_clique_size=0, max_clique=0, _pair_rooted_clique=1), g.bits
         # find_clique_of_size is a test oracle, out of the library's reach.
         assert not any(
             hasattr(module, "find_clique_of_size") for module in (graphs, chromatic, generators)

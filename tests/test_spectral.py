@@ -37,7 +37,7 @@ from stereograph import (
     triangle_pair_triples,
 )
 from stereograph.graphs import Graph
-from stereograph.polynomials import interpolate_integer_polynomial
+from stereograph.polynomials import IntPolynomial, interpolate_integer_polynomial
 from stereograph.spectral import (
     IntMatrix,
     _berkowitz,
@@ -330,6 +330,20 @@ class TestInterpolation:
     def test_nodes_must_be_zero_to_d(self):
         with pytest.raises(ValueError):
             interpolate_integer_polynomial([(1, 1), (2, 4)])
+
+
+class TestIntPolynomial:
+    def test_int_coefficients(self):
+        p = IntPolynomial((1, 0, -2))
+        assert (p.degree, p(3), str(p)) == (2, 7, "1 0 -2")
+
+    @pytest.mark.parametrize(
+        "coefficients", [(1.5, 2), (True, 0), (1, False), ("1",), [1, 2], (), None]
+    )
+    def test_rejects_anything_but_a_tuple_of_ints(self, coefficients):
+        # DomainError is a ValueError, as the empty tuple raised before.
+        with pytest.raises(DomainError, match="^coefficients must be"):
+            IntPolynomial(coefficients)
 
 
 class TestBareiss:
